@@ -27,10 +27,6 @@ type scenario_result = {
   after_s : float;
   speedup : float;
   trace_identical : bool;
-  trace_parallel_identical : bool;
-      (* the optimised run re-done with batching + the Dpool parallel
-         verify pool (small chunks, 4 workers) must also leave the trace
-         byte-identical — deterministic join order *)
   trace_events : int;
   ops_before : (string * int) list;
   ops_after : (string * int) list;
@@ -109,22 +105,6 @@ let measure ~quick ~seed ~n name run_fn =
   let before_s, trace_before, ops_before = traced_run run_fn scenario in
   set_optimizations true;
   let after_s, trace_after, ops_after = traced_run run_fn scenario in
-  (* Parallel-pool leg: the optimised configuration plus the Domain
-     verify pool, with chunks small enough that n=16 certificate and
-     beacon batches actually fan out.  Untimed as far as the gate is
-     concerned; what it must prove is byte-identity (deterministic join
-     order).  On 4.14 Dpool degrades to sequential and this is a plain
-     re-run. *)
-  Icc_crypto.Batch.set_parallel_verify true;
-  Icc_obs.Dpool.set_workers 4;
-  Icc_crypto.Batch.set_max_chunk 4;
-  let _, trace_parallel, _ = traced_run run_fn scenario in
-  Icc_crypto.Batch.set_parallel_verify false;
-  Icc_crypto.Batch.set_max_chunk 64;
-  (* Join the workers before anything else is timed: idle domains tax
-     every later allocation-heavy run through the stop-the-world minor
-     GC barrier (a parked pool cost ICC2's optimised leg ~3x). *)
-  Icc_obs.Dpool.shutdown ();
   let phases = profiled_phases run_fn scenario in
   {
     name;
@@ -132,7 +112,6 @@ let measure ~quick ~seed ~n name run_fn =
     after_s;
     speedup = (if after_s > 0. then before_s /. after_s else nan);
     trace_identical = String.equal trace_before trace_after;
-    trace_parallel_identical = String.equal trace_after trace_parallel;
     trace_events = count_lines trace_after;
     ops_before;
     ops_after;
@@ -190,13 +169,14 @@ type batch_row = {
   br_ops : int;
 }
 
-(* Synthetic verification corpus: how does per-signature cost move with
-   the RLC chunk size?  Informational rows (the 2x gate covers only the
-   protocol scenarios); batch = 0 is the per-item baseline.  Keys repeat
-   across items (64 distinct signers / verification keys) so the
-   fixed-base cache behaves as in a real committee; every DLEQ item
-   shares one (generator, message-point) base pair, the beacon-round
-   shape. *)
+(* Synthetic verification corpus: how does per-proof DLEQ cost move
+   with the RLC chunk size?  Informational rows (the 2x gate covers only
+   the protocol scenarios); batch = 0 is the per-item baseline, and the
+   single Schnorr verify row is the reference for the unbatched
+   signature scheme.  Keys repeat across items (64 distinct signers /
+   verification keys) so the fixed-base cache behaves as in a real
+   committee; every DLEQ item shares one (generator, message-point)
+   base pair, the beacon-round shape. *)
 let batch_sweep_rows ~quick =
   let total = if quick then 256 else 2048 in
   let rand_bits =
@@ -253,12 +233,11 @@ let batch_sweep_rows ~quick =
   in
   let sizes = [ 0; 4; 8; 16; 32; 64; 128; 256 ] in
   let rows =
-    List.map
-      (fun b ->
-        time_leg "schnorr" b (fun () ->
-            Icc_crypto.Schnorr.verify_batch schnorr_items))
-      sizes
-    @ List.map
+    time_leg "schnorr" 0 (fun () ->
+        List.map
+          (fun (pk, msg, sg) -> Icc_crypto.Schnorr.verify pk msg sg)
+          schnorr_items)
+    :: List.map
         (fun b ->
           time_leg "dleq" b (fun () ->
               Icc_crypto.Dleq.verify_batch
@@ -279,9 +258,9 @@ let ops_json ops =
 
 let scenario_json r =
   Printf.sprintf
-    {|    {"name":%S,"before_s":%.6f,"after_s":%.6f,"speedup":%.2f,"trace_identical":%b,"trace_parallel_identical":%b,"trace_events":%d,"ops_before":%s,"ops_after":%s,"phases_us":%s}|}
+    {|    {"name":%S,"before_s":%.6f,"after_s":%.6f,"speedup":%.2f,"trace_identical":%b,"trace_events":%d,"ops_before":%s,"ops_after":%s,"phases_us":%s}|}
     r.name r.before_s r.after_s r.speedup r.trace_identical
-    r.trace_parallel_identical r.trace_events (ops_json r.ops_before)
+    r.trace_events (ops_json r.ops_before)
     (ops_json r.ops_after) (ops_json r.phases)
 
 let sweep_json s =
@@ -386,8 +365,7 @@ let print_table results =
     (fun r ->
       Printf.printf "%-6s %12.3f %12.3f %8.1fx %9s %8d\n" r.name r.before_s
         r.after_s r.speedup
-        (if r.trace_identical && r.trace_parallel_identical then "yes"
-         else "NO")
+        (if r.trace_identical then "yes" else "NO")
         r.trace_events)
     results;
   let interesting =
@@ -395,7 +373,6 @@ let print_table results =
       "pow_generic";
       "pow_fixed_base";
       "multi_exps";
-      "schnorr_batched";
       "dleq_batched";
       "batch_fallbacks";
     ]
@@ -496,11 +473,7 @@ let main () =
   output_string oc json;
   close_out oc;
   Printf.printf "wrote %s\n" out;
-  let traces_ok =
-    List.for_all
-      (fun r -> r.trace_identical && r.trace_parallel_identical)
-      results
-  in
+  let traces_ok = List.for_all (fun r -> r.trace_identical) results in
   if not traces_ok then
     prerr_endline "FAIL: optimisations changed the trace (not byte-identical)";
   let check_ok =

@@ -25,7 +25,7 @@ let compute_digest ~round ~proposer ~parent_hash ~payload =
        (Icc_crypto.Sha256.to_hex parent_hash)
        (Icc_crypto.Sha256.to_hex (Types.payload_digest payload)))
 
-(* Â§3.5 toggle, Atomic so a parallel verify pool hashing blocks reads it
+(* Â§3.5 toggle, Atomic so domains hashing blocks concurrently read it
    race-free; flip only while single-domain (DESIGN.md Â§3.9). *)
 let memoize = Atomic.make true
 let set_memoization on = Atomic.set memoize on

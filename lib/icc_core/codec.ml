@@ -124,20 +124,14 @@ let r_list c r =
 
 (* --- domain encoders ---------------------------------------------------- *)
 
-(* The commitment is carried on the simulated wire so receivers can
-   batch-verify; the *modeled* wire size stays [signature_wire_size]
-   (production verifiers recompute R from (c, s) when checking singly,
-   and a batch-friendly encoding replaces c by R at equal size). *)
 let w_schnorr buf (s : Icc_crypto.Schnorr.signature) =
   w_int buf s.Icc_crypto.Schnorr.challenge;
-  w_int buf s.Icc_crypto.Schnorr.response;
-  w_int buf s.Icc_crypto.Schnorr.commitment
+  w_int buf s.Icc_crypto.Schnorr.response
 
 let r_schnorr c : Icc_crypto.Schnorr.signature =
   let challenge = r_int c in
   let response = r_int c in
-  let commitment = r_int c in
-  { challenge; response; commitment }
+  { challenge; response }
 
 let w_ms_share buf (s : Icc_crypto.Multisig.share) =
   w_int buf s.Icc_crypto.Multisig.signer;
@@ -223,8 +217,8 @@ let w_vuf_share buf (s : Icc_crypto.Threshold_vuf.signature_share) =
   w_int buf s.Icc_crypto.Threshold_vuf.value;
   w_int buf s.Icc_crypto.Threshold_vuf.proof.Icc_crypto.Dleq.challenge;
   w_int buf s.Icc_crypto.Threshold_vuf.proof.Icc_crypto.Dleq.response;
-  (* Commitments carried for batch verification, as with [w_schnorr];
-     modeled share size is unchanged. *)
+  (* Commitments carried for batch verification; modeled share size is
+     unchanged. *)
   w_int buf s.Icc_crypto.Threshold_vuf.proof.Icc_crypto.Dleq.commit1;
   w_int buf s.Icc_crypto.Threshold_vuf.proof.Icc_crypto.Dleq.commit2
 

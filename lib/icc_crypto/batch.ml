@@ -1,25 +1,18 @@
 (* Shared machinery for random-linear-combination batch verification
-   (contract in batch.mli): the two §3.5-style toggles, the
-   deterministic 32-bit batch coefficients, and the chunked dispatcher
-   that optionally fans chunks out over the {!Icc_obs.Dpool} worker
-   domains.
+   (contract in batch.mli): the §3.5-style toggle, the deterministic
+   32-bit batch coefficients, and the chunked dispatcher.
 
-   Domain safety (DESIGN.md §3.9): both toggles and the chunk knob are
+   Domain safety (DESIGN.md §3.9): the toggle and the chunk knob are
    [Atomic.t]s, flipped only while single-domain (snapshot-at-spawn);
-   [dispatch] itself holds no state — chunk results live in arrays
-   owned by the pool's coordinator. *)
+   [dispatch] itself holds no state. *)
 
 let batching = Atomic.make true
 let set_batch_verify on = Atomic.set batching on
 let batch_verify_enabled () = Atomic.get batching
 
-let parallel = Atomic.make false
-let set_parallel_verify on = Atomic.set parallel on
-let parallel_verify_enabled () = Atomic.get parallel
-
 (* Default 64: past that size the Pippenger bucket sweep stops gaining
    per signature (see the `batch_sweep` rows of BENCH_perf.json) and
-   chunking bounds both worst-case fallback cost and parallel grain. *)
+   chunking bounds the worst-case fallback cost. *)
 let max_chunk_v = Atomic.make 64
 
 let set_max_chunk n = Atomic.set max_chunk_v (max 2 n)
@@ -53,12 +46,6 @@ let dispatch (f : 'a array -> 'b array) (arr : 'a array) : 'b array =
       Array.init nchunks (fun k ->
           Array.sub arr (k * cz) (min cz (n - (k * cz))))
     in
-    let mapped =
-      if Atomic.get parallel && Icc_obs.Dpool.available then
-        Icc_obs.Profile.span "pool.parallel_join" (fun () ->
-            Icc_obs.Dpool.map f chunks)
-      else Array.map f chunks
-    in
-    Array.concat (Array.to_list mapped)
+    Array.concat (Array.to_list (Array.map f chunks))
   end
 [@@icc.domain_entry]

@@ -1,31 +1,23 @@
 (** Shared machinery for random-linear-combination batch verification:
-    toggles, deterministic batch coefficients, and chunked (optionally
-    domain-parallel) dispatch.  Used by {!Schnorr.verify_batch} and
-    {!Dleq.verify_batch}; see DESIGN.md §3.10.
+    the batching toggle, deterministic batch coefficients, and chunked
+    dispatch.  Used by {!Dleq.verify_batch}; see DESIGN.md §3.10.
 
-    Both toggles follow the §3.5 discipline: Atomic-backed, flipped
-    only while single-domain, and trace-preserving — batch and
-    parallel verification return verdicts identical to the one-by-one
-    path (up to the standard ~2^-32 RLC false-accept bound, which no
-    committed scenario can hit), so only wall-clock changes. *)
+    The toggle follows the §3.5 discipline: Atomic-backed, flipped only
+    while single-domain, and trace-preserving — batch verification
+    returns verdicts identical to the one-by-one path (up to the
+    standard ~2^-32 RLC false-accept bound, which no committed scenario
+    can hit), so only wall-clock changes. *)
 
 val set_batch_verify : bool -> unit
 (** Toggle random-linear-combination batching (on by default). *)
 
 val batch_verify_enabled : unit -> bool
 
-val set_parallel_verify : bool -> unit
-(** Toggle fan-out of verification chunks over the {!Icc_obs.Dpool}
-    worker domains (off by default; a no-op on 4.14 builds, where
-    {!Icc_obs.Dpool.available} is [false]). *)
-
-val parallel_verify_enabled : unit -> bool
-
 val set_max_chunk : int -> unit
 (** Batch chunk size (clamped to [>= 2]; default 64): verification
     batches larger than this are split into chunks of at most this
-    size — the unit of both the combined RLC equation and of parallel
-    dispatch.  The `bench perf` batch-size sweep varies this knob. *)
+    size — the unit of the combined RLC equation.  The `bench perf`
+    batch-size sweep varies this knob. *)
 
 val max_chunk : unit -> int
 
@@ -38,7 +30,5 @@ val coeff : salt:int -> int array -> int
 
 val dispatch : ('a array -> 'b array) -> 'a array -> 'b array
 (** [dispatch f arr] splits [arr] into chunks of at most
-    {!max_chunk} elements, maps [f] over the chunks — in parallel via
-    {!Icc_obs.Dpool.map} under the [pool.parallel_join] span when
-    {!parallel_verify_enabled} — and concatenates the results in input
-    order.  [f] must be pure per chunk (verification predicates are). *)
+    {!max_chunk} elements, maps [f] over the chunks and concatenates the
+    results in input order. *)

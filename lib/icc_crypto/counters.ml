@@ -17,7 +17,6 @@ let pow_fixed_base = Icc_obs.Registry.counter "pow_fixed_base"
 let fixed_base_tables = Icc_obs.Registry.counter "fixed_base_tables"
 let fixed_base_evictions = Icc_obs.Registry.counter "fixed_base_evictions"
 let multi_exps = Icc_obs.Registry.counter "multi_exps"
-let schnorr_batched = Icc_obs.Registry.counter "schnorr_batched"
 let dleq_batched = Icc_obs.Registry.counter "dleq_batched"
 let batch_fallbacks = Icc_obs.Registry.counter "batch_fallbacks"
 let zero_rederives = Icc_obs.Registry.counter "zero_rederives"
@@ -34,7 +33,6 @@ let all =
     ("fixed_base_tables", fixed_base_tables);
     ("fixed_base_evictions", fixed_base_evictions);
     ("multi_exps", multi_exps);
-    ("schnorr_batched", schnorr_batched);
     ("dleq_batched", dleq_batched);
     ("batch_fallbacks", batch_fallbacks);
     ("zero_rederives", zero_rederives);

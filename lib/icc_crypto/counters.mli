@@ -31,10 +31,6 @@ val fixed_base_evictions : Icc_obs.Registry.counter
 val multi_exps : Icc_obs.Registry.counter
 (** Pippenger multi-exponentiations ({!Group.multi_exp} calls). *)
 
-val schnorr_batched : Icc_obs.Registry.counter
-(** Schnorr signatures checked through a random-linear-combination
-    batch equation rather than one-by-one. *)
-
 val dleq_batched : Icc_obs.Registry.counter
 (** DLEQ proofs checked through a random-linear-combination batch
     equation rather than one-by-one. *)

@@ -40,5 +40,4 @@ val verify_batch :
     shape of one beacon round's share set.  With batching enabled the
     chunked combined equation amortises the group work; a failing chunk
     falls back to per-item equations, so culprits are identified
-    exactly.  Chunks fan out over the {!Icc_obs.Dpool} domains when
-    {!Batch.set_parallel_verify} is on. *)
+    exactly. *)

@@ -47,8 +47,8 @@ let pow base e =
    Tables live in a domain-local cache keyed by base element: each domain
    builds its own tables (a table is a pure function of the base, so
    per-domain rebuilds cost only the ~300-mult construction), which keeps
-   the lookup path lock-free and race-free under a parallel verify pool
-   (DESIGN.md §3.9).  All cache access is by exact key (never iteration),
+   the lookup path lock-free and race-free when several domains verify
+   at once (DESIGN.md §3.9).  All cache access is by exact key (never iteration),
    so cache state can never perturb protocol determinism; a size cap
    bounds memory against adversarial inputs (full cache => compute
    generic, don't cache). *)
@@ -106,8 +106,8 @@ module Fixed_base = struct
   let probation_cap = 1024
   let probation_hits = 3
 
-  let cache_key : cache Icc_obs.Dls.key =
-    Icc_obs.Dls.new_key (fun () ->
+  let cache_key : cache Domain.DLS.key =
+    Domain.DLS.new_key (fun () ->
         let tbl = Hashtbl.create 64 in
         (* Pin the generator: built eagerly, never enqueued on [ring]. *)
         Hashtbl.replace tbl g (make g);
@@ -137,7 +137,7 @@ module Fixed_base = struct
     Some t
 
   let find (base : elt) : table option =
-    let c = Icc_obs.Dls.get cache_key in
+    let c = Domain.DLS.get cache_key in
     match Hashtbl.find_opt c.tbl base with
     | Some t -> Some t
     | None ->

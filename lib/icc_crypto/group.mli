@@ -42,8 +42,7 @@ val multi_exp : (elt * scalar) array -> elt
     window width [c], vs. [~1.5 * bits * n] for [n] independent
     {!pow}s.  Exponents are reduced mod [q]; narrow exponents (e.g.
     32-bit batch coefficients) cost proportionally fewer windows.
-    [multi_exp \[||\] = one].  The workhorse of
-    {!Schnorr.verify_batch} / {!Dleq.verify_batch}. *)
+    [multi_exp \[||\] = one].  The workhorse of {!Dleq.verify_batch}. *)
 
 val set_fixed_base : bool -> unit
 (** Toggle fixed-base tables (on by default).  Only affects speed, never

@@ -53,33 +53,8 @@ let verify_share params msg { signer; signature } =
   signer >= 1 && signer <= params.n
   && Schnorr.verify params.public_keys.(signer - 1) msg signature
 
-(* Per-share verdicts through {!Schnorr.verify_batch}: a combine or
-   certificate check hands all its shares to one batch call (one
-   combined equation per chunk when batching is on) instead of h
-   independent verifies.  Out-of-range signers are exact rejects that
-   never reach the signature check, mirroring {!verify_share}. *)
 let verify_shares params msg shares : bool list =
-  let in_range s = s.signer >= 1 && s.signer <= params.n in
-  let verdicts =
-    Schnorr.verify_batch
-      (List.filter_map
-         (fun s ->
-           if in_range s then
-             Some (params.public_keys.(s.signer - 1), msg, s.signature)
-           else None)
-         shares)
-  in
-  let rec stitch shares verdicts =
-    match shares with
-    | [] -> []
-    | s :: rest ->
-        if in_range s then
-          match verdicts with
-          | v :: vs -> v :: stitch rest vs
-          | [] -> assert false
-        else false :: stitch rest verdicts
-  in
-  stitch shares verdicts
+  List.map (verify_share params msg) shares
 
 let combine params msg shares : signature option =
   Icc_obs.Profile.span "crypto.multisig_combine" @@ fun () ->

@@ -34,8 +34,8 @@
    declaration (confinement argument: every access is under a lock, or
    the cell is written before any spawn); or a [@icc.allow "d6-...: .."]
    at the use site or on the state's declaration.  State held in
-   [Atomic.t], [Domain.DLS] (or the repo's [Icc_obs.Dls] / [Icc_obs.Lock]
-   shims) and [Mutex.t] is recognized as synchronized by construction.
+   [Atomic.t], [Domain.DLS] and [Mutex.t] is recognized as synchronized
+   by construction.
 
    Resolution is name-based over dune-normalized paths (Typeinfo), with
    candidate keys tried most-qualified first; unresolved names (locals,
@@ -231,8 +231,7 @@ let unsync_creators =
 let sync_creators =
   [
     ("Atomic.make", "atomic"); ("Mutex.create", "mutex");
-    ("DLS.new_key", "domain-local"); ("Dls.new_key", "domain-local");
-    ("Lock.create", "lock");
+    ("DLS.new_key", "domain-local");
   ]
 
 (* The *value* of a binding, past any bootstrap lets:
@@ -594,7 +593,7 @@ let finalize acc ~report =
                                 "%s %s is reachable from the \
                                  [@icc.domain_entry] closure without \
                                  synchronization — use Atomic.t / \
-                                 Icc_obs.Dls / Icc_obs.Lock, or justify \
+                                 Domain.DLS / Mutex, or justify \
                                  confinement with [@icc.domain_safe \"...\"]"
                                 desc g.g_key )
                       in
@@ -613,7 +612,7 @@ let finalize acc ~report =
                           "forcing shared lazy %s from the parallel closure \
                            can race (two domains forcing concurrently raise \
                            CamlinternalLazy.Undefined) — force it before \
-                           Domain.spawn or guard it with Icc_obs.Lock"
+                           Domain.spawn or guard it with a Mutex"
                           g.g_key
                       in
                       match g.g_annot with
@@ -653,7 +652,7 @@ let finalize acc ~report =
                          (Printf.sprintf
                             "top-level mutable state (%s) in a module wired \
                              into the [@icc.domain_entry] closure — use \
-                             Atomic.t / Icc_obs.Dls / Icc_obs.Lock, or \
+                             Atomic.t / Domain.DLS / Mutex, or \
                              document confinement with [@icc.domain_safe \
                              \"...\"]"
                             (safety_desc g.g_safety)))

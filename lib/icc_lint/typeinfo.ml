@@ -298,12 +298,11 @@ let shared_mutable_type_names =
 let lazy_type_names = [ "lazy_t"; "Lazy.t"; "Stdlib.Lazy.t" ]
 
 (* Synchronized / confined cells: mutable inside, but safe to share by
-   construction.  [Dls.key] / [Lock.t] are the repo's 4.14-compatible
-   shims over Domain.DLS / Mutex (lib/icc_obs). *)
+   construction. *)
 let sync_cell_type_names =
   [
     "Atomic.t"; "Stdlib.Atomic.t"; "Mutex.t"; "Stdlib.Mutex.t"; "DLS.key";
-    "Dls.key"; "Lock.t"; "Semaphore.t";
+    "Semaphore.t";
   ]
 
 type mutability = Shared_mutable of string | Shared_lazy | Unshared

@@ -62,5 +62,5 @@ val classify_mutable :
 (** Is a value of this type shared mutable state if placed in a
     top-level binding?  Resolves aliases, looks through tuples and
     immutable containers, and treats [Atomic.t] / [Mutex.t] /
-    [Domain.DLS.key] (and the repo's [Dls] / [Lock] shims) as
-    synchronized, hence [Unshared].  Used by the D5-D8 domain pass. *)
+    [Domain.DLS.key] as synchronized, hence [Unshared].  Used by the
+    D5-D8 domain pass. *)

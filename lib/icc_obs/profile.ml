@@ -8,12 +8,10 @@
    aggregation tables.
 
    Domain safety (DESIGN.md §3.9): the span stack and the round/party
-   attribution context are domain-local ([Dls] — every domain profiles
-   its own call tree), the enable toggle is an [Atomic.t], and the
-   four aggregation tables are only touched under [profile_lock], so a
-   parallel verify pool can run with profiling on without racing the
-   main domain.  On 4.14 the shims degrade to plain cells and no-op
-   locks with identical single-domain behaviour.
+   attribution context are domain-local ([Domain.DLS] — every domain
+   profiles its own call tree), the enable toggle is an [Atomic.t], and
+   the four aggregation tables are only touched under [profile_lock], so
+   code running on several domains can profile without racing.
 
    All query output is sorted with keyed comparators — Hashtbl iteration
    order never escapes. *)
@@ -49,8 +47,8 @@ type pstate = {
   mutable party : int;
 }
 
-let pstate_key : pstate Dls.key =
-  Dls.new_key (fun () ->
+let pstate_key : pstate Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
       {
         frames = Array.init 64 (fun _ -> fresh_frame ());
         depth = 0;
@@ -64,15 +62,15 @@ let grow st =
   st.frames <-
     Array.init (2 * n) (fun i -> if i < n then old.(i) else fresh_frame ())
 
-let set_round r = (Dls.get pstate_key).round <- r
-let set_party p = (Dls.get pstate_key).party <- p
+let set_round r = (Domain.DLS.get pstate_key).round <- r
+let set_party p = (Domain.DLS.get pstate_key).party <- p
 
 (* --- aggregation (shared across domains, guarded by profile_lock) ------- *)
 
 type agg = { mutable a_count : int; mutable a_total : float; mutable a_self : float }
 type cell = { mutable cl_count : int; mutable cl_self : float }
 
-let profile_lock = Lock.create ()
+let profile_lock = Mutex.create ()
 
 let agg_tbl : (string, agg) Hashtbl.t = Hashtbl.create 64
 [@@icc.domain_safe "written only inside [record]/[reset] under profile_lock"]
@@ -89,12 +87,12 @@ let party_tbl : (int, (string, float ref) Hashtbl.t) Hashtbl.t = Hashtbl.create 
 [@@icc.domain_safe "written only inside [record]/[reset] under profile_lock"]
 
 let reset () =
-  Lock.with_lock profile_lock (fun () ->
+  Mutex.protect profile_lock (fun () ->
       Hashtbl.reset agg_tbl;
       Hashtbl.reset folded_tbl;
       Hashtbl.reset round_tbl;
       Hashtbl.reset party_tbl);
-  let st = Dls.get pstate_key in
+  let st = Domain.DLS.get pstate_key in
   st.round <- 0;
   st.party <- 0;
   st.depth <- 0
@@ -113,7 +111,7 @@ let charge tbl key name self =
   | None -> Hashtbl.add leaf name (ref self)
 
 let record st fr total self =
-  Lock.with_lock profile_lock @@ fun () ->
+  Mutex.protect profile_lock @@ fun () ->
   (match Hashtbl.find_opt agg_tbl fr.fr_name with
   | Some a ->
       a.a_count <- a.a_count + 1;
@@ -158,7 +156,7 @@ let leave st =
 let span name f =
   if not (Atomic.get on) then f ()
   else begin
-    let st = Dls.get pstate_key in
+    let st = Domain.DLS.get pstate_key in
     enter st name;
     match f () with
     | v ->
@@ -179,7 +177,7 @@ type stat = {
 }
 
 let stats () =
-  Lock.with_lock profile_lock (fun () ->
+  Mutex.protect profile_lock (fun () ->
       (Hashtbl.fold
          (fun name a acc ->
            {
@@ -196,7 +194,7 @@ let stats () =
   |> List.sort (fun a b -> String.compare a.sp_name b.sp_name)
 
 let folded () =
-  Lock.with_lock profile_lock (fun () ->
+  Mutex.protect profile_lock (fun () ->
       (Hashtbl.fold
          (fun path c acc -> (path, c.cl_count, c.cl_self) :: acc)
          folded_tbl []
@@ -217,7 +215,7 @@ let folded_lines () =
   Buffer.contents b
 
 let contexts tbl =
-  Lock.with_lock profile_lock (fun () ->
+  Mutex.protect profile_lock (fun () ->
       (Hashtbl.fold
          (fun key leaf acc ->
            let cells =

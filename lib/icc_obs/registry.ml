@@ -3,9 +3,7 @@
    Counters and gauges are [Atomic.t]-backed cells: a bump is one atomic
    fetch-and-add, so the hot instrumentation paths (crypto verifies, pool
    admissions) stay race-free when executed from several domains at once
-   — the precondition for the ROADMAP item 3 parallel verify pool, and
-   what the d6-domain-escape lint certifies (DESIGN.md §3.9).  [Atomic]
-   is stdlib since 4.12, so the 4.14 leg of the CI matrix needs no shim.
+   — what the d6-domain-escape lint certifies (DESIGN.md §3.9).
 
    Histogram observation remains plain mutable state: observations come
    only from the self-profiler, which keeps its mutable state domain-
@@ -34,7 +32,7 @@ type histogram = {
 
 type metric = M_counter of counter | M_gauge of gauge | M_histogram of histogram
 
-let registry_lock = Lock.create ()
+let registry_lock = Mutex.create ()
 
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 [@@icc.domain_safe
@@ -44,7 +42,7 @@ let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 (* Find-or-insert under the lock; [make] runs inside the critical
    section so two domains registering the same name get the same cell. *)
 let register name ~make ~cast ~kind =
-  Lock.with_lock registry_lock @@ fun () ->
+  Mutex.protect registry_lock @@ fun () ->
   match Hashtbl.find_opt registry name with
   | Some m -> (
       match cast m with
@@ -177,7 +175,7 @@ let hist_stats h =
 (* --- registry-wide ------------------------------------------------------ *)
 
 let all_sorted () =
-  Lock.with_lock registry_lock (fun () ->
+  Mutex.protect registry_lock (fun () ->
       (Hashtbl.fold (fun name m acc -> (name, m) :: acc) registry []
        [@icc.allow
          "d2-hashtbl-order: unordered (name, metric) pairs collected under \

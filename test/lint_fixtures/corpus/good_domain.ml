@@ -1,16 +1,16 @@
 (* Clean domain safety: synchronized cells (Atomic), domain-local state
-   (Icc_obs.Dls), lock-protected sections (Icc_obs.Lock) and function
-   locals produce no findings. *)
+   (Domain.DLS), lock-protected sections (Mutex) and function locals
+   produce no findings. *)
 
 let enabled = Atomic.make true
-let cache_key = Icc_obs.Dls.new_key (fun () -> Hashtbl.create 8)
-let stats_lock = Icc_obs.Lock.create ()
+let cache_key = Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+let stats_lock = Mutex.create ()
 
 let verify x =
   if Atomic.get enabled then begin
-    let t = Icc_obs.Dls.get cache_key in
+    let t = Domain.DLS.get cache_key in
     Hashtbl.replace t x true;
-    Icc_obs.Lock.with_lock stats_lock (fun () -> x >= 0)
+    Mutex.protect stats_lock (fun () -> x >= 0)
   end
   else begin
     let local = Hashtbl.create 4 in

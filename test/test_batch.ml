@@ -1,16 +1,16 @@
-(* Batch signature verification (DESIGN.md §3.10): Pippenger multi-exp,
-   RLC batch equations for Schnorr and DLEQ, the Dpool parallel verify
-   pool, and the crypto-layer bugfix regressions that rode along
-   (fixed-base cache saturation, zero-scalar remap bias, hash-to-group
-   nudge collapse). *)
+(* Signature verification (DESIGN.md §3.10): Pippenger multi-exp,
+   culprit identification in multisig share sets, the RLC batch
+   equation for DLEQ, and the crypto-layer bugfix regressions that rode
+   along (fixed-base cache saturation, zero-scalar remap bias,
+   hash-to-group nudge collapse). *)
 
 module G = Icc_crypto.Group
 module Batch = Icc_crypto.Batch
 module Schnorr = Icc_crypto.Schnorr
+module Multisig = Icc_crypto.Multisig
 module Dleq = Icc_crypto.Dleq
 module Counters = Icc_crypto.Counters
 module Registry = Icc_obs.Registry
-module Dpool = Icc_obs.Dpool
 
 let rng = Icc_sim.Rng.create 0xba7c
 let rand_bits () = Icc_sim.Rng.bits61 rng
@@ -21,7 +21,6 @@ let with_toggles f () =
   Fun.protect
     ~finally:(fun () ->
       Batch.set_batch_verify true;
-      Batch.set_parallel_verify false;
       Batch.set_max_chunk 64)
     f
 
@@ -57,102 +56,66 @@ let test_multi_exp_edges () =
     (Array.fold_left (fun acc (b, e) -> G.mul acc (G.pow b e)) G.one pairs)
     (G.multi_exp pairs)
 
-(* -------------------------------------------- Schnorr batch verify *)
+(* ------------------------------ share-set culprit identification *)
 
-let keys = Array.init 8 (fun _ -> Schnorr.keygen rand_bits)
+let committee = 8
+let mparams, msecrets = Multisig.setup ~threshold_h:1 ~n:committee rand_bits
 
-(* A signed item with tamper class 0 (honest) .. 4; every non-zero class
-   must be rejected, and classes 1/3 keep the challenge hash valid so
-   they exercise the combined-equation fallback path specifically. *)
-let schnorr_item i tamper =
-  let sk, pk = keys.(i mod Array.length keys) in
-  let msg = Printf.sprintf "batch message %d" i in
-  let sg = Schnorr.sign sk msg in
+(* A share on [msg] by party [i mod committee + 1], with tamper class 0
+   (honest) .. 4; the classic-form Schnorr.verify behind
+   Multisig.verify_share must reject every non-zero class. *)
+let share_item msg i tamper =
+  let secret = List.nth msecrets (i mod committee) in
+  let share = Multisig.sign_share mparams secret msg in
+  let sg = share.Multisig.signature in
   match tamper with
   | 1 ->
-      (* hash still matches; group equation fails -> chunk fallback *)
-      (pk, msg, { sg with Schnorr.response = G.scalar_add sg.Schnorr.response 1 })
-  | 2 -> (pk, msg, { sg with Schnorr.challenge = G.scalar_add sg.Schnorr.challenge 1 })
+      { share with
+        Multisig.signature =
+          { sg with Schnorr.response = G.scalar_add sg.Schnorr.response 1 } }
+  | 2 ->
+      { share with
+        Multisig.signature =
+          { sg with Schnorr.challenge = G.scalar_add sg.Schnorr.challenge 1 } }
   | 3 ->
-      (* signature of one message presented for another *)
-      (pk, msg ^ "?", sg)
+      (* a share of another message presented for this one *)
+      Multisig.sign_share mparams secret (msg ^ "?")
   | 4 ->
-      let _, pk2 = keys.((i + 1) mod Array.length keys) in
-      (pk2, msg, sg)
-  | _ -> (pk, msg, sg)
+      (* a genuine signature claimed under another party's index *)
+      { share with Multisig.signer = (share.Multisig.signer mod committee) + 1 }
+  | _ -> share
 
-let schnorr_singles items =
-  List.map (fun (pk, msg, sg) -> Schnorr.verify pk msg sg) items
-
-(* Batch verdicts must equal the one-by-one verdicts for any mix of
-   honest and forged signatures, at any chunk size, with batching on or
-   off — in particular the batch accepts iff every item verifies
-   individually, and any single forgery is flagged exactly. *)
-let prop_schnorr_batch_matches_singles =
+(* Share-set verdicts must equal the one-by-one verdicts for any mix of
+   honest and forged shares: honest shares accepted, every forgery
+   flagged. *)
+let prop_verify_shares_matches_singles =
   let arb =
     QCheck.pair
       (QCheck.list_of_size (QCheck.Gen.int_bound 24) (QCheck.int_bound 4))
-      (QCheck.int_range 2 7)
+      QCheck.small_nat
   in
-  QCheck.Test.make ~name:"schnorr batch verdicts = single verdicts" ~count:60
-    arb (fun (tampers, chunk) ->
-      with_toggles
-        (fun () ->
-          let items = List.mapi schnorr_item tampers in
-          let expected = schnorr_singles items in
-          Batch.set_max_chunk chunk;
-          Batch.set_batch_verify true;
-          let batched = Schnorr.verify_batch items in
-          Batch.set_batch_verify false;
-          let unbatched = Schnorr.verify_batch items in
-          batched = expected && unbatched = expected
-          && List.for_all Fun.id expected
-             = List.for_all Fun.id batched)
-        ())
+  QCheck.Test.make ~name:"multisig share verdicts = single verdicts" ~count:60
+    arb (fun (tampers, m) ->
+      let msg = Printf.sprintf "share message %d" m in
+      let shares = List.mapi (share_item msg) tampers in
+      let verdicts = Multisig.verify_shares mparams msg shares in
+      verdicts = List.map (Multisig.verify_share mparams msg) shares
+      && verdicts = List.map (fun t -> t = 0) tampers)
 
-let prop_schnorr_single_forgery_rejected =
+let prop_verify_shares_single_forgery_rejected =
   let arb = QCheck.pair (QCheck.int_range 2 30) (QCheck.int_bound 1_000_000) in
-  QCheck.Test.make ~name:"schnorr batch flags any single forgery" ~count:60 arb
-    (fun (n, seed) ->
-      with_toggles
-        (fun () ->
-          let bad = seed mod n in
-          let items =
-            List.init n (fun i ->
-                schnorr_item i (if i = bad then 1 + (seed mod 4) else 0))
-          in
-          Batch.set_max_chunk (2 + (seed mod 6));
-          let verdicts = Schnorr.verify_batch items in
-          List.length verdicts = n
-          && List.for_all Fun.id (List.filteri (fun i _ -> i <> bad) verdicts)
-          && not (List.nth verdicts bad))
-        ())
-
-let test_schnorr_batch_counters () =
-  with_toggles
-    (fun () ->
-      Batch.set_max_chunk 8;
-      let honest = List.init 16 (fun i -> schnorr_item i 0) in
-      let batched0 = Registry.value Counters.schnorr_batched in
-      let fall0 = Registry.value Counters.batch_fallbacks in
-      Alcotest.(check (list bool)) "all accepted"
-        (List.init 16 (fun _ -> true))
-        (Schnorr.verify_batch honest);
-      Alcotest.(check int) "16 signatures settled by batch equations"
-        (batched0 + 16)
-        (Registry.value Counters.schnorr_batched);
-      Alcotest.(check int) "no fallback on honest batch" fall0
-        (Registry.value Counters.batch_fallbacks);
-      (* one equation-level forgery in a chunk forces that chunk's
-         per-item fallback — and only that chunk's *)
-      let mixed = List.init 16 (fun i -> schnorr_item i (if i = 3 then 1 else 0)) in
-      let fall1 = Registry.value Counters.batch_fallbacks in
-      Alcotest.(check (list bool)) "culprit identified exactly"
-        (List.init 16 (fun i -> i <> 3))
-        (Schnorr.verify_batch mixed);
-      Alcotest.(check int) "exactly one chunk fell back" (fall1 + 1)
-        (Registry.value Counters.batch_fallbacks))
-    ()
+  QCheck.Test.make ~name:"multisig shares flag any single forgery" ~count:60
+    arb (fun (n, seed) ->
+      let bad = seed mod n in
+      let msg = Printf.sprintf "share message %d" seed in
+      let shares =
+        List.init n (fun i ->
+            share_item msg i (if i = bad then 1 + (seed mod 4) else 0))
+      in
+      let verdicts = Multisig.verify_shares mparams msg shares in
+      List.length verdicts = n
+      && List.for_all Fun.id (List.filteri (fun i _ -> i <> bad) verdicts)
+      && not (List.nth verdicts bad))
 
 (* ----------------------------------------------- DLEQ batch verify *)
 
@@ -211,62 +174,6 @@ let prop_dleq_single_forgery_rejected =
           List.for_all Fun.id (List.filteri (fun i _ -> i <> bad) verdicts)
           && not (List.nth verdicts bad))
         ())
-
-(* --------------------------------------------- parallel verify pool *)
-
-let test_dpool_map_identity () =
-  if not Dpool.available then ()
-  else begin
-    Dpool.set_workers 4;
-    let arr = Array.init 257 (fun i -> i) in
-    Alcotest.(check (array int)) "parallel map = sequential map"
-      (Array.map (fun i -> (i * 31) lxor 7) arr)
-      (Dpool.map (fun i -> (i * 31) lxor 7) arr);
-    (* nested map from inside a worker stays sequential, not deadlocked *)
-    let nested =
-      Dpool.map (fun i -> Array.length (Dpool.map (fun j -> j) (Array.make (i + 1) 0)))
-        (Array.init 8 (fun i -> i))
-    in
-    Alcotest.(check (array int)) "nested map runs sequentially"
-      (Array.init 8 (fun i -> i + 1))
-      nested;
-    Dpool.shutdown ()
-  end
-
-let test_dpool_exception_lowest_index () =
-  if not Dpool.available then ()
-  else begin
-    Dpool.set_workers 4;
-    let boom i = if i mod 3 = 0 && i > 0 then failwith (string_of_int i) else i in
-    match Dpool.map boom (Array.init 64 (fun i -> i)) with
-    | _ -> Alcotest.fail "expected an exception"
-    | exception Failure i ->
-        (* deterministic join: always the lowest failing index *)
-        Alcotest.(check string) "lowest failing index re-raised" "3" i;
-        Dpool.shutdown ()
-  end
-
-let test_parallel_batch_matches_sequential () =
-  with_toggles
-    (fun () ->
-      let items = List.init 100 (fun i -> schnorr_item i (if i = 57 then 2 else 0)) in
-      let expected = schnorr_singles items in
-      Batch.set_max_chunk 4;
-      Batch.set_batch_verify true;
-      let sequential = Schnorr.verify_batch items in
-      Batch.set_parallel_verify true;
-      if Dpool.available then Dpool.set_workers 4;
-      let parallel = Schnorr.verify_batch items in
-      Alcotest.(check (list bool)) "sequential = singles" expected sequential;
-      Alcotest.(check (list bool)) "parallel = sequential" sequential parallel;
-      (* shutdown joins the workers (idle domains tax the minor GC of
-         everything that follows); the pool must respawn on demand *)
-      Dpool.shutdown ();
-      let again = Schnorr.verify_batch items in
-      Alcotest.(check (list bool)) "pool respawns after shutdown" sequential
-        again;
-      Dpool.shutdown ())
-    ()
 
 (* ------------------------------------ fixed-base cache saturation *)
 
@@ -397,8 +304,8 @@ let traced_digest () =
   ( r.Icc_core.Runner.rounds_decided,
     Icc_crypto.Sha256.digest_string (Buffer.contents buf) )
 
-(* Batching and the parallel pool are §3.5 toggles: flipping them may
-   change only wall-clock, never a trace byte.  This is the in-tree
+(* Batching is a §3.5 toggle: flipping it may change only wall-clock,
+   never a trace byte.  This is the in-tree
    version of the four golden n=16 trace checks run by `bench perf`. *)
 let test_toggle_trace_identity () =
   with_toggles
@@ -412,15 +319,6 @@ let test_toggle_trace_identity () =
       Alcotest.(check string) "batch off: trace byte-identical"
         (base :> string)
         (unbatched :> string);
-      Batch.set_batch_verify true;
-      Batch.set_max_chunk 4;
-      Batch.set_parallel_verify true;
-      if Dpool.available then Dpool.set_workers 4;
-      let _, parallel = traced_digest () in
-      Dpool.shutdown ();
-      Alcotest.(check string) "parallel pool: trace byte-identical"
-        (base :> string)
-        (parallel :> string);
       (* goldens never draw a zero scalar — the rederive branch (whose
          historical remap would have shifted these very bytes) is dead
          on every committed scenario *)
@@ -432,17 +330,10 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_multi_exp_naive;
     Alcotest.test_case "multi_exp edge cases" `Quick test_multi_exp_edges;
-    QCheck_alcotest.to_alcotest prop_schnorr_batch_matches_singles;
-    QCheck_alcotest.to_alcotest prop_schnorr_single_forgery_rejected;
-    Alcotest.test_case "schnorr batch counters + fallback" `Quick
-      test_schnorr_batch_counters;
+    QCheck_alcotest.to_alcotest prop_verify_shares_matches_singles;
+    QCheck_alcotest.to_alcotest prop_verify_shares_single_forgery_rejected;
     QCheck_alcotest.to_alcotest prop_dleq_batch_matches_singles;
     QCheck_alcotest.to_alcotest prop_dleq_single_forgery_rejected;
-    Alcotest.test_case "dpool map identity" `Quick test_dpool_map_identity;
-    Alcotest.test_case "dpool exception order" `Quick
-      test_dpool_exception_lowest_index;
-    Alcotest.test_case "parallel batch = sequential" `Quick
-      test_parallel_batch_matches_sequential;
     Alcotest.test_case "zero-remap: random_scalar_nonzero" `Quick
       test_random_scalar_nonzero;
     Alcotest.test_case "zero-remap: scalar_of_hash_nonzero" `Quick

@@ -1,7 +1,8 @@
-(* Domain-safety runtime shims and the state they guard: the Dls / Lock
-   4.14-compatible wrappers, the Atomic-backed Registry metrics, and the
-   domain-local fixed-base cache (pow_cached must agree with pow under
-   every toggle combination — the §3.5 byte-identity discipline). *)
+(* Domain-safety runtime primitives and the state they guard: the
+   Domain.DLS / Mutex discipline of lib/icc_obs, the Atomic-backed
+   Registry metrics, and the domain-local fixed-base cache (pow_cached
+   must agree with pow under every toggle combination — the §3.5
+   byte-identity discipline). *)
 
 module Group = Icc_crypto.Group
 module Registry = Icc_obs.Registry
@@ -10,22 +11,22 @@ let rng = Icc_sim.Rng.create 0xd00d
 let rand_bits () = Icc_sim.Rng.bits61 rng
 
 let test_dls_roundtrip () =
-  let key = Icc_obs.Dls.new_key (fun () -> ref 41) in
-  let cell = Icc_obs.Dls.get key in
+  let key = Domain.DLS.new_key (fun () -> ref 41) in
+  let cell = Domain.DLS.get key in
   Alcotest.(check int) "initial" 41 !cell;
   incr cell;
-  Alcotest.(check int) "same cell" 42 !(Icc_obs.Dls.get key);
-  Icc_obs.Dls.set key (ref 7);
-  Alcotest.(check int) "replaced" 7 !(Icc_obs.Dls.get key)
+  Alcotest.(check int) "same cell" 42 !(Domain.DLS.get key);
+  Domain.DLS.set key (ref 7);
+  Alcotest.(check int) "replaced" 7 !(Domain.DLS.get key)
 
 let test_lock_with_lock () =
-  let lock = Icc_obs.Lock.create () in
-  Alcotest.(check int) "returns" 5 (Icc_obs.Lock.with_lock lock (fun () -> 5));
+  let lock = Mutex.create () in
+  Alcotest.(check int) "returns" 5 (Mutex.protect lock (fun () -> 5));
   (* Released on exception: a second section must still run. *)
-  (try Icc_obs.Lock.with_lock lock (fun () -> failwith "boom") with
+  (try Mutex.protect lock (fun () -> failwith "boom") with
   | Failure _ -> ());
   Alcotest.(check int) "reentry after raise" 6
-    (Icc_obs.Lock.with_lock lock (fun () -> 6))
+    (Mutex.protect lock (fun () -> 6))
 
 let test_registry_atomic_counter () =
   let c = Registry.counter "test_domain.counter" in

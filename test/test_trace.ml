@@ -178,6 +178,12 @@ let test_json_shape () =
     {|{"t":0.000000,"ev":"gossip-publish","party":1,"artifact":"a\"b\\c"}|}
     tricky
 
+(* The escaper `icc profile --json` shares with the bus: control
+   characters must not reach a JSON string literal raw. *)
+let test_json_escape_control () =
+  Alcotest.(check string) "newline and \\x01 escaped" {|a\nb\u0001\"\\|}
+    (Icc_sim.Trace.json_escape "a\nb\x01\"\\")
+
 (* -------------------------------------------------- json round-trip *)
 
 (* One witness per constructor, with payloads exercising escaping and
@@ -438,6 +444,8 @@ let suite =
     Alcotest.test_case "percentile edge cases" `Quick
       test_percentile_edge_cases;
     Alcotest.test_case "json serialization shape" `Quick test_json_shape;
+    Alcotest.test_case "json_escape escapes control chars" `Quick
+      test_json_escape_control;
     Alcotest.test_case "of_json round-trips every constructor" `Quick
       test_json_round_trip;
     Alcotest.test_case "round-trip witness list is exhaustive" `Quick
