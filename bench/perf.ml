@@ -10,8 +10,12 @@
 
    Emits BENCH_perf.json (schema in EXPERIMENTS.md) and, with
    `--check ref.json`, fails if any scenario's optimised wall-clock
-   regressed to more than 2x the checked-in reference (the gate covers the
-   before/after scenarios only; the sweep rows are informational).
+   regressed to more than 2x the checked-in reference, or — when the run's
+   config equals the reference's — if any of its [ops_after] crypto
+   counters differs from the reference at all: the counters are
+   deterministic for a fixed config, so they are gated exactly.  The gate
+   covers the before/after scenarios only; the sweep rows are
+   informational.
 
    A committee-size sweep rides along: optimised-only ICC0/ICC1 runs at
    n in {16, 50, 100}, reporting wall-clock, message totals and the
@@ -273,12 +277,17 @@ let batch_json b =
     {|    {"scheme":%S,"batch":%d,"us_per_op":%.3f,"ops":%d}|}
     b.br_scheme b.br_batch b.br_us_per_op b.br_ops
 
-let results_json ~quick ~seed ~rounds ~n results sweep batch_sweep =
+let config_json ~quick ~seed ~rounds ~n =
+  Printf.sprintf
+    {|"config": {"n":%d,"seed":%d,"max_rounds":%d,"delay_s":0.02,"quick":%b}|}
+    n seed rounds quick
+
+let results_json ~config results sweep batch_sweep =
   let tb = List.fold_left (fun a r -> a +. r.before_s) 0. results in
   let ta = List.fold_left (fun a r -> a +. r.after_s) 0. results in
   Printf.sprintf
     {|{
-  "config": {"n":%d,"seed":%d,"max_rounds":%d,"delay_s":0.02,"quick":%b},
+  %s,
   "scenarios": [
 %s
   ],
@@ -291,7 +300,7 @@ let results_json ~quick ~seed ~rounds ~n results sweep batch_sweep =
   "total": {"before_s":%.6f,"after_s":%.6f,"speedup":%.2f}
 }
 |}
-    n seed rounds quick
+    config
     (String.concat ",\n" (List.map scenario_json results))
     (String.concat ",\n" (List.map sweep_json sweep))
     (String.concat ",\n" (List.map batch_json batch_sweep))
@@ -315,42 +324,95 @@ let substr_index s pat from =
   in
   go from
 
-(* Pull `"after_s":<float>` out of the scenario object named [name] in a
-   BENCH_perf.json document — a keyed scan, no JSON parser needed for our
-   own fixed schema. *)
-let ref_after_s json name =
+(* The text following `"key":` inside the scenario object named [name] of
+   a BENCH_perf.json document, as an index — a keyed scan, no JSON parser
+   needed for our own fixed schema. *)
+let scenario_field json name key =
   Option.bind (substr_index json (Printf.sprintf "\"name\":%S" name) 0)
     (fun p ->
-      Option.bind (substr_index json "\"after_s\":" p) (fun q ->
-          let start = q + String.length "\"after_s\":" in
-          let n = String.length json in
-          let e = ref start in
-          while
-            !e < n
-            &&
-            match json.[!e] with
-            | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-            | _ -> false
-          do
-            incr e
-          done;
-          float_of_string_opt (String.sub json start (!e - start))))
+      Option.map
+        (fun q -> q + String.length key + 3)
+        (substr_index json (Printf.sprintf "%S:" key) p))
 
-let check_against ref_path results =
+let number_at json start =
+  let n = String.length json in
+  let e = ref start in
+  while
+    !e < n
+    &&
+    match json.[!e] with
+    | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
+    | _ -> false
+  do
+    incr e
+  done;
+  String.sub json start (!e - start)
+
+let ref_after_s json name =
+  Option.bind (scenario_field json name "after_s") (fun i ->
+      float_of_string_opt (number_at json i))
+
+(* The scenario's `"ops_after":{"k":v,...}` object as an assoc list. *)
+let ref_ops_after json name =
+  Option.bind (scenario_field json name "ops_after") (fun i ->
+      Option.map
+        (fun close ->
+          String.sub json (i + 1) (close - i - 1)
+          |> String.split_on_char ','
+          |> List.filter_map (fun kv ->
+                 match String.split_on_char ':' kv with
+                 | [ k; v ] ->
+                     Option.map
+                       (fun v -> (String.sub k 1 (String.length k - 2), v))
+                       (int_of_string_opt v)
+                 | _ -> None))
+        (String.index_from_opt json i '}'))
+
+let check_against ~config ref_path results =
   let json = read_file ref_path in
+  let same_config = Option.is_some (substr_index json config 0) in
+  if not same_config then
+    Printf.eprintf
+      "bench perf: %s was recorded with another config; op counters not \
+       gated\n"
+      ref_path;
   let failures =
-    List.filter_map
+    List.concat_map
       (fun r ->
-        match ref_after_s json r.name with
-        | None ->
-            Some (Printf.sprintf "%s: not found in reference %s" r.name ref_path)
-        | Some ref_after ->
-            if r.after_s > 2.0 *. ref_after then
-              Some
-                (Printf.sprintf
-                   "%s: optimised wall-clock %.3fs is > 2x reference %.3fs"
-                   r.name r.after_s ref_after)
-            else None)
+        let wall =
+          match ref_after_s json r.name with
+          | None ->
+              [ Printf.sprintf "%s: not found in reference %s" r.name ref_path ]
+          | Some ref_after ->
+              if r.after_s > 2.0 *. ref_after then
+                [
+                  Printf.sprintf
+                    "%s: optimised wall-clock %.3fs is > 2x reference %.3fs"
+                    r.name r.after_s ref_after;
+                ]
+              else []
+        in
+        let ops =
+          if not same_config then []
+          else
+            let ref_ops =
+              Option.value ~default:[] (ref_ops_after json r.name)
+            in
+            List.filter_map
+              (fun (k, v) ->
+                match List.assoc_opt k ref_ops with
+                | Some v' when v' = v -> None
+                | Some v' ->
+                    Some
+                      (Printf.sprintf "%s: ops_after.%s is %d, reference %d"
+                         r.name k v v')
+                | None ->
+                    Some
+                      (Printf.sprintf "%s: ops_after.%s missing from reference"
+                         r.name k))
+              r.ops_after
+        in
+        wall @ ops)
       results
   in
   List.iter prerr_endline failures;
@@ -461,7 +523,8 @@ let main () =
       Printf.printf "%-8s %7d %10.3f %7d\n" b.br_scheme b.br_batch
         b.br_us_per_op b.br_ops)
     batch_sweep;
-  let json = results_json ~quick ~seed ~rounds ~n results sweep batch_sweep in
+  let config = config_json ~quick ~seed ~rounds ~n in
+  let json = results_json ~config results sweep batch_sweep in
   let oc =
     try open_out out
     with Sys_error msg ->
@@ -479,6 +542,6 @@ let main () =
   let check_ok =
     match find_arg "--check" with
     | None -> true
-    | Some ref_path -> check_against ref_path results
+    | Some ref_path -> check_against ~config ref_path results
   in
   if not (traces_ok && check_ok) then exit 1

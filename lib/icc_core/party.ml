@@ -371,8 +371,11 @@ and condition_a p =
                 ~proposer:b.Block.proposer ~block_hash
             in
             match
-              Icc_crypto.Multisig.combine p.env.system.Icc_crypto.Keygen.notary
-                text shares
+              Icc_crypto.Multisig.combine
+                ~known:
+                  (Pool.known_share p.pool `Notarization (b.Block.round, block_hash)
+                     ~proposer:b.Block.proposer)
+                p.env.system.Icc_crypto.Keygen.notary text shares
             with
             | None ->
                 (* Shares were verified on admission, so combining at quorum
@@ -534,8 +537,11 @@ and finalization_pass p =
                 ~proposer:b.Block.proposer ~block_hash
             in
             match
-              Icc_crypto.Multisig.combine p.env.system.Icc_crypto.Keygen.final
-                text shares
+              Icc_crypto.Multisig.combine
+                ~known:
+                  (Pool.known_share p.pool `Finalization (b.Block.round, block_hash)
+                     ~proposer:b.Block.proposer)
+                p.env.system.Icc_crypto.Keygen.final text shares
             with
             | None ->
                 (* As in condition (a): impossible over admission-verified

@@ -35,10 +35,16 @@ type key = Types.round * Icc_crypto.Sha256.t
    order (it is handed verbatim to [Multisig.combine] and the resync
    retransmitter), while the bitset answers the per-admission duplicate
    check in O(1).  Admitted signers are always in [1..n] ([verify_share]
-   enforces it), so the bitset is complete. *)
+   enforces it), so the bitset is complete.  [ss_proposer] is [Some p] while
+   every share's signed text named proposer [p], and [None] once two shares
+   disagree (only a Byzantine signer names a proposer other than the
+   block's).  [None] is a state no proposer can equal, even an out-of-range
+   one decoded from the wire, so a mixed set never vouches; [Some p] is what
+   lets {!known_in} vouch for a share without re-verifying it. *)
 type shareset = {
   mutable ss_items : Icc_crypto.Multisig.share list; (* newest first *)
   mutable ss_count : int;
+  mutable ss_proposer : Types.party_id option;
   ss_seen : Bytes.t; (* signer-indexed presence bits, 1-based *)
 }
 
@@ -225,13 +231,22 @@ let find_or_create_entry s h =
       s.s_entries <- e :: s.s_entries;
       e
 
-let new_shareset n = { ss_items = []; ss_count = 0; ss_seen = Bytes.make ((n lsr 3) + 1) '\000' }
+let new_shareset n ~proposer =
+  {
+    ss_items = [];
+    ss_count = 0;
+    ss_proposer = Some proposer;
+    ss_seen = Bytes.make ((n lsr 3) + 1) '\000';
+  }
 
 let ss_mem ss signer =
   Char.code (Bytes.get ss.ss_seen (signer lsr 3)) land (1 lsl (signer land 7))
   <> 0
 
-let ss_add ss signer share =
+let ss_add ss ~proposer signer share =
+  (match ss.ss_proposer with
+  | Some p when p = proposer -> ()
+  | Some _ | None -> ss.ss_proposer <- None);
   Bytes.set ss.ss_seen (signer lsr 3)
     (Char.chr
        (Char.code (Bytes.get ss.ss_seen (signer lsr 3))
@@ -437,110 +452,149 @@ let add_authenticator t ~round ~proposer ~block_hash signature =
         end
         else false
 
-let verify_cert t ~text (c : Types.cert) =
-  Icc_crypto.Multisig.verify
-    (match text with
-    | `Notarization ->
-        t.system.Icc_crypto.Keygen.notary
-    | `Finalization -> t.system.Icc_crypto.Keygen.final)
-    (match text with
-    | `Notarization ->
-        Types.notarization_text ~round:c.Types.c_round ~proposer:c.Types.c_proposer
-          ~block_hash:c.Types.c_block_hash
-    | `Finalization ->
-        Types.finalization_text ~round:c.Types.c_round ~proposer:c.Types.c_proposer
-          ~block_hash:c.Types.c_block_hash)
-    c.Types.c_multisig
+(* --- verify once per party ------------------------------------------- *)
+(* A notarization or finalization is just a set of n - t shares (§2.3
+   approach (i)), so one signature reaches a party up to three times: as a
+   share, inside the set it combines itself, and inside a certificate.
+   Each (signer, text, signature) triple is verified once; later copies are
+   answered from what the entry already holds.  The signed text is fixed by
+   (kind, round, proposer, block hash), and the entry fixes round and hash,
+   so a stored share vouches for a newcomer only when the kinds and
+   proposers match and the signatures are equal.  The memo is the stored
+   shares and certificates themselves: no extra table per entry. *)
 
-let add_notarization t (c : Types.cert) =
+let cert_of e = function
+  | `Notarization -> e.e_notar_cert
+  | `Finalization -> e.e_final_cert
+
+let shares_of e = function
+  | `Notarization -> e.e_notar_shares
+  | `Finalization -> e.e_final_shares
+
+(* Certificate members are sorted by signer, so the walk stops early. *)
+let cert_holds (c : Types.cert) (sh : Icc_crypto.Multisig.share) =
+  let rec go signers sigs =
+    match (signers, sigs) with
+    | s :: signers, g :: sigs ->
+        if s = sh.signer then Icc_crypto.Schnorr.equal g sh.signature
+        else s < sh.signer && go signers sigs
+    | _ -> false
+  in
+  go c.c_multisig.signers c.c_multisig.signatures
+
+let known_in e kind ~proposer (sh : Icc_crypto.Multisig.share) =
+  (match cert_of e kind with
+  | Some c -> c.c_proposer = proposer && cert_holds c sh
+  | None -> false)
+  ||
+  match shares_of e kind with
+  | Some ss ->
+      (match ss.ss_proposer with Some p -> p = proposer | None -> false)
+      && List.exists
+           (fun (x : Icc_crypto.Multisig.share) ->
+             x.signer = sh.signer
+             && Icc_crypto.Schnorr.equal x.signature sh.signature)
+           ss.ss_items
+  | None -> false
+
+let known_share t kind key ~proposer =
+  match entry_of t key with
+  | None -> fun _ -> false
+  | Some e -> known_in e kind ~proposer
+
+let params_of t = function
+  | `Notarization -> t.system.Icc_crypto.Keygen.notary
+  | `Finalization -> t.system.Icc_crypto.Keygen.final
+
+let text_of kind ~round ~proposer ~block_hash =
+  match kind with
+  | `Notarization -> Types.notarization_text ~round ~proposer ~block_hash
+  | `Finalization -> Types.finalization_text ~round ~proposer ~block_hash
+
+let add_cert t ~kind (c : Types.cert) =
   Icc_obs.Profile.span "pool.admit" @@ fun () ->
-  let round = c.Types.c_round in
+  let round = c.c_round in
   if round < t.pruned_below || round < 0 then false
   else
-    match entry_of t (round, c.Types.c_block_hash) with
-    | Some e when Option.is_some e.e_notar_cert -> false
+    let existing = entry_of t (round, c.c_block_hash) in
+    match existing with
+    | Some e when Option.is_some (cert_of e kind) -> false
     | _ ->
-        if verify_cert t ~text:`Notarization c then begin
+        let known =
+          match existing with
+          | None -> fun _ -> false
+          | Some e -> known_in e kind ~proposer:c.c_proposer
+        in
+        if
+          Icc_crypto.Multisig.verify ~known (params_of t kind)
+            (text_of kind ~round ~proposer:c.c_proposer
+               ~block_hash:c.c_block_hash)
+            c.c_multisig
+        then begin
           let s = claim t round in
-          let e = find_or_create_entry s c.Types.c_block_hash in
-          e.e_notar_cert <- Some c;
+          let e = find_or_create_entry s c.c_block_hash in
+          (match kind with
+          | `Notarization -> e.e_notar_cert <- Some c
+          | `Finalization -> e.e_final_cert <- Some c);
           bump s;
           promote_entry t ~round s e;
           true
         end
         else false
 
-let add_finalization t (c : Types.cert) =
-  Icc_obs.Profile.span "pool.admit" @@ fun () ->
-  let round = c.Types.c_round in
-  if round < t.pruned_below || round < 0 then false
-  else
-    match entry_of t (round, c.Types.c_block_hash) with
-    | Some e when Option.is_some e.e_final_cert -> false
-    | _ ->
-        if verify_cert t ~text:`Finalization c then begin
-          let s = claim t round in
-          let e = find_or_create_entry s c.Types.c_block_hash in
-          e.e_final_cert <- Some c;
-          bump s;
-          promote_entry t ~round s e;
-          true
-        end
-        else false
+let add_notarization t c = add_cert t ~kind:`Notarization c
+let add_finalization t c = add_cert t ~kind:`Finalization c
 
 let add_share t ~kind (s : Types.share_msg) =
   Icc_obs.Profile.span "pool.admit" @@ fun () ->
-  let round = s.Types.s_round in
-  let params, text =
-    match kind with
-    | `Notarization ->
-        ( t.system.Icc_crypto.Keygen.notary,
-          Types.notarization_text ~round ~proposer:s.Types.s_proposer
-            ~block_hash:s.Types.s_block_hash )
-    | `Finalization ->
-        ( t.system.Icc_crypto.Keygen.final,
-          Types.finalization_text ~round ~proposer:s.Types.s_proposer
-            ~block_hash:s.Types.s_block_hash )
-  in
-  let share = s.Types.s_share in
-  let signer = share.Icc_crypto.Multisig.signer in
-  let sharesets e =
-    match kind with
-    | `Notarization -> e.e_notar_shares
-    | `Finalization -> e.e_final_shares
-  in
-  let already =
-    round < t.pruned_below || round < 0
-    ||
-    match entry_of t (round, s.Types.s_block_hash) with
-    | None -> false
-    | Some e -> (
-        match sharesets e with
-        | None -> false
-        | Some ss ->
-            signer >= 1
-            && signer <= t.system.Icc_crypto.Keygen.n
-            && ss_mem ss signer)
-  in
-  if already then false
-  else if Icc_crypto.Multisig.verify_share params text share then begin
-    let slot = claim t round in
-    let e = find_or_create_entry slot s.Types.s_block_hash in
-    let ss =
-      match sharesets e with
-      | Some ss -> ss
-      | None ->
-          let ss = new_shareset t.system.Icc_crypto.Keygen.n in
-          (match kind with
-          | `Notarization -> e.e_notar_shares <- Some ss
-          | `Finalization -> e.e_final_shares <- Some ss);
-          ss
+  let round = s.s_round in
+  let share = s.s_share in
+  let signer = share.signer in
+  if round < t.pruned_below || round < 0 then false
+  else
+    let existing = entry_of t (round, s.s_block_hash) in
+    let already =
+      match Option.bind existing (fun e -> shares_of e kind) with
+      | None -> false
+      | Some ss ->
+          signer >= 1
+          && signer <= t.system.Icc_crypto.Keygen.n
+          && ss_mem ss signer
     in
-    ss_add ss signer share;
-    bump slot;
-    true
-  end
-  else false
+    (* A share the entry's certificate already holds was verified with it
+       (and its signer range-checked), so only an unknown share pays for
+       the signed text and the Schnorr equation.  Only the certificate can
+       vouch here: a pooled share from the same signer already made
+       [already] true. *)
+    if already then false
+    else if
+      (match Option.bind existing (fun e -> cert_of e kind) with
+      | Some c -> c.c_proposer = s.s_proposer && cert_holds c share
+      | None -> false)
+      || Icc_crypto.Multisig.verify_share (params_of t kind)
+           (text_of kind ~round ~proposer:s.s_proposer
+              ~block_hash:s.s_block_hash)
+           share
+    then begin
+      let slot = claim t round in
+      let e = find_or_create_entry slot s.s_block_hash in
+      let ss =
+        match shares_of e kind with
+        | Some ss -> ss
+        | None ->
+            let ss =
+              new_shareset t.system.Icc_crypto.Keygen.n ~proposer:s.s_proposer
+            in
+            (match kind with
+            | `Notarization -> e.e_notar_shares <- Some ss
+            | `Finalization -> e.e_final_shares <- Some ss);
+            ss
+      in
+      ss_add ss ~proposer:s.s_proposer signer share;
+      bump slot;
+      true
+    end
+    else false
 
 let add_notarization_share t s = add_share t ~kind:`Notarization s
 let add_finalization_share t s = add_share t ~kind:`Finalization s

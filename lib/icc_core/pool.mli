@@ -27,6 +27,25 @@ val add_notarization : t -> Types.cert -> bool
 val add_finalization : t -> Types.cert -> bool
 val add_notarization_share : t -> Types.share_msg -> bool
 val add_finalization_share : t -> Types.share_msg -> bool
+(** Shares and certificate members are verified once per party: a share
+    whose exact (signer, signature) pair the key's pooled shares or
+    certificate of the same kind already hold, under the same proposer,
+    skips the Schnorr equation (see {!known_share}).  Verdicts are those
+    of a fresh verification. *)
+
+val known_share :
+  t ->
+  [ `Notarization | `Finalization ] ->
+  key ->
+  proposer:Types.party_id ->
+  Icc_crypto.Multisig.share ->
+  bool
+(** [known_share t kind key ~proposer] is a [?known] predicate for
+    {!Icc_crypto.Multisig.combine}/[verify] on the [kind] text of [key]
+    named with [proposer]: [true] for a share this pool already verified on
+    exactly that text.  The key is looked up once, on partial
+    application.  A share set whose members named different proposers
+    vouches for nothing. *)
 
 val add_beacon_share :
   t ->

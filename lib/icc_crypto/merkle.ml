@@ -66,6 +66,30 @@ let verify ~root ~leaf (proof : proof) : bool =
   in
   Sha256.equal final root
 
+(* The leaf index whose [prove] path has exactly [proof]'s shape, if any.
+   Step i's [left] bit is bit i of the index; replaying [prove]'s walk from
+   that index then fixes every step's shape: left iff the position is even,
+   no sibling iff it is the unpaired last node of its level, and the path
+   ends at the root.  [verify] alone accepts any path that hashes to the
+   root, so this is what binds a proof to one leaf position. *)
+let index_of_path ~n_leaves (proof : proof) =
+  let index, _ =
+    List.fold_left
+      (fun (acc, bit) st -> ((if st.left then acc else acc lor bit), bit lsl 1))
+      (0, 1) proof
+  in
+  let rec fits pos width = function
+    | [] -> width = 1
+    | { sibling; left } :: rest ->
+        width > 1
+        && Bool.equal left (pos land 1 = 0)
+        && Bool.equal (Option.is_some sibling) ((not left) || pos + 1 < width)
+        && fits (pos / 2) ((width + 1) / 2) rest
+  in
+  if index >= 0 && index < n_leaves && fits index n_leaves proof then
+    Some index
+  else None
+
 (* Modeled wire size of a proof for an n-leaf tree: 32 bytes per level. *)
 let proof_wire_size ~n_leaves =
   let rec levels n acc = if n <= 1 then acc else levels ((n + 1) / 2) (acc + 1) in

@@ -13,5 +13,12 @@ val prove : string list -> int -> proof
 
 val verify : root:Sha256.t -> leaf:string -> proof -> bool
 
+val index_of_path : n_leaves:int -> proof -> int option
+(** The leaf index [i] such that [prove] over [n_leaves] leaves at [i]
+    yields a proof of exactly this shape (step directions, sibling
+    presence, length); [None] when no index does.  {!verify} checks only
+    that the path hashes to the root, so a caller that trusts a claimed
+    index must also check it against this. *)
+
 val proof_wire_size : n_leaves:int -> int
 (** Modeled wire size in bytes (32 per tree level). *)

@@ -49,19 +49,26 @@ let setup ~threshold_h ~n rand_bits =
 let sign_share _params { owner; key } msg =
   { signer = owner; signature = Schnorr.sign key msg }
 
+let in_range params signer = signer >= 1 && signer <= params.n
+
 let verify_share params msg { signer; signature } =
-  signer >= 1 && signer <= params.n
+  in_range params signer
   && Schnorr.verify params.public_keys.(signer - 1) msg signature
 
-let verify_shares params msg shares : bool list =
-  List.map (verify_share params msg) shares
+(* A member [known] vouches for was verified on [msg] by the caller, so
+   only its range check is re-run. *)
+let verify_shares ?(known = fun _ -> false) params msg shares : bool list =
+  List.map
+    (fun s ->
+      if known s then in_range params s.signer else verify_share params msg s)
+    shares
 
-let combine params msg shares : signature option =
+let combine ?known params msg shares : signature option =
   Icc_obs.Profile.span "crypto.multisig_combine" @@ fun () ->
   (* Filter before deduplicating so a forged share cannot evict a genuine
      one bearing the same signer index. *)
   let valid =
-    List.combine shares (verify_shares params msg shares)
+    List.combine shares (verify_shares ?known params msg shares)
     |> List.filter_map (fun (s, ok) -> if ok then Some s else None)
     |> List.sort_uniq (fun a b -> compare a.signer b.signer)
   in
@@ -73,12 +80,12 @@ let combine params msg shares : signature option =
         signatures = List.map (fun s -> s.signature) valid;
       }
 
-let verify params msg { signers; signatures } =
+let verify ?known params msg { signers; signatures } =
   List.length signers >= params.threshold_h
   && List.length signers = List.length signatures
   && List.sort_uniq compare signers = signers
   && List.for_all Fun.id
-       (verify_shares params msg
+       (verify_shares ?known params msg
           (List.map2
              (fun signer signature -> { signer; signature })
              signers signatures))

@@ -31,15 +31,27 @@ val setup : threshold_h:int -> n:int -> (unit -> int) -> params * secret list
 val sign_share : params -> secret -> string -> share
 val verify_share : params -> string -> share -> bool
 
-val verify_shares : params -> string -> share list -> bool list
+val verify_shares :
+  ?known:(share -> bool) -> params -> string -> share list -> bool list
 (** Per-share verdicts: {!verify_share} mapped over the shares, so a
-    forged share is identified exactly. *)
+    forged share is identified exactly.
 
-val combine : params -> string -> share list -> signature option
+    [?known] lets a caller that has already verified a share skip its
+    Schnorr equation: a share for which [known] returns [true] is judged
+    by the signer range check alone.  [known] must only vouch for a share
+    whose exact (signer, signature) pair the caller has verified on this
+    very message; verdicts then equal those without [?known].  The
+    default vouches for nothing. *)
+
+val combine :
+  ?known:(share -> bool) -> params -> string -> share list -> signature option
 (** [None] when fewer than [threshold_h] distinct valid shares remain after
-    filtering invalid and duplicate ones. *)
+    filtering invalid and duplicate ones.  [?known] as in
+    {!verify_shares}. *)
 
-val verify : params -> string -> signature -> bool
+val verify : ?known:(share -> bool) -> params -> string -> signature -> bool
+(** Threshold count, equal list lengths, sorted distinct signers, then
+    every member through {!verify_shares} (with [?known]). *)
 
 val share_wire_size : int
 val signature_wire_size : params -> int

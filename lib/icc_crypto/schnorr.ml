@@ -55,5 +55,9 @@ let verify { pk } (msg : string) { challenge; response } : bool =
   Group.scalar_equal challenge (challenge_hash ~commitment ~pk ~msg)
 [@@icc.domain_entry]
 
+let equal a b =
+  Group.scalar_equal a.challenge b.challenge
+  && Group.scalar_equal a.response b.response
+
 (* Modeled wire size: production Schnorr/BLS signatures are 48–64 bytes. *)
 let signature_wire_size = 64

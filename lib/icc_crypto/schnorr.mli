@@ -20,5 +20,8 @@ val public_key_of_secret : secret_key -> public_key
 val sign : secret_key -> string -> signature
 val verify : public_key -> string -> signature -> bool
 
+val equal : signature -> signature -> bool
+(** Byte equality of two signatures (challenge and response). *)
+
 val signature_wire_size : int
 (** Modeled production wire size in bytes, used by traffic accounting. *)

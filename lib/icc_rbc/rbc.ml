@@ -50,6 +50,9 @@ type instance = {
   mutable echoed : bool;
   mutable delivered : bool;
   mutable bad : bool;
+  mutable root_sig : Icc_crypto.Schnorr.signature option;
+      (* the proposer's root signature, once verified: every fragment of
+         the instance carries the same one, so it is checked once *)
 }
 
 type t = {
@@ -110,13 +113,22 @@ let instance_of t ~party key =
   match Hashtbl.find_opt t.instances (party, key) with
   | Some i -> i
   | None ->
-      let i = { fragments = []; echoed = false; delivered = false; bad = false } in
+      let i =
+        {
+          fragments = [];
+          echoed = false;
+          delivered = false;
+          bad = false;
+          root_sig = None;
+        }
+      in
       Hashtbl.add t.instances (party, key) i;
       i
 
-(* The proposer's Send step (and self-delivery of the full bundle). *)
-let disseminate t ~src (msg : Icc_core.Message.t) =
-  Icc_obs.Profile.span "rbc.disseminate" @@ fun () ->
+(* The Send step's encoding: the instance key, and a builder for fragment
+   i (party i+1's) with its inclusion proof.  Encoding, the tree and the
+   root signature are computed once, on partial application. *)
+let encode t ~src (msg : Icc_core.Message.t) =
   let data = serialize msg in
   let coded = Icc_erasure.Reed_solomon.encode ~k:t.k ~n:t.n data in
   let leaves = Array.to_list coded.Icc_erasure.Reed_solomon.fragments in
@@ -140,8 +152,27 @@ let disseminate t ~src (msg : Icc_core.Message.t) =
       (root_text ~round ~proposer root)
   in
   let modeled_total = Icc_core.Message.wire_size ~n:t.n msg in
+  ( (round, proposer, Icc_crypto.Sha256.to_hex root),
+    fun i ->
+      {
+        f_round = round;
+        f_proposer = proposer;
+        f_root = root;
+        f_index = i;
+        f_data_size = coded.Icc_erasure.Reed_solomon.data_size;
+        f_modeled_total = modeled_total;
+        f_bytes = coded.Icc_erasure.Reed_solomon.fragments.(i);
+        f_proof = Icc_crypto.Merkle.prove leaves i;
+        f_sig;
+      } )
+
+let fragment t ~src msg = snd (encode t ~src msg)
+
+(* The proposer's Send step (and self-delivery of the full bundle). *)
+let disseminate t ~src (msg : Icc_core.Message.t) =
+  Icc_obs.Profile.span "rbc.disseminate" @@ fun () ->
+  let key, frag = encode t ~src msg in
   (* Self-delivery; mark the instance so echoes can't deliver it twice. *)
-  let key = (round, proposer, Icc_crypto.Sha256.to_hex root) in
   let inst = instance_of t ~party:src key in
   inst.delivered <- true;
   (match msg with
@@ -157,29 +188,31 @@ let disseminate t ~src (msg : Icc_core.Message.t) =
   | Icc_core.Message.Pool_request _ -> ());
   t.deliver_up ~dst:src msg;
   for dst = 1 to t.n do
-    if dst <> src then
-      send t ~src ~dst
-        (Frag
-           {
-             f_round = round;
-             f_proposer = proposer;
-             f_root = root;
-             f_index = dst - 1;
-             f_data_size = coded.Icc_erasure.Reed_solomon.data_size;
-             f_modeled_total = modeled_total;
-             f_bytes = coded.Icc_erasure.Reed_solomon.fragments.(dst - 1);
-             f_proof = Icc_crypto.Merkle.prove leaves (dst - 1);
-             f_sig;
-           })
+    if dst <> src then send t ~src ~dst (Frag (frag (dst - 1)))
   done
 
-let frag_valid t (f : frag) =
+(* A fragment is admitted when its Merkle path is leaf [f_index]'s (else a
+   peer could relabel a genuine fragment j as i, fill slot i and block the
+   real one), the proposer's root signature verifies, and the path hashes
+   to the root.  The signature is checked once per instance: a fragment
+   whose [f_sig] equals the one the instance already verified (same round,
+   proposer and root, so the same signed text) skips the Schnorr equation;
+   the Merkle check stays per fragment. *)
+let frag_valid t (existing : instance option) (f : frag) =
+  let sig_known =
+    match existing with
+    | Some { root_sig = Some s; _ } -> Icc_crypto.Schnorr.equal s f.f_sig
+    | Some _ | None -> false
+  in
   f.f_proposer >= 1 && f.f_proposer <= t.n
-  && f.f_index >= 0 && f.f_index < t.n
-  && Icc_crypto.Schnorr.verify
-       t.system.Icc_crypto.Keygen.auth_pub.(f.f_proposer - 1)
-       (root_text ~round:f.f_round ~proposer:f.f_proposer f.f_root)
-       f.f_sig
+  && (match Icc_crypto.Merkle.index_of_path ~n_leaves:t.n f.f_proof with
+     | Some i -> i = f.f_index
+     | None -> false)
+  && (sig_known
+     || Icc_crypto.Schnorr.verify
+          t.system.Icc_crypto.Keygen.auth_pub.(f.f_proposer - 1)
+          (root_text ~round:f.f_round ~proposer:f.f_proposer f.f_root)
+          f.f_sig)
   && Icc_crypto.Merkle.verify ~root:f.f_root ~leaf:f.f_bytes f.f_proof
 
 let try_reconstruct t ~party key (inst : instance) (f : frag) =
@@ -238,11 +271,13 @@ let try_reconstruct t ~party key (inst : instance) (f : frag) =
   end
 
 let on_frag t ~dst (f : frag) =
-  if t.is_active dst && frag_valid t f then begin
-    let key =
-      (f.f_round, f.f_proposer, Icc_crypto.Sha256.to_hex f.f_root)
+  let key = (f.f_round, f.f_proposer, Icc_crypto.Sha256.to_hex f.f_root) in
+  let existing = Hashtbl.find_opt t.instances (dst, key) in
+  if t.is_active dst && frag_valid t existing f then begin
+    let inst =
+      match existing with Some i -> i | None -> instance_of t ~party:dst key
     in
-    let inst = instance_of t ~party:dst key in
+    inst.root_sig <- Some f.f_sig;
     if not (List.mem_assoc f.f_index inst.fragments) then begin
       inst.fragments <- (f.f_index, f.f_bytes) :: inst.fragments;
       emit_detail t (fun () ->

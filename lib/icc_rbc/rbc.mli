@@ -54,3 +54,14 @@ val tx_broadcast : t -> src:int -> Icc_core.Message.t -> unit
 
 val tx_unicast : t -> src:int -> dst:int -> Icc_core.Message.t -> unit
 (** Byzantine split delivery of a full bundle, accounted at full size. *)
+
+(** {1 Fragment-level access, for tests} *)
+
+val fragment : t -> src:int -> Icc_core.Message.t -> int -> frag
+(** [fragment t ~src msg i] is the fragment [i] (party [i+1]'s) that
+    [src]'s Send step would disseminate for the proposal [msg]. *)
+
+val on_frag : t -> dst:int -> frag -> unit
+(** Receive a fragment at party [dst], as if off the wire: admitted when
+    its Merkle path is leaf [f_index]'s, the proposer's root signature
+    verifies (once per instance) and the path hashes to the signed root. *)

@@ -56,6 +56,35 @@ let prop_roundtrip =
             (Icc_crypto.Merkle.prove ls i))
         (List.init n Fun.id))
 
+(* [index_of_path] recovers the index [prove] was given, and no one-step
+   tweak of a proof (flipped direction, dropped sibling, dropped step)
+   still claims that index. *)
+let prop_index_of_path =
+  QCheck.Test.make ~name:"merkle index_of_path binds the leaf index"
+    ~count:40 (QCheck.int_range 1 40) (fun n ->
+      let ls = leaves n in
+      let open Icc_crypto.Merkle in
+      List.for_all
+        (fun i ->
+          let proof = prove ls i in
+          let tweaks =
+            List.concat
+              (List.mapi
+                 (fun j (st : proof_step) ->
+                   let set st' = List.mapi (fun k x -> if k = j then st' else x) proof in
+                   [
+                     set { st with left = not st.left };
+                     set { st with sibling = None };
+                     List.filteri (fun k _ -> k <> j) proof;
+                   ])
+                 proof)
+          in
+          index_of_path ~n_leaves:n proof = Some i
+          && List.for_all
+               (fun p -> p = proof || index_of_path ~n_leaves:n p <> Some i)
+               tweaks)
+        (List.init n Fun.id))
+
 let suite =
   [
     Alcotest.test_case "prove/verify sizes" `Quick test_prove_verify_all_sizes;
@@ -65,4 +94,5 @@ let suite =
     Alcotest.test_case "empty" `Quick test_empty_rejected;
     Alcotest.test_case "out of range" `Quick test_out_of_range;
     QCheck_alcotest.to_alcotest prop_roundtrip;
+    QCheck_alcotest.to_alcotest prop_index_of_path;
   ]

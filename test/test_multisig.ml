@@ -96,6 +96,35 @@ let prop_combine_any_h_subset =
       | Some s -> Icc_crypto.Multisig.verify params msg s
       | None -> false)
 
+(* [?known] skips only the Schnorr equation: a vouched-for member costs
+   no verify, but the threshold, ordering and signer-range checks stay. *)
+let test_known_skips_only_the_equation () =
+  let module M = Icc_crypto.Multisig in
+  let params, secrets = setup () in
+  let shares = List.map (fun sk -> M.sign_share params sk "m") secrets in
+  let known _ = true in
+  let verifies () =
+    Icc_obs.Registry.value Icc_crypto.Counters.schnorr_verifies
+  in
+  let before = verifies () in
+  (match M.combine ~known params "m" (take 5 shares) with
+  | None -> Alcotest.fail "combine at threshold failed"
+  | Some s ->
+      Alcotest.(check bool) "verifies" true (M.verify ~known params "m" s));
+  Alcotest.(check int) "no equation run" 0 (verifies () - before);
+  let sigs l = List.map (fun (sh : M.share) -> sh.signature) l in
+  let check name signers signatures =
+    Alcotest.(check bool) name false
+      (M.verify ~known params "m" { M.signers; signatures })
+  in
+  check "below threshold" [ 1; 2; 3; 4 ] (sigs (take 4 shares));
+  check "unsorted" [ 2; 1; 3; 4; 5 ] (sigs (take 5 shares));
+  check "signer out of range" [ 1; 2; 3; 4; 8 ] (sigs (take 5 shares));
+  Alcotest.(check bool) "out-of-range share" false
+    (List.hd
+       (M.verify_shares ~known params "m"
+          [ { (List.hd shares) with M.signer = 0 } ]))
+
 let suite =
   [
     Alcotest.test_case "share verify" `Quick test_share_verify;
@@ -106,4 +135,6 @@ let suite =
       test_verify_rejects_subthreshold_object;
     Alcotest.test_case "cross-message" `Quick test_cross_message_rejected;
     QCheck_alcotest.to_alcotest prop_combine_any_h_subset;
+    Alcotest.test_case "known skips only the equation" `Quick
+      test_known_skips_only_the_equation;
   ]

@@ -129,9 +129,291 @@ let prop_monotone =
       in
       pairs stages)
 
+(* --- verify once per party -------------------------------------------
+
+   The pool answers a repeated (signer, text, signature) triple from the
+   shares and certificates it already holds.  The property below checks
+   that this memo never changes an answer: random interleavings of shares,
+   certificates and combines for one block — forged signatures, signatures
+   by the wrong signer, shares naming the wrong proposer, certificates with
+   forged members — give the same verdicts as a memo-free reference that
+   calls [Multisig.verify_share]/[verify] directly. *)
+
+module Multisig = Icc_crypto.Multisig
+
+let memo_block = Kit.block ~round:1 ~proposer:1 ~parent:None ()
+let memo_key = (1, Icc_core.Block.hash memo_block)
+
+let params kind =
+  match kind with
+  | `Notarization -> kit.Kit.system.Icc_crypto.Keygen.notary
+  | `Finalization -> kit.Kit.system.Icc_crypto.Keygen.final
+
+let text kind ~proposer =
+  let block_hash = Icc_core.Block.hash memo_block in
+  match kind with
+  | `Notarization -> Icc_core.Types.notarization_text ~round:1 ~proposer ~block_hash
+  | `Finalization -> Icc_core.Types.finalization_text ~round:1 ~proposer ~block_hash
+
+let sign kind ~signer ~proposer =
+  let k = Kit.key kit signer in
+  Multisig.sign_share (params kind)
+    (match kind with
+    | `Notarization -> k.Icc_crypto.Keygen.notary_key
+    | `Finalization -> k.Icc_crypto.Keygen.final_key)
+    (text kind ~proposer)
+
+type variant = Genuine | Forged | Wrong_signer | Wrong_proposer
+
+(* The proposer a [Wrong_proposer] member names instead of [proposer]. *)
+let other_proposer proposer = if proposer = 1 then 2 else 1
+
+(* [signer]'s share on the text naming [proposer], spoiled by [variant]:
+   [Wrong_proposer] is a genuine signature on the text naming
+   [other_proposer proposer]. *)
+let member kind ~signer ~proposer variant : Multisig.share =
+  match variant with
+  | Genuine -> sign kind ~signer ~proposer
+  | Forged ->
+      let sh = sign kind ~signer ~proposer in
+      let g = sh.signature in
+      {
+        sh with
+        signature =
+          {
+            g with
+            response = Icc_crypto.Group.scalar_add g.Icc_crypto.Schnorr.response 1;
+          };
+      }
+  | Wrong_signer -> { (sign kind ~signer:((signer mod 4) + 1) ~proposer) with signer }
+  | Wrong_proposer -> sign kind ~signer ~proposer:(other_proposer proposer)
+
+let share_msg ~proposer sh =
+  {
+    Icc_core.Types.s_round = 1;
+    s_proposer = proposer;
+    s_block_hash = Icc_core.Block.hash memo_block;
+    s_share = sh;
+  }
+
+let cert_msg ~proposer multisig =
+  {
+    Icc_core.Types.c_round = 1;
+    c_proposer = proposer;
+    c_block_hash = Icc_core.Block.hash memo_block;
+    c_multisig = multisig;
+  }
+
+(* The memo-free reference: per kind, the admitted shares (newest first)
+   and certificate. *)
+type reference = {
+  mutable r_shares : ([ `Notarization | `Finalization ] * Multisig.share) list;
+  mutable r_certs : [ `Notarization | `Finalization ] list;
+}
+
+let ref_add_share r kind ~proposer (sh : Multisig.share) =
+  if
+    List.exists
+      (fun (k, (x : Multisig.share)) -> k = kind && x.signer = sh.signer)
+      r.r_shares
+  then false
+  else if Multisig.verify_share (params kind) (text kind ~proposer) sh then begin
+    r.r_shares <- (kind, sh) :: r.r_shares;
+    true
+  end
+  else false
+
+let ref_add_cert r kind ~proposer ms =
+  if List.mem kind r.r_certs then false
+  else if Multisig.verify (params kind) (text kind ~proposer) ms then begin
+    r.r_certs <- kind :: r.r_certs;
+    true
+  end
+  else false
+
+let pool_add_share pool kind ~proposer sh =
+  match kind with
+  | `Notarization ->
+      Icc_core.Pool.add_notarization_share pool (share_msg ~proposer sh)
+  | `Finalization ->
+      Icc_core.Pool.add_finalization_share pool (share_msg ~proposer sh)
+
+let pool_add_cert pool kind ~proposer ms =
+  match kind with
+  | `Notarization -> Icc_core.Pool.add_notarization pool (cert_msg ~proposer ms)
+  | `Finalization -> Icc_core.Pool.add_finalization pool (cert_msg ~proposer ms)
+
+let pool_shares pool kind =
+  match kind with
+  | `Notarization -> Icc_core.Pool.notar_shares pool memo_key
+  | `Finalization -> Icc_core.Pool.final_shares pool memo_key
+
+let variants = [ Genuine; Genuine; Forged; Wrong_signer; Wrong_proposer ]
+
+(* One random step, run against the pool and the reference; [true] when
+   both give the same answer.  Proposer -1 is what a Byzantine peer can
+   put on the wire (the codec decodes any int); it must never match a
+   share set whose members disagree on the proposer. *)
+let memo_step rng pool r =
+  let kind = if Icc_sim.Rng.bool rng then `Notarization else `Finalization in
+  let proposer =
+    match Icc_sim.Rng.int rng 6 with 0 -> 2 | 1 -> -1 | _ -> 1
+  in
+  match Icc_sim.Rng.int rng 3 with
+  | 0 ->
+      let sh =
+        member kind ~signer:(1 + Icc_sim.Rng.int rng 4) ~proposer
+          (Icc_sim.Rng.pick rng variants)
+      in
+      pool_add_share pool kind ~proposer sh = ref_add_share r kind ~proposer sh
+  | 1 ->
+      (* a certificate over a random sorted signer set (possibly below
+         threshold), each member drawn from the variants *)
+      let signers =
+        List.filter (fun _ -> Icc_sim.Rng.int rng 4 > 0) [ 1; 2; 3; 4 ]
+      in
+      let ms =
+        {
+          Multisig.signers;
+          signatures =
+            List.map
+              (fun signer ->
+                (member kind ~signer ~proposer (Icc_sim.Rng.pick rng variants))
+                  .signature)
+              signers;
+        }
+      in
+      pool_add_cert pool kind ~proposer ms = ref_add_cert r kind ~proposer ms
+  | _ ->
+      (* Fig. 1 (a) / Fig. 2: combine the pooled shares, then admit the
+         result, as Party does *)
+      let shares = pool_shares pool kind in
+      let with_memo =
+        Multisig.combine
+          ~known:(Icc_core.Pool.known_share pool kind memo_key ~proposer)
+          (params kind) (text kind ~proposer) shares
+      in
+      let without = Multisig.combine (params kind) (text kind ~proposer) shares in
+      with_memo = without
+      &&
+      match with_memo with
+      | None -> true
+      | Some ms ->
+          pool_add_cert pool kind ~proposer ms = ref_add_cert r kind ~proposer ms
+
+let prop_memo_verdicts =
+  QCheck.Test.make
+    ~name:"verify-once memo: verdicts equal a memo-free reference" ~count:150
+    QCheck.int (fun seed ->
+      let rng = Icc_sim.Rng.create seed in
+      let pool = Icc_core.Pool.create kit.Kit.system in
+      let r = { r_shares = []; r_certs = [] } in
+      let steps = 4 + Icc_sim.Rng.int rng 16 in
+      let ok = ref true in
+      for _ = 1 to steps do
+        if not (memo_step rng pool r) then ok := false
+      done;
+      !ok
+      && List.for_all
+           (fun kind ->
+             List.map
+               (fun (sh : Multisig.share) -> sh.signer)
+               (pool_shares pool kind)
+             = List.filter_map
+                 (fun (k, (sh : Multisig.share)) ->
+                   if k = kind then Some sh.signer else None)
+                 r.r_shares)
+           [ `Notarization; `Finalization ])
+
+let verifies () =
+  Icc_obs.Registry.value Icc_crypto.Counters.schnorr_verifies
+
+let test_shares_then_cert_costs_nothing () =
+  let pool = Icc_core.Pool.create kit.Kit.system in
+  List.iter
+    (fun signer ->
+      let sh = member `Notarization ~signer ~proposer:1 Genuine in
+      Alcotest.(check bool) "share admitted" true
+        (pool_add_share pool `Notarization ~proposer:1 sh))
+    [ 1; 2; 3 ];
+  let before = verifies () in
+  let ms =
+    Multisig.combine
+      ~known:(Icc_core.Pool.known_share pool `Notarization memo_key ~proposer:1)
+      (params `Notarization) (text `Notarization ~proposer:1)
+      (pool_shares pool `Notarization)
+  in
+  (match ms with
+  | None -> Alcotest.fail "combine at quorum failed"
+  | Some ms ->
+      Alcotest.(check bool) "certificate admitted" true
+        (pool_add_cert pool `Notarization ~proposer:1 ms));
+  Alcotest.(check int) "combine + admission verify nothing" 0
+    (verifies () - before);
+  (* a share naming another proposer is still verified *)
+  let other = member `Notarization ~signer:4 ~proposer:2 Genuine in
+  let before = verifies () in
+  ignore (pool_add_share pool `Notarization ~proposer:2 other);
+  Alcotest.(check int) "new share verified once" 1 (verifies () - before)
+
+let test_cert_then_shares_costs_nothing () =
+  let pool = Icc_core.Pool.create kit.Kit.system in
+  let cert = Kit.finalization kit memo_block [ 1; 2; 3 ] in
+  let before = verifies () in
+  Alcotest.(check bool) "certificate admitted" true
+    (Icc_core.Pool.add_finalization pool cert);
+  Alcotest.(check int) "three members verified" 3 (verifies () - before);
+  let before = verifies () in
+  List.iter
+    (fun signer ->
+      let sh = member `Finalization ~signer ~proposer:1 Genuine in
+      Alcotest.(check bool) "member share admitted" true
+        (pool_add_share pool `Finalization ~proposer:1 sh))
+    [ 1; 2; 3 ];
+  Alcotest.(check int) "member shares verify nothing" 0 (verifies () - before);
+  let forged = member `Finalization ~signer:4 ~proposer:1 Forged in
+  Alcotest.(check bool) "non-member forgery rejected" false
+    (pool_add_share pool `Finalization ~proposer:1 forged)
+
+(* A mixed share set (one Byzantine share names proposer -1) must not
+   vouch for a proposer -1 certificate made of honest members copied from
+   proposer-1 shares: the Schnorr equation over the -1 text rejects them. *)
+let test_mixed_set_vouches_for_nothing () =
+  let pool = Icc_core.Pool.create kit.Kit.system in
+  let r = { r_shares = []; r_certs = [] } in
+  let add ~signer ~proposer =
+    let sh = member `Notarization ~signer ~proposer Genuine in
+    Alcotest.(check bool) "share verdict = reference"
+      (ref_add_share r `Notarization ~proposer sh)
+      (pool_add_share pool `Notarization ~proposer sh)
+  in
+  add ~signer:1 ~proposer:1;
+  add ~signer:4 ~proposer:(-1);
+  add ~signer:2 ~proposer:1;
+  add ~signer:3 ~proposer:1;
+  let honest =
+    List.map
+      (fun signer -> (member `Notarization ~signer ~proposer:1 Genuine).signature)
+      [ 1; 2; 3 ]
+  in
+  let ms = { Multisig.signers = [ 1; 2; 3 ]; signatures = honest } in
+  Alcotest.(check bool) "relabelled certificate rejected" false
+    (pool_add_cert pool `Notarization ~proposer:(-1) ms);
+  Alcotest.(check bool) "reference agrees" false
+    (ref_add_cert r `Notarization ~proposer:(-1) ms);
+  Alcotest.(check bool) "genuine certificate still admitted" true
+    (pool_add_cert pool `Notarization ~proposer:1 ms)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_order_invariance;
     QCheck_alcotest.to_alcotest prop_duplicates_are_noops;
     QCheck_alcotest.to_alcotest prop_monotone;
+    QCheck_alcotest.to_alcotest prop_memo_verdicts;
+    Alcotest.test_case "memo: shares then certificate" `Quick
+      test_shares_then_cert_costs_nothing;
+    Alcotest.test_case "memo: certificate then shares" `Quick
+      test_cert_then_shares_costs_nothing;
+    Alcotest.test_case "memo: mixed share set vouches for nothing" `Quick
+      test_mixed_set_vouches_for_nothing;
   ]

@@ -141,6 +141,69 @@ let test_core_messages_pass_through () =
   Icc_sim.Engine.run w.engine;
   Alcotest.(check int) "all seven got the share" 7 (count_deliveries w)
 
+let verifies () =
+  Icc_obs.Registry.value Icc_crypto.Counters.schnorr_verifies
+
+let test_relabelled_fragment_rejected () =
+  (* A Byzantine peer relabels the genuine fragment 4 as index 1 and gets
+     it to party 1 first.  Its Merkle path is leaf 4's, so it must be
+     rejected; otherwise it fills slot 1, blocks the genuine fragment 1 as
+     a duplicate, and decoding fails the re-encode check for good. *)
+  let w = make_world () in
+  let msg = proposal ~proposer:3 () in
+  let f4 = Icc_rbc.Rbc.fragment w.rbc ~src:3 msg 4 in
+  Icc_rbc.Rbc.on_frag w.rbc ~dst:1 { f4 with Icc_rbc.Rbc.f_index = 1 };
+  Icc_rbc.Rbc.tx_broadcast w.rbc ~src:3 msg;
+  Icc_sim.Engine.run w.engine;
+  Alcotest.(check int) "party 1 delivers" 1
+    (List.length !(Hashtbl.find w.delivered 1));
+  Alcotest.(check int) "everyone delivers" 7 (count_deliveries w)
+
+let test_root_signature_verified_once () =
+  (* Every fragment of an instance carries the same root signature: each
+     party, the proposer included (it receives the echoes), verifies it
+     exactly once. *)
+  let w = make_world () in
+  let before = verifies () in
+  Icc_rbc.Rbc.tx_broadcast w.rbc ~src:3 (proposal ~proposer:3 ());
+  Icc_sim.Engine.run w.engine;
+  Alcotest.(check int) "seven deliveries" 7 (count_deliveries w);
+  Alcotest.(check int) "one verify per party" 7 (verifies () - before)
+
+let test_forged_root_signature_rejected () =
+  (* Once party 1 has verified the root signature, fragments of the same
+     instance (same round, proposer and root) with a forged signature are
+     still checked and rejected: had the two forged fragments below been
+     taken, party 1 would hold k = 3 fragments and deliver at once. *)
+  let w = make_world () in
+  let msg = proposal ~proposer:3 () in
+  let frag = Icc_rbc.Rbc.fragment w.rbc ~src:3 msg in
+  let forge (f : Icc_rbc.Rbc.frag) =
+    let g = f.Icc_rbc.Rbc.f_sig in
+    {
+      f with
+      Icc_rbc.Rbc.f_sig =
+        {
+          g with
+          Icc_crypto.Schnorr.response =
+            Icc_crypto.Group.scalar_add g.Icc_crypto.Schnorr.response 1;
+        };
+    }
+  in
+  let before = verifies () in
+  Icc_rbc.Rbc.on_frag w.rbc ~dst:1 (frag 4);
+  Icc_rbc.Rbc.on_frag w.rbc ~dst:1 (forge (frag 5));
+  Icc_rbc.Rbc.on_frag w.rbc ~dst:1 (forge (frag 6));
+  Icc_sim.Engine.run w.engine;
+  Alcotest.(check int) "every distinct signature verified" 3
+    (verifies () - before);
+  Alcotest.(check int) "forged fragments not taken" 0
+    (List.length !(Hashtbl.find w.delivered 1));
+  Icc_rbc.Rbc.on_frag w.rbc ~dst:1 (frag 5);
+  Icc_rbc.Rbc.on_frag w.rbc ~dst:1 (frag 6);
+  Alcotest.(check int) "genuine ones are" 1
+    (List.length !(Hashtbl.find w.delivered 1))
+
 let suite =
   [
     Alcotest.test_case "honest dissemination" `Quick test_honest_dissemination_total;
@@ -152,4 +215,10 @@ let suite =
     Alcotest.test_case "echo budget" `Quick
       test_echo_budget_bounds_equivocating_proposer;
     Alcotest.test_case "core pass-through" `Quick test_core_messages_pass_through;
+    Alcotest.test_case "relabelled fragment rejected" `Quick
+      test_relabelled_fragment_rejected;
+    Alcotest.test_case "root signature verified once" `Quick
+      test_root_signature_verified_once;
+    Alcotest.test_case "forged root signature rejected" `Quick
+      test_forged_root_signature_rejected;
   ]
