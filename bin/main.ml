@@ -100,13 +100,17 @@ let monitor_ok = function
   | None -> true
   | Some m -> Icc_sim.Monitor.ok m
 
-(* Abort carries the event-indexed diagnosis; turn it into a clean exit. *)
-let with_monitor_abort f =
-  try f ()
-  with Icc_sim.Monitor.Abort v ->
-    Printf.eprintf "icc: run aborted by invariant monitor:\n  %s\n"
-      (Icc_sim.Monitor.violation_message v);
-    exit 2
+(* A monitor abort carries the event-indexed diagnosis; exit 2 with it.
+   A scenario the run rejects (e.g. a party id outside 1..n) exits 1. *)
+let with_run_errors f =
+  try f () with
+  | Icc_sim.Monitor.Abort v ->
+      Printf.eprintf "icc: run aborted by invariant monitor:\n  %s\n"
+        (Icc_sim.Monitor.violation_message v);
+      exit 2
+  | Invalid_argument msg ->
+      Printf.eprintf "icc: %s\n" msg;
+      exit 1
 
 (* Shared nemesis flags (run / baselines): a fault script assembled from
    the quick link flags, an optional JSON script file, and crash cycles. *)
@@ -146,11 +150,11 @@ let crash_cycle_arg =
            ~doc:"Nemesis: crash party $(i,ID) at time $(i,DOWN), recover it \
                  at $(i,UP).  Repeatable.")
 
-let read_file path =
+let read_file ~flag path =
   let ic =
     try open_in_bin path
     with Sys_error msg ->
-      Printf.eprintf "icc: cannot open nemesis script: %s\n" msg;
+      Printf.eprintf "icc: cannot open %s script: %s\n" flag msg;
       exit 1
   in
   Fun.protect
@@ -162,7 +166,9 @@ let nemesis_script ~drop ~dup ~reorder ~flap ~file ~cycles =
     match file with
     | None -> []
     | Some path -> (
-        match Icc_sim.Fault.script_of_json (read_file path) with
+        match
+          Icc_sim.Fault.script_of_json (read_file ~flag:"--nemesis" path)
+        with
         | Ok s -> s
         | Error msg ->
             Printf.eprintf "icc: bad nemesis script %s: %s\n" path msg;
@@ -214,7 +220,9 @@ let adversary_script ~file ~equivocate ~withhold ~adaptive ~extra =
     match file with
     | None -> []
     | Some path -> (
-        match Icc_sim.Adversary.script_of_json (read_file path) with
+        match
+          Icc_sim.Adversary.script_of_json (read_file ~flag:"--adversary" path)
+        with
         | Ok s -> s
         | Error msg ->
             Printf.eprintf "icc: bad adversary script %s: %s\n" path msg;
@@ -309,7 +317,7 @@ let run_cmd =
         ~adaptive:corrupt_adaptive ~extra:corrupt_directives
     in
     let r =
-      with_monitor_abort (fun () ->
+      with_run_errors (fun () ->
           with_trace_file trace_file (fun trace ->
               let scenario =
                 {
@@ -475,7 +483,7 @@ let baselines_cmd =
         ~adaptive:None ~extra:[]
     in
     let r =
-      with_monitor_abort (fun () ->
+      with_run_errors (fun () ->
           with_trace_file trace_file (fun trace ->
               let scenario =
                 {

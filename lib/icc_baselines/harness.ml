@@ -44,19 +44,10 @@ let attach_monitor scenario (env : Icc_sim.Transport.env) =
     (fun config -> Icc_sim.Monitor.attach ~config env.Icc_sim.Transport.trace)
     scenario.monitor
 
-(* Install the scenario's nemesis (if any) on a baseline's network.  The
-   baselines honour only the link faults (drop / duplicate / reorder /
-   flap / partition); crash and recover directives are ignored — use
-   [crashed] / [kill_at] for baseline crash faults.  The fault RNG is split
-   only when a script is present, preserving historical streams. *)
-let install_nemesis scenario ~rng ~trace net =
-  match scenario.nemesis with
-  | None -> ()
-  | Some script ->
-      let fault =
-        Icc_sim.Fault.create ~rng:(Icc_sim.Rng.split rng) ~trace script
-      in
-      Icc_sim.Network.set_fault net fault
+(* The scenario's id-bearing fields besides its scripts, checked against
+   1..n by {!Icc_sim.Transport.links}. *)
+let party_ids scenario =
+  [ ("crashed", scenario.crashed); ("kill_at", List.map fst scenario.kill_at) ]
 
 (* Wire-kind classifier enabling network-level share withholding for the
    baselines: they have no protocol-layer adversary hooks, so a corrupt
@@ -70,21 +61,6 @@ let baseline_classify kind =
   | "prepare" | "hs-vote" | "tm-prevote" -> Some Icc_sim.Adversary.Notar
   | "commit" | "tm-precommit" -> Some Icc_sim.Adversary.Final
   | _ -> None
-
-(* Install the scenario's adversary (if any) on a baseline's network; the
-   RNG is split only when a non-empty script is present, preserving
-   historical streams.  Only statically targeted directives apply — the
-   baselines never call note_round, so adaptive (Any-targeted) directives
-   stay dormant. *)
-let install_adversary scenario ~rng ~trace net =
-  match scenario.adversary with
-  | None | Some [] -> ()
-  | Some script ->
-      let adv =
-        Icc_sim.Adversary.create ~rng:(Icc_sim.Rng.split rng) ~trace
-          ~n:scenario.n ~classify:baseline_classify script
-      in
-      Icc_sim.Network.set_adversary net adv
 
 (* Statically corrupt replicas leave the honest set, like [crashed]. *)
 let adversary_corrupt scenario =
@@ -102,14 +78,6 @@ type result = {
   safety_ok : bool; (* executed sequences prefix-consistent *)
   outputs : (int * string list) list; (* replica, executed digests in order *)
 }
-
-let delay_model rng (spec : Icc_core.Runner.delay_spec) ~n :
-    Icc_sim.Network.delay_model =
-  match spec with
-  | Icc_core.Runner.Fixed_delay d -> Fixed d
-  | Icc_core.Runner.Uniform_delay (lo, hi) -> Uniform { rng; lo; hi }
-  | Icc_core.Runner.Wan { rtt_lo; rtt_hi } ->
-      Matrix (Icc_sim.Network.wan_matrix rng ~n ~rtt_lo ~rtt_hi)
 
 let prefix_consistent outputs =
   let rec is_prefix a b =

@@ -36,24 +36,14 @@ val attach_monitor :
 (** Attach the scenario's monitor (if any) to a freshly built transport
     env, before any event flows. *)
 
-val install_nemesis :
-  scenario -> rng:Icc_sim.Rng.t -> trace:Icc_sim.Trace.t ->
-  'msg Icc_sim.Network.t -> unit
-(** Install the scenario's nemesis (if any) on a baseline's network; call
-    right after building the network.  Splits [rng] only when a script is
-    present, preserving historical streams. *)
+val party_ids : scenario -> (string * int list) list
+(** [crashed] and [kill_at]'s replica ids, named for the range check of
+    {!Icc_sim.Transport.links}. *)
 
 val baseline_classify : string -> Icc_sim.Adversary.share_class option
 (** Maps baseline wire kinds to share classes (PBFT [prepare]/[commit],
     HotStuff [hs-vote], Tendermint [tm-prevote]/[tm-precommit]) so
     withhold directives apply at the network level. *)
-
-val install_adversary :
-  scenario -> rng:Icc_sim.Rng.t -> trace:Icc_sim.Trace.t ->
-  'msg Icc_sim.Network.t -> unit
-(** Install the scenario's adversary (if any) on a baseline's network; call
-    right after {!install_nemesis}.  Splits [rng] only when a non-empty
-    script is present. *)
 
 val adversary_corrupt : scenario -> int list
 (** Replicas statically corrupted by the scenario's adversary script —
@@ -70,10 +60,6 @@ type result = {
   outputs : (int * string list) list;
       (** Per honest replica, executed digests in order. *)
 }
-
-val delay_model :
-  Icc_sim.Rng.t -> Icc_core.Runner.delay_spec -> n:int ->
-  Icc_sim.Network.delay_model
 
 val prefix_consistent : (int * string list) list -> bool
 

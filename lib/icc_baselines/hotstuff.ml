@@ -309,12 +309,15 @@ let run (scenario : Harness.scenario) : Harness.result =
   let monitor = Harness.attach_monitor scenario env in
   Icc_sim.Trace.emit trace ~time:0.
     (Icc_sim.Trace.Run_start { n; label = "hotstuff" });
-  let net =
-    Icc_sim.Transport.network_of env
-      ~delay_model:(Harness.delay_model net_rng scenario.Harness.delay ~n) ()
+  let { Icc_sim.Transport.delay_model; fault; adversary } =
+    Icc_sim.Transport.links env ~rng ~net_rng
+      ~classify:Harness.baseline_classify ~parties:(Harness.party_ids scenario)
+      ~nemesis:scenario.Harness.nemesis ~adversary:scenario.Harness.adversary
+      scenario.Harness.delay
   in
-  Harness.install_nemesis scenario ~rng ~trace net;
-  Harness.install_adversary scenario ~rng ~trace net;
+  let net =
+    Icc_sim.Network.create engine ~n ~trace ~delay_model ?fault ?adversary ()
+  in
   let adv_corrupt = Harness.adversary_corrupt scenario in
   let honest =
     List.init n (fun i -> i + 1)

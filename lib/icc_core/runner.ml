@@ -2,10 +2,10 @@
    parties, runs the discrete-event simulation, and evaluates the global
    correctness oracles. *)
 
-type delay_spec =
+type delay_spec = Icc_sim.Transport.delay_spec =
   | Fixed_delay of float
   | Uniform_delay of float * float
-  | Wan of { rtt_lo : float; rtt_hi : float } (* paper: RTT 6–110 ms *)
+  | Wan of { rtt_lo : float; rtt_hi : float }
 
 (* The dissemination layer under the protocol.  ICC0 broadcasts directly;
    ICC1 (icc_gossip) and ICC2 (icc_rbc) plug in their sub-layers here. *)
@@ -17,9 +17,8 @@ type transport_ctx = {
   tr_rng : Icc_sim.Rng.t;
   tr_delay_model : Icc_sim.Network.delay_model;
   tr_async_until : float;
-  tr_fault : Icc_sim.Fault.t option; (* nemesis, installed on every network *)
+  tr_fault : Icc_sim.Fault.t option;
   tr_adversary : Icc_sim.Adversary.t option;
-      (* Byzantine adversary, interposed on every network's sends *)
   tr_is_active : int -> bool; (* false once a party has crashed *)
   tr_deliver : dst:int -> Message.t -> unit;
   tr_system : Icc_crypto.Keygen.system;
@@ -97,15 +96,17 @@ let default_scenario ~n ~seed =
     resync = None;
   }
 
+(* Every network a transport builds carries the run's whole release
+   policy, so direct, gossip and RBC traffic are interposed alike. *)
+let network ctx =
+  Icc_sim.Network.create ctx.tr_engine ~n:ctx.tr_n ~trace:ctx.tr_trace
+    ~delay_model:ctx.tr_delay_model ~hold_until:ctx.tr_async_until
+    ?fault:ctx.tr_fault ?adversary:ctx.tr_adversary ()
+
 (* ICC0's transport: one broadcast network, messages accounted at their
    modeled wire sizes. *)
 let direct_transport ctx =
-  let net =
-    Icc_sim.Transport.network ~engine:ctx.tr_engine ~n:ctx.tr_n
-      ~trace:ctx.tr_trace ~delay_model:ctx.tr_delay_model
-      ~async_until:ctx.tr_async_until ?fault:ctx.tr_fault
-      ?adversary:ctx.tr_adversary ()
-  in
+  let net = network ctx in
   Icc_sim.Network.set_handler net (fun ~dst ~src:_ msg -> ctx.tr_deliver ~dst msg);
   {
     tx_broadcast =
@@ -217,35 +218,16 @@ let run scenario =
   in
   Icc_sim.Trace.emit trace ~time:0.
     (Icc_sim.Trace.Run_start { n; label = run_label });
-  let delay_model : Icc_sim.Network.delay_model =
-    match scenario.delay with
-    | Fixed_delay d -> Fixed d
-    | Uniform_delay (lo, hi) -> Uniform { rng = net_rng; lo; hi }
-    | Wan { rtt_lo; rtt_hi } ->
-        Matrix (Icc_sim.Network.wan_matrix net_rng ~n ~rtt_lo ~rtt_hi)
+  let { Icc_sim.Transport.delay_model; fault; adversary } =
+    Icc_sim.Transport.links tenv ~rng ~net_rng
+      ~parties:
+        [
+          ("behaviors", List.map fst scenario.behaviors);
+          ("kill_at", List.map fst scenario.kill_at);
+        ]
+      ~nemesis:scenario.nemesis ~adversary:scenario.adversary scenario.delay
   in
-  (* The fault layer owns a private RNG stream, split only when a script is
-     present so nemesis-free scenarios keep their exact historical streams. *)
-  let fault =
-    match scenario.nemesis with
-    | None -> None
-    | Some script ->
-        Some (Icc_sim.Fault.create ~rng:(Icc_sim.Rng.split rng) ~trace script)
-  in
-  (* The adversary layer likewise owns a private stream, split only when a
-     non-empty script is configured, so adversary-free scenarios keep their
-     exact historical streams (pinned by the golden-trace test). *)
-  let adv_script =
-    match scenario.adversary with None | Some [] -> None | Some _ as s -> s
-  in
-  let adversary =
-    match adv_script with
-    | None -> None
-    | Some script ->
-        Some
-          (Icc_sim.Adversary.create ~rng:(Icc_sim.Rng.split rng) ~trace ~n
-             script)
-  in
+  let adv_script = Option.map Icc_sim.Adversary.script adversary in
   (* Client workload: commands are submitted to every party (clients
      broadcast); client->replica traffic is not consensus traffic and is not
      accounted. *)
@@ -461,25 +443,24 @@ let run scenario =
   | Some script ->
       List.iter
         (fun (time, what, party) ->
-          if party >= 1 && party <= n then
-            Icc_sim.Engine.schedule_at engine ~time (fun () ->
-                let p = parties.(party - 1) in
-                match what with
-                | `Crash ->
-                    if not (Party.behavior p).Party.crashed then begin
-                      Icc_sim.Trace.emit trace
-                        ~time:(Icc_sim.Engine.now engine)
-                        (Icc_sim.Trace.Fault_crash { party });
-                      Party.set_behavior p
-                        { (Party.behavior p) with Party.crashed = true }
-                    end
-                | `Recover ->
-                    if (Party.behavior p).Party.crashed then begin
-                      Icc_sim.Trace.emit trace
-                        ~time:(Icc_sim.Engine.now engine)
-                        (Icc_sim.Trace.Fault_recover { party });
-                      Party.recover p
-                    end))
+          Icc_sim.Engine.schedule_at engine ~time (fun () ->
+              let p = parties.(party - 1) in
+              match what with
+              | `Crash ->
+                  if not (Party.behavior p).Party.crashed then begin
+                    Icc_sim.Trace.emit trace
+                      ~time:(Icc_sim.Engine.now engine)
+                      (Icc_sim.Trace.Fault_crash { party });
+                    Party.set_behavior p
+                      { (Party.behavior p) with Party.crashed = true }
+                  end
+              | `Recover ->
+                  if (Party.behavior p).Party.crashed then begin
+                    Icc_sim.Trace.emit trace
+                      ~time:(Icc_sim.Engine.now engine)
+                      (Icc_sim.Trace.Fault_recover { party });
+                    Party.recover p
+                  end))
         (Icc_sim.Fault.crash_schedule script));
   (* Adversary crash windows end on the script's clock: kick the party at
      each window end so it rehydrates (the window silenced its timers). *)
@@ -488,9 +469,8 @@ let run scenario =
   | Some script ->
       List.iter
         (fun (time, party) ->
-          if party >= 1 && party <= n then
-            Icc_sim.Engine.schedule_at engine ~time (fun () ->
-                Party.wake parties.(party - 1)))
+          Icc_sim.Engine.schedule_at engine ~time (fun () ->
+              Party.wake parties.(party - 1)))
         (Icc_sim.Adversary.static_crash_wakes script));
   Array.iter Party.start parties;
   Icc_sim.Engine.run ~until:scenario.duration engine;

@@ -3,7 +3,7 @@
     discrete-event simulation, and evaluates the global correctness
     oracles. *)
 
-type delay_spec =
+type delay_spec = Icc_sim.Transport.delay_spec =
   | Fixed_delay of float
   | Uniform_delay of float * float
   | Wan of { rtt_lo : float; rtt_hi : float }
@@ -25,15 +25,10 @@ type transport_ctx = {
   tr_t : int;
   tr_rng : Icc_sim.Rng.t;
   tr_delay_model : Icc_sim.Network.delay_model;
-  tr_async_until : float;
-  tr_fault : Icc_sim.Fault.t option;
-      (** The scenario's nemesis, when present; a transport must install it
-          on every {!Icc_sim.Network} it creates so link faults apply
-          uniformly to direct, gossip and RBC traffic. *)
+  tr_async_until : float;  (** Adversarial asynchrony hold. *)
+  tr_fault : Icc_sim.Fault.t option;  (** The scenario's nemesis. *)
   tr_adversary : Icc_sim.Adversary.t option;
-      (** The scenario's Byzantine adversary, when present; a transport must
-          install it on every {!Icc_sim.Network} it creates so censorship,
-          straggling and stealthy delays apply to all its traffic. *)
+      (** The scenario's Byzantine adversary. *)
   tr_is_active : int -> bool;  (** False once a party has crashed. *)
   tr_deliver : dst:int -> Message.t -> unit;
   tr_system : Icc_crypto.Keygen.system;
@@ -48,6 +43,12 @@ type transport_impl = {
 }
 
 type transport = transport_ctx -> transport_impl
+
+val network : transport_ctx -> 'msg Icc_sim.Network.t
+(** A network created with the context's delay model, asynchrony hold,
+    nemesis and adversary.  Every transport builds its networks through
+    this, so link faults and Byzantine interposition apply uniformly to
+    direct, gossip and RBC traffic. *)
 
 val direct_transport : transport
 (** ICC0: one broadcast network at modeled wire sizes. *)
@@ -137,3 +138,6 @@ type result = {
 }
 
 val run : scenario -> result
+(** Raises [Invalid_argument] before the simulation starts when [behaviors],
+    [kill_at] or a [nemesis]/[adversary] directive names a party outside
+    1..[n] (see {!Icc_sim.Transport.links}). *)

@@ -160,25 +160,22 @@ let on_wire t ~dst ~src w =
         if Icc_core.Message.is_resync msg then t.deliver_up ~dst msg
         else acquire t ~party:dst ~from_peer:src id msg
 
-let create ~engine ~trace ~n ~rng ~delay_model ?(async_until = 0.) ?fault
-    ?adversary ~fanout ~is_active ~deliver_up () =
-  let net =
-    Icc_sim.Transport.network ~engine ~n ~trace ~delay_model ~async_until
-      ?fault ?adversary ()
-  in
+let create (ctx : Icc_core.Runner.transport_ctx) ~fanout =
+  let net = Icc_core.Runner.network ctx in
+  let n = ctx.tr_n in
   let t =
     {
       n;
       fanout;
-      engine;
-      trace;
+      engine = ctx.tr_engine;
+      trace = ctx.tr_trace;
       net;
-      peers = build_peer_graph rng ~n ~fanout;
+      peers = build_peer_graph ctx.tr_rng ~n ~fanout;
       known = Array.init (n + 1) (fun _ -> Hashtbl.create 64);
       requested = Array.init (n + 1) (fun _ -> Hashtbl.create 64);
       store = Array.init (n + 1) (fun _ -> Hashtbl.create 64);
-      is_active;
-      deliver_up;
+      is_active = ctx.tr_is_active;
+      deliver_up = ctx.tr_deliver;
     }
   in
   Icc_sim.Network.set_handler net (fun ~dst ~src w -> on_wire t ~dst ~src w);

@@ -23,24 +23,13 @@ val build_peer_graph : Icc_sim.Rng.t -> n:int -> fanout:int -> int list array
 
 val artifact_id_of : Icc_core.Message.t -> artifact_id
 
-val create :
-  engine:Icc_sim.Engine.t ->
-  trace:Icc_sim.Trace.t ->
-  n:int ->
-  rng:Icc_sim.Rng.t ->
-  delay_model:Icc_sim.Network.delay_model ->
-  ?async_until:float ->
-  ?fault:Icc_sim.Fault.t ->
-  ?adversary:Icc_sim.Adversary.t ->
-  fanout:int ->
-  is_active:(int -> bool) ->
-  deliver_up:(dst:int -> Icc_core.Message.t -> unit) ->
-  unit ->
-  t
-(** The underlying network announces every wire message on [trace];
+val create : Icc_core.Runner.transport_ctx -> fanout:int -> t
+(** Gossip over one network built by {!Icc_core.Runner.network} from the
+    context, which announces every wire message on the context's bus;
     gossip-layer publish/request/acquire events (with artifact ids) are
-    emitted when a detail subscriber is present.  [async_until > 0] holds
-    all traffic until that simulated time. *)
+    emitted when a detail subscriber is present.  The peer graph is drawn
+    from [tr_rng]; inactive parties ([tr_is_active]) neither relay nor
+    answer, and acquired artifacts go up through [tr_deliver]. *)
 
 val publish : t -> src:int -> Icc_core.Message.t -> unit
 (** The protocol's "broadcast": inject an artifact at [src].  The publisher

@@ -10,17 +10,7 @@ let default_fanout = 4
 
 let transport ?(fanout = default_fanout) () : Icc_core.Runner.transport =
  fun ctx ->
-  let gossip =
-    Gossip.create ~engine:ctx.Icc_core.Runner.tr_engine
-      ~trace:ctx.Icc_core.Runner.tr_trace ~n:ctx.Icc_core.Runner.tr_n
-      ~rng:ctx.Icc_core.Runner.tr_rng
-      ~delay_model:ctx.Icc_core.Runner.tr_delay_model
-      ~async_until:ctx.Icc_core.Runner.tr_async_until
-      ?fault:ctx.Icc_core.Runner.tr_fault
-      ?adversary:ctx.Icc_core.Runner.tr_adversary ~fanout
-      ~is_active:ctx.Icc_core.Runner.tr_is_active
-      ~deliver_up:ctx.Icc_core.Runner.tr_deliver ()
-  in
+  let gossip = Gossip.create ctx ~fanout in
   {
     Icc_core.Runner.tx_broadcast = (fun ~src msg -> Gossip.publish gossip ~src msg);
     tx_unicast = (fun ~src ~dst msg -> Gossip.inject gossip ~src ~dst msg);

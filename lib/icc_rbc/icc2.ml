@@ -8,19 +8,7 @@
 
 let transport () : Icc_core.Runner.transport =
  fun ctx ->
-  let rbc =
-    Rbc.create ~engine:ctx.Icc_core.Runner.tr_engine
-      ~trace:ctx.Icc_core.Runner.tr_trace ~n:ctx.Icc_core.Runner.tr_n
-      ~t:ctx.Icc_core.Runner.tr_t
-      ~delay_model:ctx.Icc_core.Runner.tr_delay_model
-      ~async_until:ctx.Icc_core.Runner.tr_async_until
-      ?fault:ctx.Icc_core.Runner.tr_fault
-      ?adversary:ctx.Icc_core.Runner.tr_adversary
-      ~is_active:ctx.Icc_core.Runner.tr_is_active
-      ~deliver_up:ctx.Icc_core.Runner.tr_deliver
-      ~system:ctx.Icc_core.Runner.tr_system ~keys:ctx.Icc_core.Runner.tr_keys
-      ()
-  in
+  let rbc = Rbc.create ctx in
   {
     Icc_core.Runner.tx_broadcast = (fun ~src msg -> Rbc.tx_broadcast rbc ~src msg);
     tx_unicast = (fun ~src ~dst msg -> Rbc.tx_unicast rbc ~src ~dst msg);

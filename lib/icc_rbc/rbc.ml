@@ -306,26 +306,22 @@ let on_frag t ~dst (f : frag) =
     end
   end
 
-let create ~engine ~trace ~n ~t:t_corrupt ~delay_model ~async_until ?fault
-    ?adversary ~is_active ~deliver_up ~system ~keys () =
-  let net =
-    Icc_sim.Transport.network ~engine ~n ~trace ~delay_model ~async_until
-      ?fault ?adversary ()
-  in
+let create (ctx : Icc_core.Runner.transport_ctx) =
+  let net = Icc_core.Runner.network ctx in
   let t =
     {
-      n;
-      k = t_corrupt + 1;
-      system;
-      keys;
-      engine;
-      trace;
+      n = ctx.tr_n;
+      k = ctx.tr_t + 1;
+      system = ctx.tr_system;
+      keys = ctx.tr_keys;
+      engine = ctx.tr_engine;
+      trace = ctx.tr_trace;
       net;
       instances = Hashtbl.create 256;
       echo_budget = Hashtbl.create 256;
       rbc_delivered = Hashtbl.create 256;
-      is_active;
-      deliver_up;
+      is_active = ctx.tr_is_active;
+      deliver_up = ctx.tr_deliver;
     }
   in
   Icc_sim.Network.set_handler net (fun ~dst ~src:_ w ->

@@ -30,21 +30,12 @@ type t
 val serialize : Icc_core.Message.t -> string
 val deserialize : string -> Icc_core.Message.t option
 
-val create :
-  engine:Icc_sim.Engine.t ->
-  trace:Icc_sim.Trace.t ->
-  n:int ->
-  t:int ->
-  delay_model:Icc_sim.Network.delay_model ->
-  async_until:float ->
-  ?fault:Icc_sim.Fault.t ->
-  ?adversary:Icc_sim.Adversary.t ->
-  is_active:(int -> bool) ->
-  deliver_up:(dst:int -> Icc_core.Message.t -> unit) ->
-  system:Icc_crypto.Keygen.system ->
-  keys:Icc_crypto.Keygen.party_keys array ->
-  unit ->
-  t
+val create : Icc_core.Runner.transport_ctx -> t
+(** The RBC over one network built by {!Icc_core.Runner.network} from the
+    context: k = [tr_t] + 1 data fragments, signed with the parties'
+    [tr_keys]; reconstructed blocks and small messages go up through
+    [tr_deliver], and inactive parties ([tr_is_active]) neither echo nor
+    deliver. *)
 
 val tx_broadcast : t -> src:int -> Icc_core.Message.t -> unit
 (** A proposer's own proposal is disseminated through the RBC; an echo of a

@@ -270,6 +270,12 @@ let corrupted t =
 
 exception Script_error of string
 
+(* Ids, ranks, rounds and budgets must be integral JSON numbers: a party
+   of 2.7 is rejected, not truncated to 2. *)
+let int_of_num name f =
+  if Float.is_integer f then int_of_float f
+  else raise (Script_error (name ^ ": expected an integer"))
+
 let directive_of_obj fields =
   let find name = List.assoc_opt name fields in
   let num ?default name =
@@ -284,7 +290,7 @@ let directive_of_obj fields =
   in
   let int_opt name =
     match find name with
-    | Some (Fault.Jnum f) -> Some (int_of_float f)
+    | Some (Fault.Jnum f) -> Some (int_of_num name f)
     | Some (Fault.Jnull | Jbool _ | Jstr _ | Jarr _ | Jobj _) ->
         raise (Script_error (name ^ ": expected number"))
     | None -> None
@@ -326,7 +332,7 @@ let directive_of_obj fields =
           | Some (Fault.Jarr ids) ->
               List.map
                 (function
-                  | Fault.Jnum f -> int_of_float f
+                  | Fault.Jnum f -> int_of_num "dsts" f
                   | Fault.Jnull | Jbool _ | Jstr _ | Jarr _ | Jobj _ ->
                       raise (Script_error "dsts: expected party id"))
                 ids

@@ -130,6 +130,10 @@ val create :
 
 val script : t -> script
 
+val strategy_name : action -> string
+(** The action's name as traces report it, e.g. ["censor"] or
+    ["equivocate-noisy"]. *)
+
 val note_round : t -> now:float -> party:int -> round:int -> rank:int -> unit
 (** Evaluate activation triggers for [party] entering [round] with beacon
     rank [rank].  First activation of a (directive, party) pair announces

@@ -317,6 +317,11 @@ let parse_json text =
   if !pos <> len then fail "trailing garbage";
   v
 
+(* A party id must be an integral JSON number: 2.7 is not party 2. *)
+let party_id name f =
+  if Float.is_integer f then int_of_float f
+  else raise (Script_error (name ^ ": expected an integer party id"))
+
 let directive_of_obj fields =
   let find name = List.assoc_opt name fields in
   let num ?default name =
@@ -331,7 +336,7 @@ let directive_of_obj fields =
   in
   let int_opt name =
     match find name with
-    | Some (Jnum f) -> Some (int_of_float f)
+    | Some (Jnum f) -> Some (party_id name f)
     | Some (Jnull | Jbool _ | Jstr _ | Jarr _ | Jobj _) ->
         raise (Script_error (name ^ ": expected number"))
     | None -> None
@@ -395,7 +400,7 @@ let directive_of_obj fields =
                 | Jarr ids ->
                     List.map
                       (function
-                        | Jnum f -> int_of_float f
+                        | Jnum f -> party_id "groups" f
                         | Jnull | Jbool _ | Jstr _ | Jarr _ | Jobj _ ->
                             raise (Script_error "groups: expected party id"))
                       ids
@@ -407,9 +412,9 @@ let directive_of_obj fields =
       in
       Partition { from_; until; groups }
   | "crash" ->
-      Crash { party = int_of_float (num "party"); at = num "at" }
+      Crash { party = party_id "party" (num "party"); at = num "at" }
   | "recover" ->
-      Recover { party = int_of_float (num "party"); at = num "at" }
+      Recover { party = party_id "party" (num "party"); at = num "at" }
   | other -> raise (Script_error (Printf.sprintf "unknown fault kind %S" other))
 
 let script_of_json text =

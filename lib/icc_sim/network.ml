@@ -26,37 +26,29 @@ type 'msg t = {
   engine : Engine.t;
   n : int;
   trace : Trace.t;
-  mutable delay_model : delay_model;
-  mutable hold_until : float; (* global asynchronous interval end *)
-  mutable link_hold : (int -> int -> float) option; (* partition model *)
-  mutable fault : Fault.t option; (* nemesis interposition *)
-  mutable adversary : Adversary.t option; (* corrupt-sender interposition *)
+  delay_model : delay_model;
+  hold_until : float; (* global asynchronous interval end *)
+  fault : Fault.t option; (* nemesis interposition *)
+  adversary : Adversary.t option; (* corrupt-sender interposition *)
   mutable handler : dst:int -> src:int -> 'msg -> unit;
   mutable delivered : int;
 }
 
-let create engine ~n ~trace ~delay_model =
+let create engine ~n ~trace ~delay_model ?(hold_until = neg_infinity) ?fault
+    ?adversary () =
   {
     engine;
     n;
     trace;
     delay_model;
-    hold_until = neg_infinity;
-    link_hold = None;
-    fault = None;
-    adversary = None;
+    hold_until;
+    fault;
+    adversary;
     handler = (fun ~dst:_ ~src:_ _ -> ());
     delivered = 0;
   }
 
 let set_handler t handler = t.handler <- handler
-let set_delay_model t m = t.delay_model <- m
-let set_fault t f = t.fault <- Some f
-let set_adversary t a = t.adversary <- Some a
-
-let hold_all_until t time = t.hold_until <- time
-let set_link_hold t f = t.link_hold <- Some f
-let clear_link_hold t = t.link_hold <- None
 
 let sample_delay t ~src ~dst =
   match t.delay_model with
@@ -70,9 +62,9 @@ let deliver_self t ~src msg =
   Engine.schedule t.engine ~delay:0. (fun () -> t.handler ~dst:src ~src msg)
 
 (* Schedule one remote transmission.  The delay is sampled before anything
-   else so the RNG stream is independent of hold state, fault state and
-   tracing; the nemesis (when installed) is consulted exactly once per
-   transmission, also independent of hold state.
+   else so the RNG stream is independent of the hold, the fault state and
+   tracing; the nemesis (when present) is consulted exactly once per
+   transmission, also independent of the hold.
 
    Event batching happens below this layer: the engine's queue is a
    calendar of per-timestamp buckets, so the n-1 same-release deliveries
@@ -85,7 +77,7 @@ let transmit t ~src ~dst ~size ~kind msg =
   (* The adversary rules a corrupt sender's copy before the nemesis sees
      it: a censored/straggled/withheld transmission never reaches the
      fault layer (the corrupt party "never sent it").  Each layer draws
-     from its own stream, so installing one never shifts the other. *)
+     from its own stream, so adding one never shifts the other. *)
   let adv_drop, adv_delay =
     match t.adversary with
     | None -> (false, 0.)
@@ -103,13 +95,7 @@ let transmit t ~src ~dst ~size ~kind msg =
           (v.Fault.deliveries, v.Fault.release_floor)
   in
   let d = d +. adv_delay in
-  let release =
-    let global = max now t.hold_until in
-    let global = max global fault_floor in
-    match t.link_hold with
-    | None -> global
-    | Some f -> max global (f src dst)
-  in
+  let release = max (max now t.hold_until) fault_floor in
   if deliveries <> [] && release > now && Trace.detailed t.trace then
     Trace.emit t.trace ~time:now (Trace.Net_hold { src; dst; kind; release });
   let deliver () =

@@ -1,6 +1,6 @@
 (** Simulated message-passing network between [n] parties (1-based ids),
-    with pluggable delay models and adversary-controlled asynchronous
-    intervals (partial synchrony, paper §1/§3.1).
+    with pluggable delay models and an adversary-controlled release policy
+    (partial synchrony, paper §1/§3.1).
 
     Self-delivery is immediate and free (a party's pool holds its own
     broadcasts); all other transmissions are announced on the {!Trace} bus
@@ -16,50 +16,37 @@ type delay_model =
 type 'msg t
 
 val create :
-  Engine.t -> n:int -> trace:Trace.t -> delay_model:delay_model -> 'msg t
+  Engine.t ->
+  n:int ->
+  trace:Trace.t ->
+  delay_model:delay_model ->
+  ?hold_until:float ->
+  ?fault:Fault.t ->
+  ?adversary:Adversary.t ->
+  unit ->
+  'msg t
+(** A network whose whole release policy is fixed here, at creation.
+    Every remote transmission is interposed in one order:
+
+    + its delay is sampled from [delay_model];
+    + a Byzantine [adversary] rules the corrupt sender's copy
+      ({!Adversary.on_send}): a copy it suppresses (censorship,
+      straggling, network-level withholding, crash window) never reaches
+      the nemesis, and a stealthy-leader delay adds to the sampled delay;
+    + a [fault] nemesis ({!Fault.on_transmit}) may drop the copy,
+      duplicate it, delay copies out of order, or declare the link down
+      (flap or partition) until a floor;
+    + the message is released at the max of [now], [hold_until]
+      (adversarial asynchrony: messages sent before it are held until
+      then) and the nemesis floor, and delivered at release + delay.
+
+    Each layer draws from its own RNG stream after the delay model's, so
+    adding one never shifts another.  Self-delivery is never interposed.
+    Every transmission is priced {e at send time}: a message in flight or
+    held is never re-priced (pinned by a regression test in
+    test/test_sim.ml). *)
 
 val set_handler : 'msg t -> (dst:int -> src:int -> 'msg -> unit) -> unit
-
-val set_delay_model : 'msg t -> delay_model -> unit
-(** Swap the delay model mid-run.
-
-    Release semantics (pinned by a regression test in test/test_sim.ml):
-    every transmission is priced {e at send time} — the delay is sampled
-    from the model installed at the moment of [unicast]/[broadcast], and
-    the release floor (the max of {!hold_all_until}, {!set_link_hold} and
-    the nemesis floor) is read at that same moment.  A message already in
-    flight or already held is therefore {e never} re-priced: changing the
-    delay model, shortening a hold or clearing a link hold after the send
-    does not move its scheduled delivery at [release + delay], and
-    extending a hold does not recapture it.  Only messages sent after the
-    change observe the new model or hold state. *)
-
-val hold_all_until : 'msg t -> float -> unit
-(** Adversarial asynchrony: messages sent while [now < time] are released at
-    [time] (plus their sampled delay, per the send-time pricing above). *)
-
-val set_link_hold : 'msg t -> (int -> int -> float) -> unit
-(** Per-link release floor (absolute time), e.g. for partitions.  Consulted
-    at send time only, like the global hold. *)
-
-val clear_link_hold : 'msg t -> unit
-
-val set_fault : 'msg t -> Fault.t -> unit
-(** Interpose a {!Fault} nemesis: from now on every remote transmission is
-    submitted to {!Fault.on_transmit}, which may drop it, duplicate it,
-    delay copies out of order, or declare the link administratively down
-    (its floor joins the hold maximum).  Self-delivery is never subject to
-    faults.  The delay-model RNG stream is sampled before the nemesis is
-    consulted, so installing a fault never shifts the delay sequence. *)
-
-val set_adversary : 'msg t -> Adversary.t -> unit
-(** Interpose a Byzantine {!Adversary}: every remote transmission is
-    submitted to {!Adversary.on_send} {e before} the nemesis — a copy the
-    corrupt sender suppresses (censorship, straggling, network-level
-    withholding, crash window) never reaches the fault layer, and a
-    stealthy-leader delay adds to the sampled network delay.  Self-delivery
-    is never interposed.  The adversary draws from its own RNG stream after
-    the delay model's, so installing it never shifts delay sampling. *)
 
 val unicast : 'msg t -> src:int -> dst:int -> size:int -> kind:string -> 'msg -> unit
 val broadcast : 'msg t -> src:int -> size:int -> kind:string -> 'msg -> unit

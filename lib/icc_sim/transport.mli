@@ -1,8 +1,8 @@
 (** The shared instrumented transport substrate: the one place that wires an
     engine, a {!Trace} bus and a {!Metrics} consumer together, and builds
-    trace-announcing networks on top.  ICC0, ICC1, ICC2 and the baselines
-    all construct their runs through this module, so every protocol emits
-    the same event stream. *)
+    the delay model, nemesis and adversary of a run's links.  ICC0, ICC1,
+    ICC2 and the baselines all construct their runs through this module,
+    so every protocol emits the same event stream. *)
 
 type env = {
   engine : Engine.t;
@@ -16,22 +16,38 @@ val env : ?trace:Trace.t -> n:int -> unit -> env
     bus ([trace] if given, else a private one); if the bus already has a
     detail subscriber, engine dispatch is observed onto it as well. *)
 
-val network :
-  engine:Engine.t ->
-  n:int ->
-  trace:Trace.t ->
-  delay_model:Network.delay_model ->
-  ?async_until:float ->
-  ?fault:Fault.t ->
-  ?adversary:Adversary.t ->
-  unit ->
-  'msg Network.t
-(** An instrumented network; [async_until > 0] installs the adversarial
-    hold ({!Network.hold_all_until}) before any message is sent, [fault]
-    interposes a {!Fault} nemesis ({!Network.set_fault}) and [adversary]
-    interposes a Byzantine {!Adversary} ({!Network.set_adversary}). *)
+type delay_spec =
+  | Fixed_delay of float
+  | Uniform_delay of float * float
+  | Wan of { rtt_lo : float; rtt_hi : float }
+      (** Per-pair one-way delays from RTT ~ U[lo, hi] — the paper's
+          observed 6–110 ms inter-datacenter range. *)
 
-val network_of :
-  env -> delay_model:Network.delay_model -> ?async_until:float ->
-  ?fault:Fault.t -> ?adversary:Adversary.t -> unit -> 'msg Network.t
-(** {!network} with the environment's engine, size and bus. *)
+(** What every {!Network} of one run is created with, besides its
+    asynchrony hold. *)
+type links = {
+  delay_model : Network.delay_model;
+  fault : Fault.t option;
+  adversary : Adversary.t option;
+}
+
+val links :
+  env ->
+  rng:Rng.t ->
+  net_rng:Rng.t ->
+  ?classify:(string -> Adversary.share_class option) ->
+  parties:(string * int list) list ->
+  nemesis:Fault.script option ->
+  adversary:Adversary.script option ->
+  delay_spec ->
+  links
+(** The links of one run, for ICC0/1/2 and the baselines alike.  The delay
+    model draws from [net_rng]; then a {!Fault} is created on a split of
+    the root [rng] only when a nemesis script is present, then an
+    {!Adversary} (with [classify]) on a further split only when its script
+    is non-empty — the order every historical trace was recorded in.
+
+    Raises [Invalid_argument], naming the directive and field, when a
+    script names a party id outside 1..n; [parties] lists the run's other
+    id-bearing fields by name (e.g. [("kill_at", ids)]) for the same
+    check. *)

@@ -102,3 +102,24 @@ let admit_notarized kit pool (b : Icc_core.Block.t) =
        ~block_hash:(Icc_core.Block.hash b)
        (authenticator kit b));
   ignore (Icc_core.Pool.add_notarization pool (notarization kit b signers))
+
+(* A transport context for driving a dissemination sub-layer directly,
+   outside a run: fixed [delay] links with no hold, nemesis or adversary. *)
+let transport_ctx kit ~t ?(rng = Icc_sim.Rng.create 0)
+    ?(is_active = fun _ -> true) (env : Icc_sim.Transport.env) ~delay ~deliver
+    =
+  {
+    Icc_core.Runner.tr_engine = env.engine;
+    tr_trace = env.trace;
+    tr_n = env.n;
+    tr_t = t;
+    tr_rng = rng;
+    tr_delay_model = Icc_sim.Network.Fixed delay;
+    tr_async_until = 0.;
+    tr_fault = None;
+    tr_adversary = None;
+    tr_is_active = is_active;
+    tr_deliver = deliver;
+    tr_system = kit.system;
+    tr_keys = kit.keys;
+  }

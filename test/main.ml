@@ -34,6 +34,7 @@ let () =
       ("icc2", Test_icc2.suite);
       ("adversary", Test_adversary.suite);
       ("fault", Test_fault.suite);
+      ("streams", Test_streams.suite);
       ("baselines", Test_baselines.suite);
       ("tendermint", Test_tendermint.suite);
       ("smr", Test_smr.suite);

@@ -111,6 +111,8 @@ let test_script_of_json_rejects () =
       {|[{"adversary":"no-such-strategy","party":1}]|};
       {|[{"adversary":"crash","party":1}]|};
       {|[{"adversary":"equivocate","rank":0}]|};
+      {|[{"adversary":"withhold","party":2.7}]|};
+      {|[{"adversary":"censor","party":2,"dsts":[1.5]}]|};
       {|not json|};
     ]
 

@@ -271,8 +271,76 @@ let test_partition_heals_without_crash () =
     true
     (r.Icc_core.Runner.rounds_decided >= 30)
 
-let suite =
+(* ------------------------------------------------ party-id validation *)
+
+(* A scenario naming a party outside 1..n is rejected before the run,
+   with the offending directive and field named; [expect] is the start of
+   the message. *)
+let rejects_id field ~expect run =
+  Alcotest.test_case ("rejects out-of-range " ^ field) `Quick (fun () ->
+      match run () with
+      | _ -> Alcotest.failf "%s: out-of-range id accepted" field
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) "names the directive" expect
+            (String.sub msg 0 (min (String.length msg) (String.length expect))))
+
+let icc_with f () = Icc_core.Runner.run (f (base ~seed:1 ~duration:1. ()))
+
+let id_range_cases =
+  let open Icc_core.Runner in
+  let module F = Icc_sim.Fault in
+  let module A = Icc_sim.Adversary in
   [
+    rejects_id "party" ~expect:"nemesis crash party: 9 "
+      (icc_with (fun s ->
+           { s with nemesis = Some [ F.Crash { party = 9; at = 0.5 } ] }));
+    rejects_id "adversary party" ~expect:"adversary withhold party: 0 "
+      (icc_with (fun s -> { s with adversary = Some [ A.withhold 0 ] }));
+    rejects_id "src" ~expect:"nemesis drop src: 5 "
+      (icc_with (fun s -> { s with nemesis = Some [ F.drop ~src:5 0.1 ] }));
+    rejects_id "dst" ~expect:"nemesis dup dst: 0 "
+      (icc_with (fun s ->
+           { s with nemesis = Some [ F.duplicate ~dst:0 0.1 ] }));
+    rejects_id "groups" ~expect:"nemesis partition groups: 99 "
+      (icc_with (fun s ->
+           { s with
+             nemesis =
+               Some [ F.partition ~from_:0. ~until:1. [ [ 1; 2 ]; [ 3; 99 ] ] ]
+           }));
+    rejects_id "dsts" ~expect:"adversary censor dsts: 12 "
+      (icc_with (fun s ->
+           { s with adversary = Some [ A.censor ~dsts:[ 1; 12 ] 2 ] }));
+    rejects_id "behaviors" ~expect:"behaviors: 9 "
+      (icc_with (fun s ->
+           { s with behaviors = [ (9, Icc_core.Party.crashed) ] }));
+    rejects_id "kill_at" ~expect:"kill_at: 5 "
+      (icc_with (fun s -> { s with kill_at = [ (5, 0.5) ] }));
+    rejects_id "crashed (baselines)" ~expect:"crashed: 8 " (fun () ->
+        Icc_baselines.Pbft.run
+          { (Icc_baselines.Harness.default_scenario ~n:4 ~seed:1) with
+            Icc_baselines.Harness.duration = 1.;
+            crashed = [ 8 ] });
+  ]
+
+let test_json_rejects_fractional_ids () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) ("rejects " ^ s) true
+        (Result.is_error (Icc_sim.Fault.script_of_json s)))
+    [
+      {|[{"fault":"crash","party":2.7,"at":1}]|};
+      {|[{"fault":"drop","p":0.1,"src":1.5}]|};
+      {|[{"fault":"partition","from":0,"until":1,"groups":[[1],[2.5]]}]|};
+    ];
+  Alcotest.(check bool) "integral floats still parse" true
+    (Icc_sim.Fault.script_of_json {|[{"fault":"crash","party":2.0,"at":1}]|}
+    = Ok [ Icc_sim.Fault.Crash { party = 2; at = 1. } ])
+
+let suite =
+  id_range_cases
+  @ [
+    Alcotest.test_case "json rejects fractional ids" `Quick
+      test_json_rejects_fractional_ids;
     QCheck_alcotest.to_alcotest prop_icc0_safe_under_random_schedules;
     QCheck_alcotest.to_alcotest prop_safe_under_random_adversary_and_nemesis;
     Alcotest.test_case "adversary disabled is invisible" `Quick

@@ -18,14 +18,11 @@ let make_world ?(fanout = 3) ?(seed = 9) () =
     Hashtbl.add delivered i (ref [])
   done;
   let gossip =
-    Icc_gossip.Gossip.create ~engine ~trace:env.Icc_sim.Transport.trace ~n:7
-      ~rng:(Icc_sim.Rng.create seed)
-      ~delay_model:(Icc_sim.Network.Fixed 0.01) ~fanout
-      ~is_active:(fun _ -> true)
-      ~deliver_up:(fun ~dst msg ->
-        let l = Hashtbl.find delivered dst in
-        l := msg :: !l)
-      ()
+    Icc_gossip.Gossip.create ~fanout
+      (Kit.transport_ctx kit ~t:2 ~rng:(Icc_sim.Rng.create seed) env
+         ~delay:0.01 ~deliver:(fun ~dst msg ->
+           let l = Hashtbl.find delivered dst in
+           l := msg :: !l))
   in
   { engine; metrics; gossip; delivered }
 

@@ -23,13 +23,11 @@ let make_world ?(delay = 0.01) () =
     Hashtbl.add active i true
   done;
   let rbc =
-    Icc_rbc.Rbc.create ~engine ~trace:env.Icc_sim.Transport.trace ~n:7 ~t:2
-      ~delay_model:(Icc_sim.Network.Fixed delay) ~async_until:0.
-      ~is_active:(fun i -> Hashtbl.find active i)
-      ~deliver_up:(fun ~dst msg ->
-        let l = Hashtbl.find delivered dst in
-        l := msg :: !l)
-      ~system:kit.Kit.system ~keys:kit.Kit.keys ()
+    Icc_rbc.Rbc.create
+      (Kit.transport_ctx kit ~t:2 ~is_active:(Hashtbl.find active) env ~delay
+         ~deliver:(fun ~dst msg ->
+           let l = Hashtbl.find delivered dst in
+           l := msg :: !l))
   in
   { engine; metrics; rbc; delivered; active }
 

@@ -57,9 +57,18 @@ let test_engine_rejects_past () =
         (fun () -> Icc_sim.Engine.schedule_at e ~time:0.5 (fun () -> ())));
   Icc_sim.Engine.run e
 
-let make_net ?(n = 4) ?(delay = 0.1) () =
+let make_net ?(n = 4) ?(delay = 0.1) ?hold_until ?nemesis () =
   let env = Icc_sim.Transport.env ~n () in
-  let net = Icc_sim.Transport.network_of env ~delay_model:(Fixed delay) () in
+  let trace = env.Icc_sim.Transport.trace in
+  let fault =
+    Option.map
+      (Icc_sim.Fault.create ~rng:(Icc_sim.Rng.create 1) ~trace)
+      nemesis
+  in
+  let net =
+    Icc_sim.Network.create env.Icc_sim.Transport.engine ~n ~trace
+      ~delay_model:(Fixed delay) ?hold_until ?fault ()
+  in
   (env.Icc_sim.Transport.engine, env.Icc_sim.Transport.metrics, net)
 
 let test_network_broadcast_delivery () =
@@ -85,22 +94,25 @@ let test_network_self_delivery_immediate () =
   Alcotest.(check (float 1e-9)) "immediate" 0. !at
 
 let test_network_hold_until () =
-  let e, _, net = make_net ~delay:0.1 () in
+  let e, _, net = make_net ~delay:0.1 ~hold_until:10. () in
   let at = ref nan in
   Icc_sim.Network.set_handler net (fun ~dst ~src:_ _ ->
       if dst = 2 then at := Icc_sim.Engine.now e);
-  Icc_sim.Network.hold_all_until net 10.;
   Icc_sim.Network.unicast net ~src:1 ~dst:2 ~size:10 ~kind:"x" "m";
   Icc_sim.Engine.run e;
   Alcotest.(check (float 1e-9)) "released at 10 + delay" 10.1 !at
 
 let test_network_link_hold () =
-  let e, _, net = make_net ~delay:0.1 () in
+  (* partition: messages into party 3 held until t=5 *)
+  let e, _, net =
+    make_net ~delay:0.1
+      ~nemesis:
+        [ Icc_sim.Fault.partition ~from_:0. ~until:5. [ [ 1; 2; 4 ]; [ 3 ] ] ]
+      ()
+  in
   let times = ref [] in
   Icc_sim.Network.set_handler net (fun ~dst ~src:_ _ ->
       times := (dst, Icc_sim.Engine.now e) :: !times);
-  (* partition: messages into party 3 held until t=5 *)
-  Icc_sim.Network.set_link_hold net (fun _src dst -> if dst = 3 then 5. else 0.);
   Icc_sim.Network.broadcast net ~src:1 ~size:1 ~kind:"x" "m";
   Icc_sim.Engine.run e;
   Alcotest.(check (float 1e-9)) "into 3 held" 5.1 (List.assoc 3 !times);
@@ -108,41 +120,36 @@ let test_network_link_hold () =
 
 let test_network_send_time_pricing () =
   (* Regression pin for the release semantics documented on
-     Network.set_delay_model: every transmission is priced at send time —
-     the delay comes from the model installed at the moment of unicast and
-     the release floor is read at that same moment.  Swapping the model,
-     shortening a hold or extending one afterwards never re-prices a
-     message already in flight or already held. *)
-  let e, _, net = make_net ~delay:0.1 () in
+     Network.create: every transmission is priced at send time — its delay
+     is sampled and its release floor read at the moment of unicast.  A
+     partition window that ends or starts afterwards never re-prices a
+     message already held or already in flight. *)
+  let e, _, net =
+    make_net ~delay:3.
+      ~nemesis:
+        [
+          (* 1 -> 2 held over [0, 10) *)
+          Icc_sim.Fault.partition ~from_:0. ~until:10. [ [ 1 ]; [ 2 ] ];
+          (* 1 -> 3 healed at 4, cut again from 4.5 *)
+          Icc_sim.Fault.partition ~from_:0. ~until:4. [ [ 1 ]; [ 3 ] ];
+          Icc_sim.Fault.partition ~from_:4.5 ~until:50. [ [ 1 ]; [ 3 ] ];
+        ]
+      ()
+  in
   let times = ref [] in
   Icc_sim.Network.set_handler net (fun ~dst:_ ~src:_ msg ->
       times := (msg, Icc_sim.Engine.now e) :: !times);
   let at msg = List.assoc msg !times in
-  (* 1. model swap does not move an in-flight message *)
-  Icc_sim.Network.unicast net ~src:1 ~dst:2 ~size:1 ~kind:"x" "before-swap";
-  Icc_sim.Network.set_delay_model net (Icc_sim.Network.Fixed 3.);
-  Icc_sim.Network.unicast net ~src:1 ~dst:2 ~size:1 ~kind:"x" "after-swap";
-  (* 2. held message keeps its original release even if the hold is
-     shortened later; messages sent after the shortening use the new
-     hold state *)
-  Icc_sim.Network.hold_all_until net 10.;
   Icc_sim.Network.unicast net ~src:1 ~dst:2 ~size:1 ~kind:"x" "held";
   Icc_sim.Engine.schedule_at e ~time:4. (fun () ->
-      Icc_sim.Network.hold_all_until net 0.;
-      Icc_sim.Network.unicast net ~src:1 ~dst:2 ~size:1 ~kind:"x" "post-heal";
-      (* 3. extending the hold after a send does not recapture it *)
-      Icc_sim.Network.unicast net ~src:1 ~dst:2 ~size:1 ~kind:"x" "escaped";
-      Icc_sim.Network.hold_all_until net 50.);
+      Icc_sim.Network.unicast net ~src:1 ~dst:3 ~size:1 ~kind:"x" "post-heal";
+      Icc_sim.Network.unicast net ~src:1 ~dst:3 ~size:1 ~kind:"x" "escaped");
   Icc_sim.Engine.run ~until:60. e;
-  Alcotest.(check (float 1e-9)) "in-flight message not re-priced" 0.1
-    (at "before-swap");
-  Alcotest.(check (float 1e-9)) "later send uses the new model" 3.
-    (at "after-swap");
-  Alcotest.(check (float 1e-9)) "held message keeps original release" 13.
+  Alcotest.(check (float 1e-9)) "held message released at the window end" 13.
     (at "held");
   Alcotest.(check (float 1e-9)) "send after heal is unheld" 7.
     (at "post-heal");
-  Alcotest.(check (float 1e-9)) "extending a hold does not recapture" 7.
+  Alcotest.(check (float 1e-9)) "a later partition does not recapture" 7.
     (at "escaped")
 
 let test_wan_matrix_symmetric () =

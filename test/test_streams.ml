@@ -1,0 +1,88 @@
+(* Pinned interposed streams: the SHA-256 of the full JSONL trace of short
+   seeded n=4 runs, one per interposition layer and protocol.  The digests
+   were recorded before the network's release policy became a creation
+   argument; any change to the order in which the delay model, the nemesis
+   and the adversary draw from their RNG streams changes a digest. *)
+
+let digest_of_run run =
+  let buf = Buffer.create (1 lsl 16) in
+  let trace = Icc_sim.Trace.create () in
+  Icc_sim.Trace.subscribe trace (fun ~time ev ->
+      Buffer.add_string buf (Icc_sim.Trace.to_json ~time ev);
+      Buffer.add_char buf '\n');
+  run trace;
+  Icc_crypto.Sha256.(to_hex (digest_string (Buffer.contents buf)))
+
+let icc scenario trace =
+  ignore (scenario { (Icc_core.Runner.default_scenario ~n:4 ~seed:11) with
+                     Icc_core.Runner.duration = 3.; trace = Some trace })
+
+let icc0_async_hold trace =
+  icc
+    (fun s ->
+      Icc_core.Runner.run
+        { s with
+          Icc_core.Runner.delay = Wan { rtt_lo = 0.006; rtt_hi = 0.110 };
+          async_until = 1. })
+    trace
+
+let icc1_nemesis trace =
+  icc
+    (fun s ->
+      Icc_gossip.Icc1.run ~fanout:3
+        { s with
+          Icc_core.Runner.delay = Icc_core.Runner.Uniform_delay (0.01, 0.05);
+          nemesis =
+            Some
+              (Icc_sim.Fault.drop 0.1
+               :: Icc_sim.Fault.partition ~from_:0.5 ~until:1.2
+                    [ [ 1; 2 ]; [ 3; 4 ] ]
+               :: Icc_sim.Fault.crash_recover ~party:3 ~down:1.5 ~up:2.2) })
+    trace
+
+let icc2_adversary trace =
+  icc
+    (fun s ->
+      Icc_rbc.Icc2.run
+        { s with
+          Icc_core.Runner.delay = Icc_core.Runner.Uniform_delay (0.01, 0.05);
+          adversary =
+            Some
+              Icc_sim.Adversary.
+                [
+                  censor ~dsts:[ 1 ] ~until:1. 2;
+                  delay ~by:0.1 ~from_:1. ~until:2. 2;
+                  straggle ~p:0.3 2;
+                  withhold ~notar:true ~p:0.5 2;
+                ] })
+    trace
+
+let baseline run trace =
+  ignore
+    (run
+       { (Icc_baselines.Harness.default_scenario ~n:4 ~seed:11) with
+         Icc_baselines.Harness.duration = 4.;
+         delay = Icc_core.Runner.Uniform_delay (0.02, 0.06);
+         nemesis = Some [ Icc_sim.Fault.drop 0.1 ];
+         adversary = Some [ Icc_sim.Adversary.withhold 2 ];
+         trace = Some trace })
+
+let pinned name run expected =
+  Alcotest.test_case name `Quick (fun () ->
+      Alcotest.(check string) "trace sha256" expected (digest_of_run run))
+
+let suite =
+  [
+    pinned "icc0 async hold" icc0_async_hold
+      "07e0f2de31e9e41a6aa2fb3ec34a9d8135e3c7199f1bd5574934d6a4266311d2";
+    pinned "icc1 drop + partition + crash-recover" icc1_nemesis
+      "5f92d38d6eda67a0db1bae742ad71362ac58b5c4b06331c524101056a0c229ba";
+    pinned "icc2 censor/delay/straggle/withhold" icc2_adversary
+      "02ad1b1d3c898a2ed40651afd3b2043bb3b044091756309e8e53687b1c2a00a4";
+    pinned "pbft drop + withhold" (baseline Icc_baselines.Pbft.run)
+      "0cb21a1a0d618214aae6b7a6656d156d1ba42c49997ab348b79bfd4a02c74944";
+    pinned "hotstuff drop + withhold" (baseline Icc_baselines.Hotstuff.run)
+      "b9eb8686e1c2a61a6e1e39b8fc4cd04025495fbae35eb9765b5dc52e89a09872";
+    pinned "tendermint drop + withhold" (baseline Icc_baselines.Tendermint.run)
+      "82c49a742870a3d1801a0d05e5499229b4858982532da40c06aa727a849e675c";
+  ]
