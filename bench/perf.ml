@@ -61,7 +61,6 @@ let has_flag flag = Array.exists (String.equal flag) Sys.argv
 let set_optimizations on =
   Icc_crypto.Fp.set_fast_mul on;
   Icc_crypto.Group.set_fixed_base on;
-  Icc_crypto.Batch.set_batch_verify on;
   Icc_core.Block.set_memoization on;
   Icc_core.Pool.set_caching on
 
@@ -164,94 +163,6 @@ let run_sweep ~quick ~seed =
       ])
     ns
 
-(* --- batch-size sweep -------------------------------------------------- *)
-
-type batch_row = {
-  br_scheme : string; (* "schnorr" | "dleq" *)
-  br_batch : int; (* 0 = batching off (per-item verify) *)
-  br_us_per_op : float;
-  br_ops : int;
-}
-
-(* Synthetic verification corpus: how does per-proof DLEQ cost move
-   with the RLC chunk size?  Informational rows (the 2x gate covers only
-   the protocol scenarios); batch = 0 is the per-item baseline, and the
-   single Schnorr verify row is the reference for the unbatched
-   signature scheme.  Keys repeat across items (64 distinct signers /
-   verification keys) so the fixed-base cache behaves as in a real
-   committee; every DLEQ item shares one (generator, message-point)
-   base pair, the beacon-round shape. *)
-let batch_sweep_rows ~quick =
-  let total = if quick then 256 else 2048 in
-  let rand_bits =
-    let c = ref 0 in
-    fun () ->
-      incr c;
-      Icc_crypto.Sha256.to_int61
-        (Icc_crypto.Sha256.digest_string (Printf.sprintf "bench-batch|%d" !c))
-  in
-  let nkeys = 64 in
-  let keys = Array.init nkeys (fun _ -> Icc_crypto.Schnorr.keygen rand_bits) in
-  let schnorr_items =
-    List.init total (fun i ->
-        let sk, pk = keys.(i mod nkeys) in
-        let msg = Printf.sprintf "batch-sweep message %d" i in
-        (pk, msg, Icc_crypto.Schnorr.sign sk msg))
-  in
-  let base2 =
-    Icc_crypto.Group.hash_to_group
-      (Icc_crypto.Sha256.digest_string "batch-sweep round point")
-  in
-  let dleq_items =
-    List.init total (fun i ->
-        let x = Icc_crypto.Group.random_scalar_nonzero rand_bits in
-        let a = Icc_crypto.Group.base_pow x
-        and b = Icc_crypto.Group.pow_cached base2 x in
-        ( a,
-          b,
-          Icc_crypto.Dleq.prove ~base1:Icc_crypto.Group.generator ~base2
-            ~exponent:x ~msg_tag:(string_of_int i) ))
-  in
-  let time_leg scheme batch verify_all =
-    Icc_crypto.Batch.set_batch_verify (batch > 0);
-    if batch > 0 then Icc_crypto.Batch.set_max_chunk batch;
-    (* Min of a few passes: one pass over the corpus is tens of
-       milliseconds, where scheduler/GC noise would swamp the per-op
-       differences the sweep exists to show. *)
-    let reps = 5 in
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      let verdicts = verify_all () in
-      let wall = Unix.gettimeofday () -. t0 in
-      if not (List.for_all Fun.id verdicts) then
-        failwith ("bench perf: batch sweep rejected a genuine " ^ scheme);
-      if wall < !best then best := wall
-    done;
-    {
-      br_scheme = scheme;
-      br_batch = batch;
-      br_us_per_op = !best *. 1e6 /. float_of_int total;
-      br_ops = total;
-    }
-  in
-  let sizes = [ 0; 4; 8; 16; 32; 64; 128; 256 ] in
-  let rows =
-    time_leg "schnorr" 0 (fun () ->
-        List.map
-          (fun (pk, msg, sg) -> Icc_crypto.Schnorr.verify pk msg sg)
-          schnorr_items)
-    :: List.map
-        (fun b ->
-          time_leg "dleq" b (fun () ->
-              Icc_crypto.Dleq.verify_batch
-                ~base1:Icc_crypto.Group.generator ~base2 dleq_items))
-        sizes
-  in
-  Icc_crypto.Batch.set_batch_verify true;
-  Icc_crypto.Batch.set_max_chunk 64;
-  rows
-
 (* --- JSON emission ---------------------------------------------------- *)
 
 let ops_json ops =
@@ -272,17 +183,12 @@ let sweep_json s =
     {|    {"name":%S,"n":%d,"wall_s":%.6f,"messages":%d,"rounds":%d,"us_per_msg":%.3f}|}
     s.sw_name s.sw_n s.sw_wall_s s.sw_msgs s.sw_rounds s.sw_us_per_msg
 
-let batch_json b =
-  Printf.sprintf
-    {|    {"scheme":%S,"batch":%d,"us_per_op":%.3f,"ops":%d}|}
-    b.br_scheme b.br_batch b.br_us_per_op b.br_ops
-
 let config_json ~quick ~seed ~rounds ~n =
   Printf.sprintf
     {|"config": {"n":%d,"seed":%d,"max_rounds":%d,"delay_s":0.02,"quick":%b}|}
     n seed rounds quick
 
-let results_json ~config results sweep batch_sweep =
+let results_json ~config results sweep =
   let tb = List.fold_left (fun a r -> a +. r.before_s) 0. results in
   let ta = List.fold_left (fun a r -> a +. r.after_s) 0. results in
   Printf.sprintf
@@ -294,16 +200,12 @@ let results_json ~config results sweep batch_sweep =
   "sweep": [
 %s
   ],
-  "batch_sweep": [
-%s
-  ],
   "total": {"before_s":%.6f,"after_s":%.6f,"speedup":%.2f}
 }
 |}
     config
     (String.concat ",\n" (List.map scenario_json results))
     (String.concat ",\n" (List.map sweep_json sweep))
-    (String.concat ",\n" (List.map batch_json batch_sweep))
     tb ta
     (if ta > 0. then tb /. ta else nan)
 
@@ -430,15 +332,7 @@ let print_table results =
         (if r.trace_identical then "yes" else "NO")
         r.trace_events)
     results;
-  let interesting =
-    [
-      "pow_generic";
-      "pow_fixed_base";
-      "multi_exps";
-      "dleq_batched";
-      "batch_fallbacks";
-    ]
-  in
+  let interesting = [ "pow_generic"; "pow_fixed_base" ] in
   List.iter
     (fun r ->
       Printf.printf "  %s ops: %s\n" r.name
@@ -515,16 +409,8 @@ let main () =
   Printf.printf "== committee-size sweep (optimised, seed %d) ==\n" seed;
   let sweep = run_sweep ~quick ~seed in
   print_sweep sweep;
-  Printf.printf "== batch-size sweep (synthetic, us/op; batch 0 = off) ==\n";
-  let batch_sweep = batch_sweep_rows ~quick in
-  Printf.printf "%-8s %7s %10s %7s\n" "scheme" "batch" "us/op" "ops";
-  List.iter
-    (fun b ->
-      Printf.printf "%-8s %7d %10.3f %7d\n" b.br_scheme b.br_batch
-        b.br_us_per_op b.br_ops)
-    batch_sweep;
   let config = config_json ~quick ~seed ~rounds ~n in
-  let json = results_json ~config results sweep batch_sweep in
+  let json = results_json ~config results sweep in
   let oc =
     try open_out out
     with Sys_error msg ->

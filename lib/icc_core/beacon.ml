@@ -75,9 +75,7 @@ let try_compute t pool round =
     | Some msg -> (
         let params = t.system.Icc_crypto.Keygen.beacon in
         let shares =
-          Pool.verified_beacon_shares
-            ~verify_batch:(Icc_crypto.Threshold_vuf.verify_shares params msg)
-            pool ~round
+          Pool.verified_beacon_shares pool ~round
             ~verify:(Icc_crypto.Threshold_vuf.verify_share params msg)
         in
         if

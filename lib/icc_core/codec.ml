@@ -217,8 +217,8 @@ let w_vuf_share buf (s : Icc_crypto.Threshold_vuf.signature_share) =
   w_int buf s.Icc_crypto.Threshold_vuf.value;
   w_int buf s.Icc_crypto.Threshold_vuf.proof.Icc_crypto.Dleq.challenge;
   w_int buf s.Icc_crypto.Threshold_vuf.proof.Icc_crypto.Dleq.response;
-  (* Commitments carried for batch verification; modeled share size is
-     unchanged. *)
+  (* Commitments carried for inversion-free verification; modeled share
+     size is unchanged. *)
   w_int buf s.Icc_crypto.Threshold_vuf.proof.Icc_crypto.Dleq.commit1;
   w_int buf s.Icc_crypto.Threshold_vuf.proof.Icc_crypto.Dleq.commit2
 

@@ -339,18 +339,18 @@ and try_start_round p =
           Icc_sim.Adversary.withholds a ~now:nowt ~party:p.id ~round:p.round
             Icc_sim.Adversary.Final);
     emit p (Icc_sim.Trace.Round_entry { party = p.id; round = p.round });
-    broadcast_beacon_share p ~round:(p.round + 1);
+    (* Read what the timers need first: under gossip the broadcast's
+       self-copy re-enters [step], which may finish this round and move
+       [p.round] on to one whose beacon is not yet known. *)
+    let round = p.round and rank = my_rank p in
+    broadcast_beacon_share p ~round:(round + 1);
     (* Timer for our own proposal delay. *)
     (if not (p.behavior.never_propose || p.adv_equivocate) then
-       let round = p.round in
-       let delay = prop_delay p (my_rank p) in
-       Icc_sim.Engine.schedule p.env.engine ~delay (fun () ->
-           if p.round = round then step p));
+       Icc_sim.Engine.schedule p.env.engine ~delay:(prop_delay p rank)
+         (fun () -> if p.round = round then step p));
     (if p.adv_equivocate then
-       let round = p.round in
-       let delay = prop_delay p (my_rank p) in
-       Icc_sim.Engine.schedule p.env.engine ~delay (fun () ->
-           if p.round = round then equivocating_propose p));
+       Icc_sim.Engine.schedule p.env.engine ~delay:(prop_delay p rank)
+         (fun () -> if p.round = round then equivocating_propose p));
     true
   end
   else false

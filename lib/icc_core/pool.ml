@@ -671,34 +671,16 @@ let add_beacon_share t ~round ?verify
         beacon_store t s signer { be_share = share; be_verified = false };
         true
 
-let verified_beacon_shares ?verify_batch t ~round ~verify =
+let verified_beacon_shares t ~round ~verify =
   match find_slot t round with
   | None -> []
   | Some s ->
       let n = t.system.Icc_crypto.Keygen.n in
-      (* With a batch verifier, settle every unverified occupant in one
-         call (in admission-list order) and mark the passes; the sweep
-         below then evicts the failures without re-verifying.  Verdicts
-         equal the per-share path's, so the kept list — and every trace
-         byte downstream — is identical. *)
-      let batched =
-        match verify_batch with
-        | None -> false
-        | Some vb ->
-            (match List.filter (fun e -> not e.be_verified) s.s_beacon_list with
-            | [] -> ()
-            | todo ->
-                List.iter2
-                  (fun e ok -> if ok then e.be_verified <- true)
-                  todo
-                  (vb (List.map (fun e -> e.be_share) todo)));
-            true
-      in
       let kept =
         List.filter
           (fun e ->
             if e.be_verified then true
-            else if (not batched) && verify e.be_share then begin
+            else if verify e.be_share then begin
               e.be_verified <- true;
               true
             end

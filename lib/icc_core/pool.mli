@@ -62,20 +62,13 @@ val add_beacon_share :
     (called by [Beacon.try_compute]) later evicts any that fail. *)
 
 val verified_beacon_shares :
-  ?verify_batch:
-    (Icc_crypto.Threshold_vuf.signature_share list -> bool list) ->
   t ->
   round:Types.round ->
   verify:(Icc_crypto.Threshold_vuf.signature_share -> bool) ->
   Icc_crypto.Threshold_vuf.signature_share list
 (** The round's shares that pass [verify], marking them so each share is
     verified at most once; shares that fail are evicted so their signer
-    slot can be re-filled by a genuine retransmission.  When
-    [?verify_batch] is given (per-share verdicts in input order, e.g.
-    {!Icc_crypto.Threshold_vuf.verify_shares}) all unverified occupants
-    are settled through one batch call instead of per-share [verify]
-    calls; verdict equivalence keeps the result — and the marking and
-    eviction side effects — identical. *)
+    slot can be re-filled by a genuine retransmission. *)
 
 (** {1 Classification queries} *)
 

@@ -28,17 +28,6 @@ val fixed_base_evictions : Icc_obs.Registry.counter
 (** Resident fixed-base tables evicted to admit a probation-proven hot
     base once the cache is at capacity. *)
 
-val multi_exps : Icc_obs.Registry.counter
-(** Pippenger multi-exponentiations ({!Group.multi_exp} calls). *)
-
-val dleq_batched : Icc_obs.Registry.counter
-(** DLEQ proofs checked through a random-linear-combination batch
-    equation rather than one-by-one. *)
-
-val batch_fallbacks : Icc_obs.Registry.counter
-(** Batches whose combined equation failed, forcing the per-item
-    fallback pass that identifies the culprits. *)
-
 val zero_rederives : Icc_obs.Registry.counter
 (** Zero scalars hit during key/nonce derivation and re-derived (hash
     counter / rejection resample).  Asserted 0 on the golden runs. *)

@@ -8,8 +8,7 @@ type proof = {
   commit2 : Group.elt;
       (** The prover's commitments [base1^nonce] / [base2^nonce].
           Redundant given [(challenge, response)] — the classic form
-          recomputes them — but carrying them makes proofs
-          batch-verifiable ({!verify_batch}) and single verification
+          recomputes them — but carrying them makes verification
           inversion-free.  Modeled wire sizes are unchanged. *)
 }
 
@@ -28,16 +27,3 @@ val verify :
   proof -> bool
 (** [verify ~base1 ~base2 ~a ~b proof] checks that [a = base1^x] and
     [b = base2^x] for a common (unknown) [x]. *)
-
-val verify_batch :
-  base1:Group.elt ->
-  base2:Group.elt ->
-  (Group.elt * Group.elt * proof) list ->
-  bool list
-(** [verify_batch ~base1 ~base2 \[(a1, b1, p1); ...\]] returns per-item
-    verdicts identical to mapping {!verify} (up to the ~2^-32 RLC
-    false-accept bound) for proofs sharing a base pair — exactly the
-    shape of one beacon round's share set.  With batching enabled the
-    chunked combined equation amortises the group work; a failing chunk
-    falls back to per-item equations, so culprits are identified
-    exactly. *)

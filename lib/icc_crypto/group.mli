@@ -35,15 +35,6 @@ val pow_cached : elt -> int -> elt
 val base_pow : int -> elt
 (** [base_pow e = pow_cached generator e]. *)
 
-val multi_exp : (elt * scalar) array -> elt
-(** [multi_exp \[| (b1, e1); ...; (bn, en) |\]] is the product
-    [b1^e1 * ... * bn^en], computed with the Pippenger bucket method —
-    roughly [ceil(bits/c) * (n + 2^c)] group mults for an adaptive
-    window width [c], vs. [~1.5 * bits * n] for [n] independent
-    {!pow}s.  Exponents are reduced mod [q]; narrow exponents (e.g.
-    32-bit batch coefficients) cost proportionally fewer windows.
-    [multi_exp \[||\] = one].  The workhorse of {!Dleq.verify_batch}. *)
-
 val set_fixed_base : bool -> unit
 (** Toggle fixed-base tables (on by default).  Only affects speed, never
     results; exposed so the benchmark harness can measure before/after. *)

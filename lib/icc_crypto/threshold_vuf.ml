@@ -83,35 +83,6 @@ let verify_share params msg (share : signature_share) =
     ~a:params.verification_keys.(share.signer - 1)
     ~b:share.value share.proof
 
-(* Per-share verdicts through {!Dleq.verify_batch}: every share of a
-   beacon round proves against the same (generator, H2G(m)) base pair,
-   which is exactly the shape the combined equation needs.
-   Out-of-range signers are exact rejects that never reach the proof
-   check, mirroring {!verify_share}. *)
-let verify_shares params msg (shares : signature_share list) : bool list =
-  let base = message_point msg in
-  let in_range s = s.signer >= 1 && s.signer <= params.n in
-  let verdicts =
-    Dleq.verify_batch ~base1:Group.generator ~base2:base
-      (List.filter_map
-         (fun s ->
-           if in_range s then
-             Some (params.verification_keys.(s.signer - 1), s.value, s.proof)
-           else None)
-         shares)
-  in
-  let rec stitch shares verdicts =
-    match shares with
-    | [] -> []
-    | s :: rest ->
-        if in_range s then
-          match verdicts with
-          | v :: vs -> v :: stitch rest vs
-          | [] -> assert false
-        else false :: stitch rest verdicts
-  in
-  stitch shares verdicts
-
 (* Lagrange interpolation at 0 in the exponent. *)
 let interpolate shares =
   let idxs = List.map (fun s -> s.signer) shares in
@@ -135,10 +106,8 @@ let select params shares : signature option =
 let combine params msg shares : signature option =
   Icc_obs.Profile.span "crypto.vuf_combine" @@ fun () ->
   (* Filter before deduplicating so a forged share cannot evict a genuine
-     one bearing the same signer index; one batch call covers the set. *)
-  select params
-    (List.combine shares (verify_shares params msg shares)
-    |> List.filter_map (fun (s, ok) -> if ok then Some s else None))
+     one bearing the same signer index. *)
+  select params (List.filter (verify_share params msg) shares)
 
 let combine_preverified params shares : signature option =
   Icc_obs.Profile.span "crypto.vuf_combine" @@ fun () ->
@@ -149,7 +118,7 @@ let combine_preverified params shares : signature option =
 
 let verify params msg { sigma; certificate } =
   List.length certificate = params.threshold_t + 1
-  && List.for_all Fun.id (verify_shares params msg certificate)
+  && List.for_all (verify_share params msg) certificate
   && List.length (List.sort_uniq (fun a b -> compare a.signer b.signer) certificate)
      = params.threshold_t + 1
   && Group.elt_equal sigma (interpolate certificate)

@@ -34,13 +34,6 @@ val setup : threshold_t:int -> n:int -> (unit -> int) -> params * secret_share l
 val sign_share : params -> secret_share -> string -> signature_share
 val verify_share : params -> string -> signature_share -> bool
 
-val verify_shares : params -> string -> signature_share list -> bool list
-(** Per-share verdicts, identical to mapping {!verify_share}, but
-    routed through {!Dleq.verify_batch} (all shares of a round prove
-    against the same base pair) so one combined equation per chunk
-    covers the whole set when batching is enabled.  The beacon pool
-    passes this as its [verify_batch] admission callback. *)
-
 val combine : params -> string -> signature_share list -> signature option
 (** Returns [None] when fewer than [t+1] distinct valid shares are given;
     invalid or duplicate shares are filtered, not fatal. *)

@@ -71,6 +71,29 @@ let prop_wrong_statement_rejected =
            ~b:(Icc_crypto.Group.pow base2 (Icc_crypto.Group.scalar_add x delta))
            proof))
 
+(* Every tamper kind of a share's proof or statement is rejected by the
+   single verify, and the untampered proof is accepted: response + 1,
+   challenge + 1, a wrong [b], and [a] shifted by one factor of [g]. *)
+let prop_tampered_rejected =
+  QCheck.Test.make ~name:"dleq rejects every tamper kind" ~count:60
+    QCheck.small_string (fun tag ->
+      let module G = Icc_crypto.Group in
+      let module D = Icc_crypto.Dleq in
+      let base1, base2 = fresh_bases () in
+      let x = G.random_scalar rand_bits in
+      let proof = D.prove ~base1 ~base2 ~exponent:x ~msg_tag:tag in
+      let a = G.pow base1 x and b = G.pow base2 x in
+      let verify (a, b, pf) = D.verify ~base1 ~base2 ~a ~b pf in
+      verify (a, b, proof)
+      && List.for_all
+           (fun item -> not (verify item))
+           [
+             (a, b, { proof with D.response = G.scalar_add proof.D.response 1 });
+             (a, b, { proof with D.challenge = G.scalar_add proof.D.challenge 1 });
+             (a, G.pow base2 (G.scalar_add x 1), proof);
+             (G.mul a G.generator, b, proof);
+           ])
+
 let suite =
   [
     Alcotest.test_case "accepts honest" `Quick test_accepts_honest;
@@ -78,4 +101,5 @@ let suite =
     Alcotest.test_case "rejects tampered" `Quick test_rejects_tampered_proof;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_wrong_statement_rejected;
+    QCheck_alcotest.to_alcotest prop_tampered_rejected;
   ]

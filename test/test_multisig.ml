@@ -125,6 +125,74 @@ let test_known_skips_only_the_equation () =
        (M.verify_shares ~known params "m"
           [ { (List.hd shares) with M.signer = 0 } ]))
 
+(* Share-set verdicts: culprit identification in mixed share sets. *)
+
+module G = Icc_crypto.Group
+module Schnorr = Icc_crypto.Schnorr
+module Multisig = Icc_crypto.Multisig
+
+let committee = 8
+
+let mparams, msecrets =
+  let rng = Icc_sim.Rng.create 0xba7c in
+  Multisig.setup ~threshold_h:1 ~n:committee (fun () -> Icc_sim.Rng.bits61 rng)
+
+(* A share on [msg] by party [i mod committee + 1], with tamper class 0
+   (honest) .. 4; the classic-form Schnorr.verify behind
+   Multisig.verify_share must reject every non-zero class. *)
+let share_item msg i tamper =
+  let secret = List.nth msecrets (i mod committee) in
+  let share = Multisig.sign_share mparams secret msg in
+  let sg = share.Multisig.signature in
+  match tamper with
+  | 1 ->
+      { share with
+        Multisig.signature =
+          { sg with Schnorr.response = G.scalar_add sg.Schnorr.response 1 } }
+  | 2 ->
+      { share with
+        Multisig.signature =
+          { sg with Schnorr.challenge = G.scalar_add sg.Schnorr.challenge 1 } }
+  | 3 ->
+      (* a share of another message presented for this one *)
+      Multisig.sign_share mparams secret (msg ^ "?")
+  | 4 ->
+      (* a genuine signature claimed under another party's index *)
+      { share with Multisig.signer = (share.Multisig.signer mod committee) + 1 }
+  | _ -> share
+
+(* Share-set verdicts must equal the one-by-one verdicts for any mix of
+   honest and forged shares: honest shares accepted, every forgery
+   flagged. *)
+let prop_verify_shares_matches_singles =
+  let arb =
+    QCheck.pair
+      (QCheck.list_of_size (QCheck.Gen.int_bound 24) (QCheck.int_bound 4))
+      QCheck.small_nat
+  in
+  QCheck.Test.make ~name:"multisig share verdicts = single verdicts" ~count:60
+    arb (fun (tampers, m) ->
+      let msg = Printf.sprintf "share message %d" m in
+      let shares = List.mapi (share_item msg) tampers in
+      let verdicts = Multisig.verify_shares mparams msg shares in
+      verdicts = List.map (Multisig.verify_share mparams msg) shares
+      && verdicts = List.map (fun t -> t = 0) tampers)
+
+let prop_verify_shares_single_forgery_rejected =
+  let arb = QCheck.pair (QCheck.int_range 2 30) (QCheck.int_bound 1_000_000) in
+  QCheck.Test.make ~name:"multisig shares flag any single forgery" ~count:60
+    arb (fun (n, seed) ->
+      let bad = seed mod n in
+      let msg = Printf.sprintf "share message %d" seed in
+      let shares =
+        List.init n (fun i ->
+            share_item msg i (if i = bad then 1 + (seed mod 4) else 0))
+      in
+      let verdicts = Multisig.verify_shares mparams msg shares in
+      List.length verdicts = n
+      && List.for_all Fun.id (List.filteri (fun i _ -> i <> bad) verdicts)
+      && not (List.nth verdicts bad))
+
 let suite =
   [
     Alcotest.test_case "share verify" `Quick test_share_verify;
@@ -137,4 +205,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_combine_any_h_subset;
     Alcotest.test_case "known skips only the equation" `Quick
       test_known_skips_only_the_equation;
+    QCheck_alcotest.to_alcotest prop_verify_shares_matches_singles;
+    QCheck_alcotest.to_alcotest prop_verify_shares_single_forgery_rejected;
   ]

@@ -57,6 +57,28 @@ let icc2_adversary trace =
                 ] })
     trace
 
+(* Regression: the self-copy of the next round's beacon share re-entered
+   [step], finished the round and left the outer frame asking for its
+   rank in a round whose beacon was unknown ([Party.my_rank] raised).
+   This is [icc run -p icc1 -n 4 --wan -d 8 --drop 0.1 --crash-cycle
+   2:3:6]. *)
+let icc1_crash_cycle trace =
+  let r =
+    Icc_gossip.Icc1.run
+      {
+        (Icc_core.Runner.default_scenario ~n:4 ~seed:42) with
+        Icc_core.Runner.duration = 8.;
+        delay = Wan { rtt_lo = 0.006; rtt_hi = 0.110 };
+        nemesis =
+          Some
+            (Icc_sim.Fault.drop 0.1
+            :: Icc_sim.Fault.crash_recover ~party:2 ~down:3. ~up:6.);
+        trace = Some trace;
+      }
+  in
+  Alcotest.(check bool) "safety ok" true
+    Icc_core.Runner.(r.p1_ok && r.p2_ok && r.prefix_ok)
+
 let baseline run trace =
   ignore
     (run
@@ -79,6 +101,8 @@ let suite =
       "5f92d38d6eda67a0db1bae742ad71362ac58b5c4b06331c524101056a0c229ba";
     pinned "icc2 censor/delay/straggle/withhold" icc2_adversary
       "02ad1b1d3c898a2ed40651afd3b2043bb3b044091756309e8e53687b1c2a00a4";
+    pinned "icc1 wan drop + crash cycle" icc1_crash_cycle
+      "55e7cdf5ca25f35bec9998c8f5052785cdca029dcd00291a18f3f9ddac00ce7c";
     pinned "pbft drop + withhold" (baseline Icc_baselines.Pbft.run)
       "0cb21a1a0d618214aae6b7a6656d156d1ba42c49997ab348b79bfd4a02c74944";
     pinned "hotstuff drop + withhold" (baseline Icc_baselines.Hotstuff.run)
