@@ -16,43 +16,46 @@ let leaf_hash data = Sha256.digest_string ("leaf|" ^ data)
 let node_hash l r =
   Sha256.digest_string ("node|" ^ (l : Sha256.t :> string) ^ (r : Sha256.t :> string))
 
+(* Level 0 holds the leaf hashes, each next level the pairwise node hashes
+   of the one below (an odd last node promoted as is), the last level the
+   root alone. *)
+type tree = Sha256.t array array
+
+let tree (leaves : string array) : tree =
+  if Array.length leaves = 0 then invalid_arg "Merkle.tree: empty";
+  let rec up acc level =
+    let len = Array.length level in
+    if len = 1 then Array.of_list (List.rev (level :: acc))
+    else
+      up (level :: acc)
+        (Array.init ((len + 1) / 2) (fun j ->
+             if (2 * j) + 1 < len then node_hash level.(2 * j) level.((2 * j) + 1)
+             else level.(2 * j)))
+  in
+  up [] (Array.map leaf_hash leaves)
+
+let root (t : tree) = t.(Array.length t - 1).(0)
+
+(* Reads one sibling per level: at level [l] the path sits at
+   [index lsr l]. *)
+let proof (t : tree) index : proof =
+  if index < 0 || index >= Array.length t.(0) then
+    invalid_arg "Merkle.proof: index out of range";
+  List.init (Array.length t - 1) (fun l ->
+      let level = t.(l) and pos = index lsr l in
+      if pos land 1 = 1 then { sibling = Some level.(pos - 1); left = false }
+      else if pos + 1 < Array.length level then
+        { sibling = Some level.(pos + 1); left = true }
+      else { sibling = None; left = true })
+
 let root_of_leaves (leaves : string list) : Sha256.t =
   if leaves = [] then invalid_arg "Merkle.root_of_leaves: empty";
-  let rec up = function
-    | [ h ] -> h
-    | level ->
-        let rec pair = function
-          | l :: r :: rest -> node_hash l r :: pair rest
-          | [ odd ] -> [ odd ]
-          | [] -> []
-        in
-        up (pair level)
-  in
-  up (List.map leaf_hash leaves)
+  root (tree (Array.of_list leaves))
 
 let prove (leaves : string list) (index : int) : proof =
-  let n = List.length leaves in
-  if index < 0 || index >= n then invalid_arg "Merkle.prove: index out of range";
-  let rec up level pos acc =
-    match level with
-    | [ _ ] -> List.rev acc
-    | _ ->
-        let arr = Array.of_list level in
-        let len = Array.length arr in
-        let step =
-          if pos land 1 = 0 then
-            if pos + 1 < len then { sibling = Some arr.(pos + 1); left = true }
-            else { sibling = None; left = true }
-          else { sibling = Some arr.(pos - 1); left = false }
-        in
-        let rec pair = function
-          | l :: r :: rest -> node_hash l r :: pair rest
-          | [ odd ] -> [ odd ]
-          | [] -> []
-        in
-        up (pair level) (pos / 2) (step :: acc)
-  in
-  up (List.map leaf_hash leaves) index []
+  if index < 0 || index >= List.length leaves then
+    invalid_arg "Merkle.prove: index out of range";
+  proof (tree (Array.of_list leaves)) index
 
 let verify ~root ~leaf (proof : proof) : bool =
   let final =

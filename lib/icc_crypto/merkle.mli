@@ -5,11 +5,26 @@ type proof_step = { sibling : Sha256.t option; left : bool }
 type proof = proof_step list
 
 val leaf_hash : string -> Sha256.t
+
+type tree
+(** Every level of a Merkle tree, leaf hashes first, root last. *)
+
+val tree : string array -> tree
+(** Hashes the leaves and every internal node once.  Raises
+    [Invalid_argument] on an empty array. *)
+
+val root : tree -> Sha256.t
+
+val proof : tree -> int -> proof
+(** [proof t index] is the inclusion proof for leaf [index], read off the
+    stored levels without hashing.  Raises [Invalid_argument] on an
+    out-of-range index. *)
+
 val root_of_leaves : string list -> Sha256.t
+(** [root (tree leaves)]. *)
 
 val prove : string list -> int -> proof
-(** [prove leaves index] builds the inclusion proof for [List.nth leaves
-    index].  Raises [Invalid_argument] on an out-of-range index. *)
+(** [proof (tree leaves) index]: builds the whole tree for one proof. *)
 
 val verify : root:Sha256.t -> leaf:string -> proof -> bool
 

@@ -1,137 +1,132 @@
-(* SHA-256 (FIPS 180-4), pure OCaml over Int32 words. *)
+(* SHA-256 (FIPS 180-4), pure OCaml.  Words are native ints holding 32-bit
+   values: sums are masked back to 32 bits before they feed a rotation or
+   leave a round, so nothing is boxed. *)
 
 type t = string (* 32-byte digest *)
 
 let digest_length = 32
 
 let k =
-  [| 0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl;
-     0x59f111f1l; 0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l;
-     0x243185bel; 0x550c7dc3l; 0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l;
-     0xc19bf174l; 0xe49b69c1l; 0xefbe4786l; 0x0fc19dc6l; 0x240ca1ccl;
-     0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal; 0x983e5152l;
-     0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-     0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl;
-     0x53380d13l; 0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l;
-     0xa2bfe8a1l; 0xa81a664bl; 0xc24b8b70l; 0xc76c51a3l; 0xd192e819l;
-     0xd6990624l; 0xf40e3585l; 0x106aa070l; 0x19a4c116l; 0x1e376c08l;
-     0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al; 0x5b9cca4fl;
-     0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-     0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l |]
+  [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b;
+     0x59f111f1; 0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01;
+     0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe; 0x9bdc06a7;
+     0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc;
+     0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152;
+     0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+     0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc;
+     0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85;
+     0xa2bfe8a1; 0xa81a664b; 0xc24b8b70; 0xc76c51a3; 0xd192e819;
+     0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116; 0x1e376c08;
+     0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f;
+     0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 [@@icc.domain_safe
   "FIPS 180-4 round constants: written by nobody after initialisation, \
    read-only in every domain"]
 
-let initial_state () =
-  [| 0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl;
-     0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l |]
+let mask = 0xffff_ffff
 
-let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
-let ( +% ) = Int32.add
-let ( ^% ) = Int32.logxor
-let ( &% ) = Int32.logand
-let lnot32 = Int32.lognot
+(* Rotations: for a 32-bit [x], [x lor (x lsl 32)] holds two copies of x
+   (the top bit of the upper copy falls off the 63-bit int), so shifting it
+   right by any n in 1..31 and masking to 32 bits rotates x right by n. *)
 
-(* Process one 64-byte block starting at [off] in [msg] into state [h]. *)
-let process_block h msg off =
-  let w = Array.make 64 0l in
+(* Compress the 64-byte block at [off] in [msg] into state [h], using [w]
+   as the message schedule. *)
+let process_block h w msg off =
   for i = 0 to 15 do
-    let b j = Int32.of_int (Char.code (Bytes.get msg (off + (4 * i) + j))) in
+    let p = off + (4 * i) in
     w.(i) <-
-      Int32.logor
-        (Int32.shift_left (b 0) 24)
-        (Int32.logor
-           (Int32.shift_left (b 1) 16)
-           (Int32.logor (Int32.shift_left (b 2) 8) (b 3)))
+      (Char.code (Bytes.get msg p) lsl 24)
+      lor (Char.code (Bytes.get msg (p + 1)) lsl 16)
+      lor (Char.code (Bytes.get msg (p + 2)) lsl 8)
+      lor Char.code (Bytes.get msg (p + 3))
   done;
   for i = 16 to 63 do
-    let s0 =
-      rotr w.(i - 15) 7 ^% rotr w.(i - 15) 18
-      ^% Int32.shift_right_logical w.(i - 15) 3
-    and s1 =
-      rotr w.(i - 2) 17 ^% rotr w.(i - 2) 19
-      ^% Int32.shift_right_logical w.(i - 2) 10
-    in
-    w.(i) <- w.(i - 16) +% s0 +% w.(i - 7) +% s1
+    let x = w.(i - 15) and y = w.(i - 2) in
+    let xx = x lor (x lsl 32) and yy = y lor (y lsl 32) in
+    let s0 = ((xx lsr 7) lxor (xx lsr 18)) land mask lxor (x lsr 3)
+    and s1 = ((yy lsr 17) lxor (yy lsr 19)) land mask lxor (y lsr 10) in
+    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
   done;
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 ^% rotr !e 11 ^% rotr !e 25 in
-    let ch = (!e &% !f) ^% (lnot32 !e &% !g) in
-    let temp1 = !hh +% s1 +% ch +% k.(i) +% w.(i) in
-    let s0 = rotr !a 2 ^% rotr !a 13 ^% rotr !a 22 in
-    let maj = (!a &% !b) ^% (!a &% !c) ^% (!b &% !c) in
-    let temp2 = s0 +% maj in
+    let ee = !e lor (!e lsl 32) and aa = !a lor (!a lsl 32) in
+    let s1 = ((ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25)) land mask in
+    let ch = !g lxor (!e land (!f lxor !g)) in
+    let temp1 = !hh + s1 + ch + k.(i) + w.(i) in
+    let s0 = ((aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22)) land mask in
+    let maj = (!a land (!b lor !c)) lor (!b land !c) in
     hh := !g;
     g := !f;
     f := !e;
-    e := !d +% temp1;
+    e := (!d + temp1) land mask;
     d := !c;
     c := !b;
     b := !a;
-    a := temp1 +% temp2
+    a := (temp1 + s0 + maj) land mask
   done;
-  h.(0) <- h.(0) +% !a;
-  h.(1) <- h.(1) +% !b;
-  h.(2) <- h.(2) +% !c;
-  h.(3) <- h.(3) +% !d;
-  h.(4) <- h.(4) +% !e;
-  h.(5) <- h.(5) +% !f;
-  h.(6) <- h.(6) +% !g;
-  h.(7) <- h.(7) +% !hh
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask;
+  h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask;
+  h.(7) <- (h.(7) + !hh) land mask
 
+(* Full blocks are hashed in place; only the tail is copied, into one or
+   two padded blocks: rest ++ 0x80 ++ zeros ++ 8-byte big-endian bit
+   length. *)
 let digest_bytes (input : Bytes.t) : t =
   Counters.bump Counters.sha256_digests;
   let len = Bytes.length input in
-  (* padded length: message ++ 0x80 ++ zeros ++ 8-byte big-endian bit length *)
-  let rem = (len + 9) mod 64 in
-  let padded_len = len + 9 + if rem = 0 then 0 else 64 - rem in
-  let msg = Bytes.make padded_len '\000' in
-  Bytes.blit input 0 msg 0 len;
-  Bytes.set msg len '\x80';
+  let h =
+    [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
+       0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+  in
+  let w = Array.make 64 0 in
+  let full = len / 64 * 64 in
+  for b = 0 to (len / 64) - 1 do
+    process_block h w input (b * 64)
+  done;
+  let rest = len - full in
+  let tail_len = if rest < 56 then 64 else 128 in
+  let tail = Bytes.make tail_len '\000' in
+  Bytes.blit input full tail 0 rest;
+  Bytes.set tail rest '\x80';
   let bitlen = len * 8 in
   for j = 0 to 7 do
-    Bytes.set msg
-      (padded_len - 1 - j)
-      (Char.chr ((bitlen lsr (8 * j)) land 0xff))
+    Bytes.set tail (tail_len - 1 - j) (Char.chr ((bitlen lsr (8 * j)) land 0xff))
   done;
-  let h = initial_state () in
-  let nblocks = padded_len / 64 in
-  for b = 0 to nblocks - 1 do
-    process_block h msg (b * 64)
-  done;
+  process_block h w tail 0;
+  if tail_len = 128 then process_block h w tail 64;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let word = h.(i) in
     for j = 0 to 3 do
-      let byte =
-        Int32.to_int (Int32.shift_right_logical word (8 * (3 - j))) land 0xff
-      in
-      Bytes.set out ((4 * i) + j) (Char.chr byte)
+      Bytes.set out ((4 * i) + j) (Char.chr ((h.(i) lsr (8 * (3 - j))) land 0xff))
     done
   done;
   Bytes.unsafe_to_string out
 
 let digest_string s = digest_bytes (Bytes.unsafe_of_string s)
 
-let to_hex (d : t) =
-  let buf = Buffer.create 64 in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
-  Buffer.contents buf
+let hex_digits = "0123456789abcdef"
+
+(* The first [len] hex characters of [d]. *)
+let hex_prefix (d : t) len =
+  let out = Bytes.create len in
+  for i = 0 to len - 1 do
+    let c = Char.code d.[i lsr 1] in
+    Bytes.set out i hex_digits.[if i land 1 = 0 then c lsr 4 else c land 0xf]
+  done;
+  Bytes.unsafe_to_string out
+
+let to_hex (d : t) = hex_prefix d 64
 
 (* First 12 hex chars: the abbreviated digest form used on the trace bus,
    where full 64-char digests would dominate line size. *)
-let short_hex (d : t) =
-  let buf = Buffer.create 12 in
-  (try
-     String.iter
-       (fun c ->
-         if Buffer.length buf >= 12 then raise Exit;
-         Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c)))
-       d
-   with Exit -> ());
-  Buffer.contents buf
+let short_hex (d : t) = hex_prefix d 12
 
 let equal = String.equal
 let compare = String.compare

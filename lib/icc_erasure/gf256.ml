@@ -31,6 +31,22 @@ let sub = add
 let mul a b =
   if a = 0 || b = 0 then 0 else exp_table.(log_table.(a) + log_table.(b))
 
+(* Row c of the multiplication table: byte x holds c*x.  All 256 rows are
+   built together on first use (64 KiB), so a row costs nothing per call. *)
+let rows =
+  lazy
+    (Array.init 256 (fun c ->
+         let row = Bytes.make 256 '\000' in
+         if c <> 0 then
+           for x = 1 to 255 do
+             Bytes.set row x (Char.chr exp_table.(log_table.(c) + log_table.(x)))
+           done;
+         Bytes.unsafe_to_string row))
+
+let mul_row c =
+  check c;
+  (Lazy.force rows).(c)
+
 let inv a =
   if a = 0 then invalid_arg "Gf256.inv: zero" else exp_table.(255 - log_table.(a))
 

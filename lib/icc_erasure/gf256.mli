@@ -5,6 +5,10 @@ val check : int -> unit
 val add : int -> int -> int
 val sub : int -> int -> int
 val mul : int -> int -> int
+
+val mul_row : int -> string
+(** [mul_row c] is the product row of [c]: byte [x] holds [mul c x]. *)
+
 val inv : int -> int
 val div : int -> int -> int
 val pow : int -> int -> int

@@ -23,14 +23,6 @@ let copy m = Array.map Array.copy m
 let vandermonde ~points ~cols =
   Array.map (fun x -> Array.init cols (fun j -> Gf256.pow x j)) points
 
-let mul_vec m v =
-  Array.init (rows m) (fun i ->
-      let acc = ref 0 in
-      for j = 0 to cols m - 1 do
-        acc := Gf256.add !acc (Gf256.mul m.(i).(j) v.(j))
-      done;
-      !acc)
-
 let mul a b =
   let n = rows a and k = cols a and p = cols b in
   if rows b <> k then invalid_arg "Matrix.mul: dimension mismatch";

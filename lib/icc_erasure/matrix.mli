@@ -12,7 +12,6 @@ val vandermonde : points:int array -> cols:int -> t
 (** Row [i] is [[x_i^0; x_i^1; ...]]; any [cols] rows with distinct points
     form an invertible square matrix. *)
 
-val mul_vec : t -> int array -> int array
 val mul : t -> t -> t
 
 exception Singular

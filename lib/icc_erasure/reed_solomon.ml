@@ -5,7 +5,9 @@
    interpolates the k data bytes at points 1..k, producing parity at points
    k+1..n.  Fragments are column slices; fragment i (0-based) is the
    evaluation at point i+1.  Decoding inverts the Vandermonde submatrix of
-   the k available points.
+   the k available points.  Both directions work a whole fragment at a
+   time: each matrix coefficient c adds c times a source fragment into a
+   destination fragment through c's 256-entry product row.
 
    Limits: n <= 255 (points must be distinct and nonzero in GF(256)). *)
 
@@ -31,6 +33,22 @@ let encoding_matrix ~k ~n =
   let top_inv = Matrix.invert top in
   Matrix.mul v top_inv
 
+(* dst[dst_off + p] ^= c * src[src_off + p] for p < len, reading each
+   product from [c]'s 256-entry row. *)
+let mul_acc ~c src ~src_off dst ~dst_off ~len =
+  if c <> 0 && len > 0 then begin
+    if src_off < 0 || src_off + len > String.length src || dst_off < 0
+       || dst_off + len > Bytes.length dst
+    then invalid_arg "Reed_solomon.mul_acc: range";
+    let row = Gf256.mul_row c in
+    for p = 0 to len - 1 do
+      let x = Char.code (String.unsafe_get src (src_off + p)) in
+      let d = Char.code (Bytes.unsafe_get dst (dst_off + p)) in
+      Bytes.unsafe_set dst (dst_off + p)
+        (Char.unsafe_chr (d lxor Char.code (String.unsafe_get row x)))
+    done
+  end
+
 let encode ~k ~n (data : string) : coded =
   if not (k >= 1 && k <= n && n <= 255) then
     invalid_arg "Reed_solomon.encode: need 1 <= k <= n <= 255";
@@ -38,21 +56,22 @@ let encode ~k ~n (data : string) : coded =
   let fragment_size = (data_size + k - 1) / k in
   let fragment_size = max fragment_size 1 in
   let e = encoding_matrix ~k ~n in
-  let byte row pos =
-    (* data bytes of fragment [row], zero-padded *)
-    let idx = (row * fragment_size) + pos in
-    if idx < data_size then Char.code data.[idx] else 0
-  in
+  (* Data fragment j is data[j*fragment_size ..], zero-padded; [len j]
+     counts its real bytes, the padding contributes nothing. *)
+  let len j = max 0 (min fragment_size (data_size - (j * fragment_size))) in
   let fragments =
     Array.init n (fun i ->
-        let buf = Bytes.create fragment_size in
-        for pos = 0 to fragment_size - 1 do
-          let acc = ref 0 in
+        let buf = Bytes.make fragment_size '\000' in
+        (* E's top k rows are the identity: fragment i < k is a copy. *)
+        if i < k then begin
+          if len i > 0 then
+            Bytes.blit_string data (i * fragment_size) buf 0 (len i)
+        end
+        else
           for j = 0 to k - 1 do
-            acc := Gf256.add !acc (Gf256.mul e.(i).(j) (byte j pos))
+            mul_acc ~c:e.(i).(j) data ~src_off:(j * fragment_size) buf
+              ~dst_off:0 ~len:(len j)
           done;
-          Bytes.set buf pos (Char.chr !acc)
-        done;
         Bytes.unsafe_to_string buf)
   in
   { k; n; fragment_size; data_size; fragments }
@@ -77,12 +96,12 @@ let decode ~k ~n ~data_size (available : (int * string) list) : string option =
     match Matrix.invert rows with
     | exception Matrix.Singular -> None
     | inv ->
-        let out = Bytes.create (fragment_size * k) in
-        for pos = 0 to fragment_size - 1 do
-          let v = Array.init k (fun r -> Char.code frags.(r).[pos]) in
-          let decoded = Matrix.mul_vec inv v in
-          for j = 0 to k - 1 do
-            Bytes.set out ((j * fragment_size) + pos) (Char.chr decoded.(j))
+        (* Data fragment j = sum over r of inv(j, r) * chosen fragment r. *)
+        let out = Bytes.make (fragment_size * k) '\000' in
+        for j = 0 to k - 1 do
+          for r = 0 to k - 1 do
+            mul_acc ~c:inv.(j).(r) frags.(r) ~src_off:0 out
+              ~dst_off:(j * fragment_size) ~len:fragment_size
           done
         done;
         Some (Bytes.sub_string out 0 data_size)

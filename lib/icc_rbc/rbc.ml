@@ -131,8 +131,8 @@ let instance_of t ~party key =
 let encode t ~src (msg : Icc_core.Message.t) =
   let data = serialize msg in
   let coded = Icc_erasure.Reed_solomon.encode ~k:t.k ~n:t.n data in
-  let leaves = Array.to_list coded.Icc_erasure.Reed_solomon.fragments in
-  let root = Icc_crypto.Merkle.root_of_leaves leaves in
+  let tree = Icc_crypto.Merkle.tree coded.Icc_erasure.Reed_solomon.fragments in
+  let root = Icc_crypto.Merkle.root tree in
   let round, proposer =
     match msg with
     | Icc_core.Message.Proposal p ->
@@ -162,7 +162,7 @@ let encode t ~src (msg : Icc_core.Message.t) =
         f_data_size = coded.Icc_erasure.Reed_solomon.data_size;
         f_modeled_total = modeled_total;
         f_bytes = coded.Icc_erasure.Reed_solomon.fragments.(i);
-        f_proof = Icc_crypto.Merkle.prove leaves i;
+        f_proof = Icc_crypto.Merkle.proof tree i;
         f_sig;
       } )
 
@@ -215,11 +215,11 @@ let frag_valid t (existing : instance option) (f : frag) =
           f.f_sig)
   && Icc_crypto.Merkle.verify ~root:f.f_root ~leaf:f.f_bytes f.f_proof
 
-let try_reconstruct t ~party key (inst : instance) (f : frag) =
-  Icc_obs.Profile.span "rbc.reconstruct" @@ fun () ->
+let try_reconstruct t ~party (inst : instance) (f : frag) =
   if (not inst.delivered) && (not inst.bad)
      && List.length inst.fragments >= t.k
-  then begin
+  then
+    Icc_obs.Profile.span "rbc.reconstruct" @@ fun () ->
     match
       Icc_erasure.Reed_solomon.decode ~k:t.k ~n:t.n
         ~data_size:f.f_data_size inst.fragments
@@ -230,8 +230,8 @@ let try_reconstruct t ~party key (inst : instance) (f : frag) =
            a fragment set with the signed Merkle root. *)
         let coded = Icc_erasure.Reed_solomon.encode ~k:t.k ~n:t.n data in
         let root' =
-          Icc_crypto.Merkle.root_of_leaves
-            (Array.to_list coded.Icc_erasure.Reed_solomon.fragments)
+          Icc_crypto.Merkle.root
+            (Icc_crypto.Merkle.tree coded.Icc_erasure.Reed_solomon.fragments)
         in
         if not (Icc_crypto.Sha256.equal root' f.f_root) then begin
           inst.bad <- true;
@@ -248,7 +248,6 @@ let try_reconstruct t ~party key (inst : instance) (f : frag) =
                     { party; round = f.f_round; proposer = f.f_proposer })
           | Some msg ->
               inst.delivered <- true;
-              ignore key;
               emit_detail t (fun () ->
                   Icc_sim.Trace.Rbc_reconstruct
                     { party; round = f.f_round; proposer = f.f_proposer });
@@ -268,9 +267,9 @@ let try_reconstruct t ~party key (inst : instance) (f : frag) =
               | Icc_core.Message.Pool_summary _
               | Icc_core.Message.Pool_request _ -> ());
               t.deliver_up ~dst:party msg)
-  end
 
 let on_frag t ~dst (f : frag) =
+  Icc_obs.Profile.span "rbc.receive" @@ fun () ->
   let key = (f.f_round, f.f_proposer, Icc_crypto.Sha256.to_hex f.f_root) in
   let existing = Hashtbl.find_opt t.instances (dst, key) in
   if t.is_active dst && frag_valid t existing f then begin
@@ -302,7 +301,7 @@ let on_frag t ~dst (f : frag) =
           broadcast_wire t ~src:dst (Frag f)
         end
       end;
-      try_reconstruct t ~party:dst key inst f
+      try_reconstruct t ~party:dst inst f
     end
   end
 

@@ -125,6 +125,38 @@ let prop_rs_roundtrip =
       | Some d -> String.equal d data
       | None -> false)
 
+(* Encoding against the per-byte product of the encoding matrix with the
+   zero-padded data matrix, and decoding from a random k-subset. *)
+let prop_rs_matches_matrix_reference =
+  QCheck.Test.make ~name:"reed-solomon matches per-byte matrix reference"
+    ~count:60
+    (QCheck.triple (QCheck.int_range 1 32) (QCheck.int_range 1 32)
+       (QCheck.string_of_size (QCheck.Gen.int_range 0 3000)))
+    (fun (a, b, data) ->
+      let open Icc_erasure in
+      let k = min a b and n = max a b and len = String.length data in
+      let coded = Reed_solomon.encode ~k ~n data in
+      let fs = max 1 ((len + k - 1) / k) in
+      let d =
+        Array.init k (fun j ->
+            Array.init fs (fun pos ->
+                let idx = (j * fs) + pos in
+                if idx < len then Char.code data.[idx] else 0))
+      in
+      let v = Matrix.vandermonde ~points:(Array.init n (fun i -> i + 1)) ~cols:k in
+      let e = Matrix.mul v (Matrix.invert (Array.sub v 0 k)) in
+      let expected = Matrix.mul e d in
+      let idx = Array.init n Fun.id in
+      Icc_sim.Rng.shuffle_in_place rng idx;
+      let subset = List.init k (fun r -> (idx.(r), coded.fragments.(idx.(r)))) in
+      Array.for_all2
+        (fun frag row ->
+          String.equal frag (String.init fs (fun p -> Char.chr row.(p))))
+        coded.fragments expected
+      && Option.equal String.equal
+           (Reed_solomon.decode ~k ~n ~data_size:len subset)
+           (Some data))
+
 let test_rs_bad_params () =
   Alcotest.check_raises "k > n"
     (Invalid_argument "Reed_solomon.encode: need 1 <= k <= n <= 255")
@@ -143,5 +175,6 @@ let suite =
     Alcotest.test_case "rs duplicates" `Quick test_rs_duplicate_fragments_dont_count;
     Alcotest.test_case "rs reencode check" `Quick test_rs_reencode_check;
     QCheck_alcotest.to_alcotest prop_rs_roundtrip;
+    QCheck_alcotest.to_alcotest prop_rs_matches_matrix_reference;
     Alcotest.test_case "rs bad params" `Quick test_rs_bad_params;
   ]

@@ -85,6 +85,68 @@ let prop_index_of_path =
                tweaks)
         (List.init n Fun.id))
 
+(* The list-based construction that [tree]/[proof] replaced: every call
+   rehashes the leaves and rebuilds each level.  Kept as the oracle. *)
+module Reference = struct
+  open Icc_crypto.Merkle
+
+  let node_hash l r =
+    Icc_crypto.Sha256.digest_string
+      ("node|" ^ (l : Icc_crypto.Sha256.t :> string)
+      ^ (r : Icc_crypto.Sha256.t :> string))
+
+  let rec pair = function
+    | l :: r :: rest -> node_hash l r :: pair rest
+    | [ odd ] -> [ odd ]
+    | [] -> []
+
+  let root_of_leaves leaves =
+    let rec up = function [ h ] -> h | level -> up (pair level) in
+    up (List.map leaf_hash leaves)
+
+  let prove leaves index : proof =
+    let rec up level pos acc =
+      match level with
+      | [ _ ] -> List.rev acc
+      | _ ->
+          let arr = Array.of_list level in
+          let len = Array.length arr in
+          let step =
+            if pos land 1 = 0 then
+              if pos + 1 < len then { sibling = Some arr.(pos + 1); left = true }
+              else { sibling = None; left = true }
+            else { sibling = Some arr.(pos - 1); left = false }
+          in
+          up (pair level) (pos / 2) (step :: acc)
+    in
+    up (List.map leaf_hash leaves) index []
+end
+
+let same_proof (a : Icc_crypto.Merkle.proof) (b : Icc_crypto.Merkle.proof) =
+  List.equal
+    (fun (x : Icc_crypto.Merkle.proof_step) (y : Icc_crypto.Merkle.proof_step) ->
+      Bool.equal x.left y.left
+      && Option.equal Icc_crypto.Sha256.equal x.sibling y.sibling)
+    a b
+
+let prop_tree_matches_reference =
+  QCheck.Test.make ~name:"merkle tree/proof match the list-based reference"
+    ~count:4 QCheck.small_string (fun salt ->
+      List.for_all
+        (fun n ->
+          let ls = List.init n (fun i -> Printf.sprintf "%s-%d" salt i) in
+          let t = Icc_crypto.Merkle.tree (Array.of_list ls) in
+          let root = Reference.root_of_leaves ls in
+          Icc_crypto.Sha256.equal (Icc_crypto.Merkle.root t) root
+          && Icc_crypto.Sha256.equal (Icc_crypto.Merkle.root_of_leaves ls) root
+          && List.for_all
+               (fun i ->
+                 let expected = Reference.prove ls i in
+                 same_proof (Icc_crypto.Merkle.proof t i) expected
+                 && same_proof (Icc_crypto.Merkle.prove ls i) expected)
+               (List.init n Fun.id))
+        (List.init 64 succ))
+
 let suite =
   [
     Alcotest.test_case "prove/verify sizes" `Quick test_prove_verify_all_sizes;
@@ -95,4 +157,5 @@ let suite =
     Alcotest.test_case "out of range" `Quick test_out_of_range;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_index_of_path;
+    QCheck_alcotest.to_alcotest prop_tree_matches_reference;
   ]

@@ -23,16 +23,18 @@ let test_million_a () =
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
 
 let test_boundary_lengths () =
-  (* Lengths around the 55/56/64-byte padding boundaries must not crash and
-     must be distinct. *)
+  (* Lengths 0..129 straddle the 55/56/64-byte padding boundaries of one
+     and two blocks.  Pinned: SHA-256 of the concatenated hex digests of
+     [String.make i 'x'], as computed by Python's hashlib. *)
   let digests =
     List.init 130 (fun i ->
         Icc_crypto.Sha256.to_hex
           (Icc_crypto.Sha256.digest_string (String.make i 'x')))
   in
-  Alcotest.(check int)
-    "all distinct" 130
-    (List.length (List.sort_uniq compare digests))
+  Alcotest.(check string)
+    "pinned" "199af942eba7fa5d1e16d475169eb24018b14e69339c93d26a9ea6d873b4ace6"
+    (Icc_crypto.Sha256.to_hex
+       (Icc_crypto.Sha256.digest_string (String.concat "" digests)))
 
 let test_bytes_and_string_agree () =
   let s = "internet computer consensus" in
@@ -64,6 +66,20 @@ let prop_injective_on_sample =
               (Icc_crypto.Sha256.digest_string a)
               (Icc_crypto.Sha256.digest_string b)))
 
+(* The hex forms against a [Printf "%02x"] fold. *)
+let prop_hex_matches_printf =
+  QCheck.Test.make ~name:"sha256 to_hex/short_hex match Printf" ~count:200
+    (QCheck.string_of_size (QCheck.Gen.return 32)) (fun raw ->
+      let d = Icc_crypto.Sha256.of_raw raw in
+      let hex =
+        String.concat ""
+          (List.map
+             (fun c -> Printf.sprintf "%02x" (Char.code c))
+             (List.of_seq (String.to_seq raw)))
+      in
+      String.equal (Icc_crypto.Sha256.to_hex d) hex
+      && String.equal (Icc_crypto.Sha256.short_hex d) (String.sub hex 0 12))
+
 let suite =
   [
     Alcotest.test_case "NIST vectors" `Quick test_nist_vectors;
@@ -73,4 +89,5 @@ let suite =
     Alcotest.test_case "to_int61" `Quick test_to_int61;
     QCheck_alcotest.to_alcotest prop_deterministic;
     QCheck_alcotest.to_alcotest prop_injective_on_sample;
+    QCheck_alcotest.to_alcotest prop_hex_matches_printf;
   ]
