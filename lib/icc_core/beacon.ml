@@ -60,13 +60,14 @@ let share_verifier t round =
           msg share)
       (message_for_round t round)
 
-(* Attempt to compute R_round from the pool's shares.  Each share is
-   verified at most once (the pool marks survivors and evicts garbage, so
-   a spoofed signer slot frees up for the genuine retransmission), and the
-   combine step skips re-verification.  [combine_preverified] applies the
-   same signer-dedup/selection rule as [combine] did over the unverified
-   multiset, so the resulting sigma — and every trace byte derived from
-   it — is unchanged. *)
+(* Attempt to compute R_round from the pool's shares.  The pool verifies
+   shares in signer order only until it holds t+1 valid ones, each at most
+   once (it marks survivors and evicts garbage, so a spoofed signer slot
+   frees up for the genuine retransmission), and the combine step skips
+   re-verification.  Those t+1 are the subset [combine]'s
+   signer-dedup/selection rule picks from the verified multiset, so the
+   resulting sigma — and every trace byte derived from it — is the same as
+   verifying every share. *)
 let try_compute t pool round =
   if known t round then true
   else

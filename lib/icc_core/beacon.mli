@@ -22,13 +22,14 @@ val share_verifier :
   (Icc_crypto.Threshold_vuf.signature_share -> bool) option
 (** The share verifier for a round, once R_{round-1} is known; [None] for
     out-of-range rounds or while the previous beacon is unknown.  Passed to
-    [Pool.add_beacon_share] so spoofed shares are rejected at admission. *)
+    [Pool.add_beacon_share], which uses it only to decide between two
+    different shares contesting one signer slot. *)
 
 val try_compute : t -> Pool.t -> Types.round -> bool
-(** Attempt to combine the round's beacon from the pool's shares.  Each
-    share is verified at most once; shares that fail are evicted from the
-    pool so their signer slot can be re-filled.  Returns whether the
-    beacon for the round is (now) known. *)
+(** Attempt to combine the round's beacon from the pool's shares.  Only
+    the t+1 lowest-signer valid shares are verified, each at most once;
+    shares that fail are evicted from the pool so their signer slot can be
+    re-filled.  Returns whether the beacon for the round is (now) known. *)
 
 val permutation : t -> Types.round -> int array option
 (** [rank -> party] map; index 0 is the leader. *)

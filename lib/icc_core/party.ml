@@ -802,8 +802,9 @@ let on_message p (msg : Message.t) =
       | Message.Beacon_share { b_round; b_share; _ } ->
           (* The wire round number is attacker-controlled: rounds below 1
              have no beacon message and are dropped outright.  When the
-             previous beacon is already known, pass the verifier so spoofed
-             shares are rejected (and evicted) at admission. *)
+             previous beacon is already known, pass the verifier so a
+             spoofed share contesting a signer slot is resolved (and
+             evicted) at admission. *)
           if b_round < 1 then false
           else
             Pool.add_beacon_share p.pool ~round:b_round

@@ -2,11 +2,13 @@
    received, indexed so the block-classification predicates — authentic,
    valid, notarized, finalized — can be evaluated incrementally.
 
-   Every signature is verified on admission; messages failing verification
-   are dropped.  Classification is monotone, so the pool maintains it by a
-   promotion cascade: a block becomes valid when it is authentic and its
-   parent is notarized; it becomes notarized/finalized when additionally a
-   certificate is present.  Promoting a block re-examines its children.
+   Every signature is verified on admission, except beacon shares, which
+   are verified lazily when the beacon is combined (only the t+1 it
+   uses); messages failing verification are dropped.  Classification is
+   monotone, so the pool maintains it by a promotion cascade: a block
+   becomes valid when it is authentic and its parent is notarized; it
+   becomes notarized/finalized when additionally a certificate is present.
+   Promoting a block re-examines its children.
 
    Large-n layout: all per-round state lives in a *ring of round slots*
    indexed by [round mod capacity] — flat records reused across rounds —
@@ -48,10 +50,10 @@ type shareset = {
   ss_seen : Bytes.t; (* signer-indexed presence bits, 1-based *)
 }
 
-(* A beacon share slot.  Shares are only verifiable once the previous
-   beacon value is known, so a slot may hold an as-yet-unverified share;
-   [be_verified] is flipped (or the entry evicted) the first time a
-   verifier is available.  See {!add_beacon_share}. *)
+(* A beacon share slot.  Shares are admitted unverified; [be_verified] is
+   flipped (or the entry evicted) when the share is first checked, which
+   happens only if the beacon needs it or a different share contests the
+   slot.  See {!add_beacon_share}. *)
 type beacon_entry = {
   mutable be_share : Icc_crypto.Threshold_vuf.signature_share;
   mutable be_verified : bool;
@@ -599,53 +601,50 @@ let add_share t ~kind (s : Types.share_msg) =
 let add_notarization_share t s = add_share t ~kind:`Notarization s
 let add_finalization_share t s = add_share t ~kind:`Finalization s
 
-(* Beacon-share storage: a signer-indexed array answers the slot-discipline
-   lookup in O(1) for in-range signers; out-of-range signers (possible only
-   on the unverified path) fall back to a scan of the admission list. *)
+(* A share is admitted unverified: the beacon needs only the t+1 lowest
+   valid signers, and {!verified_beacon_shares} checks those when it
+   combines.  Shares whose signer is outside 1..n are never stored.  The
+   signer slot discipline guards against spoofing (a Byzantine party
+   replaying garbage under an honest signer id to block the genuine
+   share):
 
-let beacon_lookup t s signer =
-  let n = t.system.Icc_crypto.Keygen.n in
-  if signer >= 1 && signer <= n then
-    if Array.length s.s_beacon = 0 then None else s.s_beacon.(signer)
-  else
-    List.find_opt
-      (fun e -> e.be_share.Icc_crypto.Threshold_vuf.signer = signer)
-      s.s_beacon_list
-
-let beacon_store t s signer entry =
-  let n = t.system.Icc_crypto.Keygen.n in
-  if signer >= 1 && signer <= n then begin
-    if Array.length s.s_beacon = 0 then s.s_beacon <- Array.make (n + 1) None;
-    s.s_beacon.(signer) <- Some entry
-  end;
-  s.s_beacon_list <- entry :: s.s_beacon_list
-
-(* Beacon shares become verifiable only once the previous beacon value is
-   known, so the caller passes [?verify] when it has one.  The signer slot
-   discipline guards against spoofing (a Byzantine party replaying garbage
-   under an honest signer id to block the genuine share):
-
-   - verifier available, slot empty: admit iff the share verifies;
-   - verifier available, slot holds an unverified share: re-check the
-     occupant first — if it verifies, mark it and report no new
-     information (the usual duplicate case); if it is garbage, evict it
-     and admit the newcomer iff it verifies;
-   - no verifier yet: admit unverified / dedup by signer as before;
-     {!verified_beacon_shares} evicts any garbage as soon as a verifier
-     exists, freeing the slot for a genuine retransmission. *)
+   - empty slot: store the share, unverified;
+   - verified occupant, or a byte-equal copy of the occupant: no new
+     information, and nothing to verify;
+   - a different share for an unverified occupant: with a verifier,
+     re-check the occupant first — if it verifies, mark it and report no
+     new information; if it is garbage, replace it by the newcomer iff the
+     newcomer verifies.  Without one, keep the occupant;
+     {!verified_beacon_shares} evicts it if it fails, freeing the slot for
+     a genuine retransmission. *)
 let add_beacon_share t ~round ?verify
     (share : Icc_crypto.Threshold_vuf.signature_share) =
   Icc_obs.Profile.span "pool.admit" @@ fun () ->
-  if round < t.pruned_below || round < 0 then false
+  let signer = share.Icc_crypto.Threshold_vuf.signer in
+  if
+    round < t.pruned_below || round < 0 || signer < 1
+    || signer > t.system.Icc_crypto.Keygen.n
+  then false
   else
-    let signer = share.Icc_crypto.Threshold_vuf.signer in
     let existing =
       match find_slot t round with
-      | None -> None
-      | Some s -> beacon_lookup t s signer
+      | Some s when Array.length s.s_beacon > 0 -> s.s_beacon.(signer)
+      | Some _ | None -> None
     in
     match (existing, verify) with
-    | Some e, _ when e.be_verified -> false
+    | None, _ ->
+        let s = claim t round in
+        if Array.length s.s_beacon = 0 then
+          s.s_beacon <- Array.make (t.system.Icc_crypto.Keygen.n + 1) None;
+        let e = { be_share = share; be_verified = false } in
+        s.s_beacon.(signer) <- Some e;
+        s.s_beacon_list <- e :: s.s_beacon_list;
+        true
+    | Some e, _
+      when e.be_verified
+           || Icc_crypto.Threshold_vuf.share_equal e.be_share share ->
+        false
+    | Some _, None -> false
     | Some e, Some verify ->
         if verify e.be_share then begin
           e.be_verified <- true;
@@ -658,43 +657,35 @@ let add_beacon_share t ~round ?verify
           true
         end
         else false
-    | Some _, None -> false
-    | None, Some verify ->
-        if verify share then begin
-          let s = claim t round in
-          beacon_store t s signer { be_share = share; be_verified = true };
-          true
-        end
-        else false
-    | None, None ->
-        let s = claim t round in
-        beacon_store t s signer { be_share = share; be_verified = false };
-        true
 
+(* Walk the slots in signer order, verifying unverified occupants and
+   evicting failures, until t+1 valid shares are found: exactly the t+1
+   lowest-index valid shares [Threshold_vuf.select] keeps.  Signers above
+   the cut are never verified. *)
 let verified_beacon_shares t ~round ~verify =
+  let need = t.system.Icc_crypto.Keygen.t + 1 in
   match find_slot t round with
-  | None -> []
-  | Some s ->
-      let n = t.system.Icc_crypto.Keygen.n in
-      let kept =
-        List.filter
-          (fun e ->
-            if e.be_verified then true
-            else if verify e.be_share then begin
+  | Some s when List.length s.s_beacon_list >= need ->
+      let rec walk signer k =
+        if k = need || signer >= Array.length s.s_beacon then []
+        else
+          match s.s_beacon.(signer) with
+          | None -> walk (signer + 1) k
+          | Some e when e.be_verified || verify e.be_share ->
               e.be_verified <- true;
-              true
-            end
-            else begin
+              e.be_share :: walk (signer + 1) (k + 1)
+          | Some _ ->
               (* evicted: free the signer slot for a genuine retransmission *)
-              let signer = e.be_share.Icc_crypto.Threshold_vuf.signer in
-              if signer >= 1 && signer <= n && Array.length s.s_beacon > 0 then
-                s.s_beacon.(signer) <- None;
-              false
-            end)
-          s.s_beacon_list
+              s.s_beacon.(signer) <- None;
+              s.s_beacon_list <-
+                List.filter
+                  (fun e ->
+                    e.be_share.Icc_crypto.Threshold_vuf.signer <> signer)
+                  s.s_beacon_list;
+              walk (signer + 1) k
       in
-      s.s_beacon_list <- kept;
-      List.map (fun e -> e.be_share) kept
+      walk 1 0
+  | Some _ | None -> []
 
 (* --- garbage collection ------------------------------------------------ *)
 

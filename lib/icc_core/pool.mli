@@ -2,8 +2,9 @@
     indexed for incremental evaluation of the block-classification
     predicates {e authentic}, {e valid}, {e notarized}, {e finalized}.
 
-    Every signature is verified on admission; messages failing verification
-    are dropped.  Classification is monotone and maintained by a promotion
+    Every signature is verified on admission, except beacon shares, which
+    are verified when the beacon is combined; messages failing
+    verification are dropped.  Classification is monotone and maintained by a promotion
     cascade (a block becomes valid when authentic with a notarized parent;
     promoting a block re-examines its children). *)
 
@@ -53,22 +54,29 @@ val add_beacon_share :
   ?verify:(Icc_crypto.Threshold_vuf.signature_share -> bool) ->
   Icc_crypto.Threshold_vuf.signature_share ->
   bool
-(** Beacon shares become verifiable only once the previous beacon value is
-    known; pass [?verify] when one is available.  With a verifier, invalid
-    shares are rejected at admission and an unverified spoofed occupant of
-    a signer slot is evicted in favour of a verifying newcomer (the
-    beacon-share spoofing fix).  Without one, shares are admitted
-    unverified and deduplicated by signer; {!verified_beacon_shares}
-    (called by [Beacon.try_compute]) later evicts any that fail. *)
+(** Beacon shares are admitted unverified, deduplicated by signer: the
+    beacon needs only t+1 of them, and {!verified_beacon_shares} checks
+    those when it combines.  Shares whose signer is outside [1..n] are
+    rejected and never stored, and a byte-equal copy of a slot's occupant
+    is dropped without verifying anything.  [?verify] (available once the
+    previous beacon is known) only resolves a contested slot: when a
+    different share arrives for an unverified occupant, the occupant is
+    checked, and a spoofed occupant is evicted in favour of a verifying
+    newcomer (the beacon-share spoofing fix). *)
 
 val verified_beacon_shares :
   t ->
   round:Types.round ->
   verify:(Icc_crypto.Threshold_vuf.signature_share -> bool) ->
   Icc_crypto.Threshold_vuf.signature_share list
-(** The round's shares that pass [verify], marking them so each share is
-    verified at most once; shares that fail are evicted so their signer
-    slot can be re-filled by a genuine retransmission. *)
+(** The round's t+1 lowest-signer shares that pass [verify], in signer
+    order, or all valid shares when fewer than t+1 exist.  While the round
+    holds fewer than t+1 shares it returns [[]] and verifies nothing.
+    Otherwise it walks the signers in order, verifies unverified
+    occupants (marking them, so each share is verified at most once),
+    evicts failures so their signer slot can be re-filled by a genuine
+    retransmission, and stops at the (t+1)-th valid share: shares above
+    that cut are never verified. *)
 
 (** {1 Classification queries} *)
 

@@ -83,6 +83,14 @@ let verify_share params msg (share : signature_share) =
     ~a:params.verification_keys.(share.signer - 1)
     ~b:share.value share.proof
 
+let share_equal a b =
+  Int.equal a.signer b.signer
+  && Group.elt_equal a.value b.value
+  && Group.scalar_equal a.proof.Dleq.challenge b.proof.Dleq.challenge
+  && Group.scalar_equal a.proof.Dleq.response b.proof.Dleq.response
+  && Group.elt_equal a.proof.Dleq.commit1 b.proof.Dleq.commit1
+  && Group.elt_equal a.proof.Dleq.commit2 b.proof.Dleq.commit2
+
 (* Lagrange interpolation at 0 in the exponent. *)
 let interpolate shares =
   let idxs = List.map (fun s -> s.signer) shares in
@@ -95,7 +103,9 @@ let interpolate shares =
    indices.  [combine] and [combine_preverified] must pick the identical
    subset from the same share multiset, or the interpolated sigma (and
    every trace byte derived from it) would differ between the verified and
-   pre-verified paths. *)
+   pre-verified paths.  The pool's lazy walk ([Pool.verified_beacon_shares])
+   hands over exactly the t+1 lowest valid signers, which this rule keeps
+   as they are. *)
 let select params shares : signature option =
   let uniq = List.sort_uniq (fun a b -> compare a.signer b.signer) shares in
   if List.length uniq < params.threshold_t + 1 then None
@@ -111,9 +121,10 @@ let combine params msg shares : signature option =
 
 let combine_preverified params shares : signature option =
   Icc_obs.Profile.span "crypto.vuf_combine" @@ fun () ->
-  (* Shares must already have passed {!verify_share} (the pool verifies at
-     admission); skipping re-verification makes combining O(t) group ops
-     instead of O(t) DLEQ checks per attempt. *)
+  (* Shares must already have passed {!verify_share} (the pool verifies
+     the t+1 lowest signers when the beacon is combined); skipping
+     re-verification makes combining O(t) group ops instead of O(t) DLEQ
+     checks per attempt. *)
   select params shares
 
 let verify params msg { sigma; certificate } =

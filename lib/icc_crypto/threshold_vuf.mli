@@ -34,15 +34,21 @@ val setup : threshold_t:int -> n:int -> (unit -> int) -> params * secret_share l
 val sign_share : params -> secret_share -> string -> signature_share
 val verify_share : params -> string -> signature_share -> bool
 
+val share_equal : signature_share -> signature_share -> bool
+(** Byte equality of two shares: signer, value and every proof field.  A
+    byte-equal copy verifies exactly when the original does. *)
+
 val combine : params -> string -> signature_share list -> signature option
 (** Returns [None] when fewer than [t+1] distinct valid shares are given;
     invalid or duplicate shares are filtered, not fatal. *)
 
 val combine_preverified : params -> signature_share list -> signature option
 (** Like {!combine}, but trusts the caller to have already checked every
-    share with {!verify_share} (e.g. at pool admission) and skips
-    re-verification.  Applies the identical signer-dedup/selection rule,
-    so it yields the same [sigma] as {!combine} over the same shares. *)
+    share with {!verify_share} and skips re-verification; the pool checks
+    only the t+1 lowest signers it hands over (see
+    [Icc_core.Pool.verified_beacon_shares]).  Applies the identical
+    signer-dedup/selection rule, so it yields the same [sigma] as
+    {!combine} over the same shares. *)
 
 val verify : params -> string -> signature -> bool
 (** Full verification: checks the (t+1)-share certificate and that the

@@ -180,17 +180,32 @@ let beacon_verify share =
   Icc_crypto.Threshold_vuf.verify_share kit.Kit.system.Icc_crypto.Keygen.beacon
     beacon_round1_msg share
 
-let test_spoofed_beacon_share_rejected_at_admission () =
+let signers shares =
+  List.map (fun sh -> sh.Icc_crypto.Threshold_vuf.signer) shares
+
+(* Admission no longer verifies, so a spoof offered with a verifier is
+   stored unverified; what the spoofing fix guards is that it never
+   reaches the beacon and never keeps the genuine share out of its slot. *)
+let test_spoofed_beacon_share_never_combined () =
   let pool = Icc_core.Pool.create kit.Kit.system in
-  Alcotest.(check bool) "spoof rejected" false
+  ignore
     (Icc_core.Pool.add_beacon_share pool ~round:1 ~verify:beacon_verify
        (spoofed_share 1));
-  Alcotest.(check int) "nothing admitted" 0
-    (List.length (Icc_core.Pool.beacon_shares pool 1));
   (* the genuine share under the same signer id still gets in *)
-  Alcotest.(check bool) "real share admitted" true
+  Alcotest.(check bool) "real share takes the slot" true
     (Icc_core.Pool.add_beacon_share pool ~round:1 ~verify:beacon_verify
-       (beacon_share 1))
+       (beacon_share 1));
+  ignore
+    (Icc_core.Pool.add_beacon_share pool ~round:1 ~verify:beacon_verify
+       (spoofed_share 2));
+  ignore (Icc_core.Pool.add_beacon_share pool ~round:1 (beacon_share 3));
+  let combined =
+    Icc_core.Pool.verified_beacon_shares pool ~round:1 ~verify:beacon_verify
+  in
+  Alcotest.(check (list int)) "t+1 lowest genuine signers" [ 1; 3 ]
+    (signers combined);
+  Alcotest.(check bool) "no spoof combined" true
+    (List.for_all beacon_verify combined)
 
 let test_spoofed_occupant_evicted_by_verifying_newcomer () =
   let pool = Icc_core.Pool.create kit.Kit.system in
@@ -206,6 +221,34 @@ let test_spoofed_occupant_evicted_by_verifying_newcomer () =
     (List.length (Icc_core.Pool.beacon_shares pool 1));
   Alcotest.(check bool) "slot holds the verifying share" true
     (List.for_all beacon_verify (Icc_core.Pool.beacon_shares pool 1))
+
+(* A byte-equal retransmission of an unverified occupant carries no new
+   information and costs no verification, with or without a verifier. *)
+let test_beacon_duplicate_verifies_nothing () =
+  let pool = Icc_core.Pool.create kit.Kit.system in
+  ignore (Icc_core.Pool.add_beacon_share pool ~round:1 (beacon_share 1));
+  let before = Icc_obs.Registry.value Icc_crypto.Counters.dleq_verifies in
+  Alcotest.(check bool) "duplicate dropped" false
+    (Icc_core.Pool.add_beacon_share pool ~round:1 ~verify:beacon_verify
+       (beacon_share 1));
+  Alcotest.(check int) "no DLEQ verify" before
+    (Icc_obs.Registry.value Icc_crypto.Counters.dleq_verifies)
+
+(* Regression: shares naming a signer outside 1..n were appended to the
+   round's list without a verifier, one per distinct signer, so a peer
+   could grow the pool without bound until the round was pruned. *)
+let test_out_of_range_beacon_signers_not_stored () =
+  let pool = Icc_core.Pool.create kit.Kit.system in
+  let genuine = beacon_share 1 in
+  for k = 1 to 10_000 do
+    let signer = if k mod 2 = 0 then 4 + k else -k in
+    let share = { genuine with Icc_crypto.Threshold_vuf.signer } in
+    let verify = if k mod 3 = 0 then Some beacon_verify else None in
+    Alcotest.(check bool) "rejected" false
+      (Icc_core.Pool.add_beacon_share pool ~round:1 ?verify share)
+  done;
+  Alcotest.(check (option int)) "no beacon share stored" (Some 0)
+    (List.assoc_opt "beacon_shares" (Icc_core.Pool.table_sizes pool))
 
 let test_verified_beacon_shares_evicts_failures () =
   let pool = Icc_core.Pool.create kit.Kit.system in
@@ -355,7 +398,11 @@ let suite =
     Alcotest.test_case "root status" `Quick test_root_is_notarized_and_finalized;
     Alcotest.test_case "beacon share dedup" `Quick test_beacon_share_dedup;
     Alcotest.test_case "spoofed beacon share rejected" `Quick
-      test_spoofed_beacon_share_rejected_at_admission;
+      test_spoofed_beacon_share_never_combined;
+    Alcotest.test_case "beacon duplicate verifies nothing" `Quick
+      test_beacon_duplicate_verifies_nothing;
+    Alcotest.test_case "out-of-range beacon signers not stored" `Quick
+      test_out_of_range_beacon_signers_not_stored;
     Alcotest.test_case "spoofed occupant evicted" `Quick
       test_spoofed_occupant_evicted_by_verifying_newcomer;
     Alcotest.test_case "verified_beacon_shares evicts failures" `Quick

@@ -404,8 +404,123 @@ let test_mixed_set_vouches_for_nothing () =
   Alcotest.(check bool) "genuine certificate still admitted" true
     (pool_add_cert pool `Notarization ~proposer:1 ms)
 
+(* --- lazy beacon-share verification ---------------------------------------
+
+   Random share multisets for one round at n = 7, t = 2: per signer an
+   honest share, spoofs (signed over another round's text) or both, each
+   with random byte-equal duplicates, plus shares naming signers outside
+   1..n, admitted in random order.  The lazy pool must select what an eager
+   reference selects: verify every share, dedupe by signer, keep the t+1
+   lowest.  With a verifier at admission, contested slots resolve to the
+   genuine share, so the reference is over every arrival; without one the
+   first share per signer holds its slot.  Verification cost: at most t+1
+   valid shares plus the invalid ones below the cut, and with a verifier
+   at most two more per spoof arrival (resolving the slot it contests). *)
+
+let vuf_kit = Kit.make ~n:7 ~t:2 ()
+let vuf_params = vuf_kit.Kit.system.Icc_crypto.Keygen.beacon
+
+let beacon_text round =
+  Icc_core.Types.beacon_text ~round ~prev_sigma:Icc_core.Types.beacon_genesis
+
+let vuf_share ~signer ~round =
+  Icc_crypto.Threshold_vuf.sign_share vuf_params
+    (Kit.key vuf_kit signer).Icc_crypto.Keygen.beacon_key (beacon_text round)
+
+let vuf_verify = Icc_crypto.Threshold_vuf.verify_share vuf_params (beacon_text 1)
+
+let vuf_signers l = List.map (fun sh -> sh.Icc_crypto.Threshold_vuf.signer) l
+
+let random_arrivals rng =
+  let spoof_rate = Icc_sim.Rng.pick rng [ 0; 0; 1; 2 ] in
+  let copies share = List.init (1 + Icc_sim.Rng.int rng 3) (fun _ -> share) in
+  let per_signer signer =
+    (if Icc_sim.Rng.int rng 4 > 0 then copies (vuf_share ~signer ~round:1)
+     else [])
+    @ List.concat_map
+        (fun round ->
+          if Icc_sim.Rng.int rng 4 < spoof_rate then
+            copies (vuf_share ~signer ~round)
+          else [])
+        [ 9; 10 ]
+  in
+  let out_of_range =
+    List.map
+      (fun signer -> { (vuf_share ~signer:1 ~round:1) with signer })
+      [ 0; 8; -3; 1000 ]
+  in
+  let arr =
+    Array.of_list (List.concat_map per_signer [ 1; 2; 3; 4; 5; 6; 7 ] @ out_of_range)
+  in
+  Icc_sim.Rng.shuffle_in_place rng arr;
+  Array.to_list arr
+
+let prop_lazy_beacon_selection =
+  QCheck.Test.make
+    ~name:"lazy beacon shares: eager selection, at most t+1 + invalid verifies"
+    ~count:200
+    QCheck.(pair bool int)
+    (fun (with_verifier, seed) ->
+      let rng = Icc_sim.Rng.create seed in
+      let arrivals = random_arrivals rng in
+      let in_range =
+        List.filter
+          (fun sh ->
+            let s = sh.Icc_crypto.Threshold_vuf.signer in
+            s >= 1 && s <= 7)
+          arrivals
+      in
+      let held =
+        if with_verifier then in_range
+        else
+          List.filter_map
+            (fun signer ->
+              List.find_opt
+                (fun sh -> sh.Icc_crypto.Threshold_vuf.signer = signer)
+                in_range)
+            [ 1; 2; 3; 4; 5; 6; 7 ]
+      in
+      let reference =
+        Option.map
+          (fun (sg : Icc_crypto.Threshold_vuf.signature) -> sg.certificate)
+          (Icc_crypto.Threshold_vuf.combine vuf_params (beacon_text 1) held)
+      in
+      let cut =
+        match reference with
+        | Some cert -> List.fold_left max 0 (vuf_signers cert)
+        | None -> max_int
+      in
+      let spoofs = List.filter (fun sh -> not (vuf_verify sh)) in_range in
+      let spoofs_below_cut =
+        List.length
+          (List.filter (fun sh -> sh.Icc_crypto.Threshold_vuf.signer < cut) spoofs)
+      in
+      let count () =
+        Icc_obs.Registry.value Icc_crypto.Counters.dleq_verifies
+      in
+      let before = count () in
+      let pool = Icc_core.Pool.create vuf_kit.Kit.system in
+      let verify = if with_verifier then Some vuf_verify else None in
+      List.iter
+        (fun sh -> ignore (Icc_core.Pool.add_beacon_share pool ~round:1 ?verify sh))
+        arrivals;
+      let chosen =
+        Icc_core.Pool.verified_beacon_shares pool ~round:1 ~verify:vuf_verify
+      in
+      let spent = count () - before in
+      let bound =
+        3 + spoofs_below_cut
+        + if with_verifier then 2 * List.length spoofs else 0
+      in
+      (match reference with
+       | Some cert -> vuf_signers chosen = vuf_signers cert
+       | None -> List.length chosen < 3)
+      && List.for_all vuf_verify chosen
+      && spent <= bound)
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest prop_lazy_beacon_selection;
     QCheck_alcotest.to_alcotest prop_order_invariance;
     QCheck_alcotest.to_alcotest prop_duplicates_are_noops;
     QCheck_alcotest.to_alcotest prop_monotone;

@@ -79,6 +79,31 @@ let icc1_crash_cycle trace =
   Alcotest.(check bool) "safety ok" true
     Icc_core.Runner.(r.p1_ok && r.p2_ok && r.prefix_ok)
 
+(* The four golden n=16 runs (ICC0, ICC1, ICC0 on the WAN, and ICC0 under a
+   monitored nemesis), at 8 simulated seconds each.  The first three are
+   the traces of [icc run -n 16 -d 8], [icc run -p icc1 -n 16 -d 8] and
+   [icc run -n 16 --wan -d 8].  Optimisations that promise byte-identical
+   traces are held to these digests. *)
+let golden16 ?(delay = Icc_core.Runner.Fixed_delay 0.05) ?nemesis ?monitor
+    ?(run = Icc_core.Runner.run) trace =
+  ignore
+    (run
+       { (Icc_core.Runner.default_scenario ~n:16 ~seed:42) with
+         Icc_core.Runner.duration = 8.;
+         delay;
+         nemesis;
+         monitor;
+         trace = Some trace })
+
+let golden16_nemesis =
+  golden16
+    ~nemesis:
+      (Icc_sim.Fault.drop 0.1
+       :: Icc_sim.Fault.partition ~from_:2. ~until:3.5
+            [ [ 1; 2; 3; 4; 5 ]; [ 6; 7; 8; 9; 10; 11; 12; 13; 14; 15; 16 ] ]
+       :: Icc_sim.Fault.crash_recover ~party:3 ~down:4. ~up:6.)
+    ~monitor:(Icc_sim.Monitor.default_config ~delta:0.05 ())
+
 let baseline run trace =
   ignore
     (run
@@ -103,6 +128,16 @@ let suite =
       "02ad1b1d3c898a2ed40651afd3b2043bb3b044091756309e8e53687b1c2a00a4";
     pinned "icc1 wan drop + crash cycle" icc1_crash_cycle
       "55e7cdf5ca25f35bec9998c8f5052785cdca029dcd00291a18f3f9ddac00ce7c";
+    pinned "golden n=16 icc0" (fun tr -> golden16 tr)
+      "4f2ea5adf690cdeb429d1ba73336a84a3fa8c08d58a757447a39d94564258bee";
+    pinned "golden n=16 icc1"
+      (fun tr -> golden16 ~run:(Icc_gossip.Icc1.run ?fanout:None) tr)
+      "30ef1a23c91aaac2e4efa0bc3580ed03eb53fef9effd94f2756783732818a96e";
+    pinned "golden n=16 icc0 wan"
+      (fun tr -> golden16 ~delay:(Wan { rtt_lo = 0.006; rtt_hi = 0.110 }) tr)
+      "fa32ab3d4e621d9f40646be876f8d3914902933b51de8513d65655bba82d0c2c";
+    pinned "golden n=16 icc0 nemesis" golden16_nemesis
+      "890d13bf435dcc316fe2dca24de23491fa933c9032244e3457a5801f07fbfcdd";
     pinned "pbft drop + withhold" (baseline Icc_baselines.Pbft.run)
       "0cb21a1a0d618214aae6b7a6656d156d1ba42c49997ab348b79bfd4a02c74944";
     pinned "hotstuff drop + withhold" (baseline Icc_baselines.Hotstuff.run)
