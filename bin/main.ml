@@ -832,60 +832,6 @@ let profile_cmd =
       const exec $ protocol $ n $ seed $ duration $ delta $ wan $ fanout
       $ monitor_arg $ folded $ json $ top $ prometheus)
 
-(* ---------------------------------------------------------------- lint *)
-
-let lint_cmd =
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit findings as flat JSON objects (one per line), matching \
-                the trace-bus format.")
-  in
-  let paths =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"PATH"
-          ~doc:"Directories or .cmt/.cmti files to lint (default: \
-                _build/default/lib, falling back to lib).")
-  in
-  let deps =
-    Arg.(
-      value & opt_all string []
-      & info [ "deps" ] ~docv:"DIR"
-          ~doc:"Extra artifact directories contributing type definitions \
-                without being linted themselves.")
-  in
-  let inventory =
-    Arg.(
-      value & flag
-      & info [ "inventory" ]
-          ~doc:"Also print the cross-module inventory of top-level mutable \
-                state with its synchronization status (the D5 surface of \
-                the domain-safety analysis).")
-  in
-  let exec json inventory paths deps =
-    let args =
-      (if json then [ "--json" ] else [])
-      @ (if inventory then [ "--inventory" ] else [])
-      @ List.concat_map (fun d -> [ "--deps"; d ]) deps
-      @ paths
-    in
-    match Icc_lint.Driver.config_of_args args with
-    | Error msg ->
-        prerr_endline msg;
-        exit 2
-    | Ok config -> exit (Icc_lint.Driver.run config)
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:"Check the compiled libraries' typed ASTs for determinism \
-             hazards (polymorphic compare, hash-order leaks, wall-clock \
-             reads, catch-all handlers) and domain-safety hazards \
-             (unsynchronized mutable state reachable from the parallel \
-             [@icc.domain_entry] closure).")
-    Term.(const exec $ json $ inventory $ paths $ deps)
-
 (* ---------------------------------------------------------------- keys *)
 
 let keys_cmd =
@@ -944,6 +890,5 @@ let () =
             baselines_cmd;
             analyze_cmd;
             profile_cmd;
-            lint_cmd;
             keys_cmd;
           ]))

@@ -96,12 +96,14 @@ let prefix_consistent outputs =
   in
   pairs outputs
 
-(* Commit tracker shared by the baselines: a batch counts as decided when
-   every honest replica has executed it. *)
+(* Commit tracker shared by the baselines: every honest execution is a
+   [Commit] at that replica's execution index, and a batch counts as
+   decided when every honest replica has executed it. *)
 type tracker = {
   n_honest : int;
   trace : Icc_sim.Trace.t;
   counts : (string, int) Hashtbl.t;
+  executed : (int, int) Hashtbl.t; (* replica -> batches executed *)
   mutable decided : int;
   mutable latencies : float list;
   propose_times : (string, float) Hashtbl.t;
@@ -112,6 +114,7 @@ let tracker ~n_honest ~trace =
     n_honest;
     trace;
     counts = Hashtbl.create 256;
+    executed = Hashtbl.create 16;
     decided = 0;
     latencies = [];
     propose_times = Hashtbl.create 256;
@@ -121,14 +124,20 @@ let note_proposal tr ~digest ~time =
   if not (Hashtbl.mem tr.propose_times digest) then
     Hashtbl.add tr.propose_times digest time
 
-let note_execution tr ~digest ~time =
+let note_execution tr ~party ~digest ~time =
+  let block =
+    if String.length digest > 12 then String.sub digest 0 12 else digest
+  in
+  let index =
+    1 + Option.value ~default:0 (Hashtbl.find_opt tr.executed party)
+  in
+  Hashtbl.replace tr.executed party index;
+  Icc_sim.Trace.emit tr.trace ~time
+    (Icc_sim.Trace.Commit { party; round = index; block });
   let c = 1 + Option.value ~default:0 (Hashtbl.find_opt tr.counts digest) in
   Hashtbl.replace tr.counts digest c;
   if c = tr.n_honest then begin
     tr.decided <- tr.decided + 1;
-    let block =
-      if String.length digest > 12 then String.sub digest 0 12 else digest
-    in
     Icc_sim.Trace.emit tr.trace ~time
       (Icc_sim.Trace.Block_decided { round = tr.decided; block });
     match Hashtbl.find_opt tr.propose_times digest with

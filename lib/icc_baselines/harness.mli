@@ -69,6 +69,7 @@ type tracker = {
   n_honest : int;
   trace : Icc_sim.Trace.t;
   counts : (string, int) Hashtbl.t;
+  executed : (int, int) Hashtbl.t;  (** Replica -> batches executed. *)
   mutable decided : int;
   mutable latencies : float list;
   propose_times : (string, float) Hashtbl.t;
@@ -76,4 +77,9 @@ type tracker = {
 
 val tracker : n_honest:int -> trace:Icc_sim.Trace.t -> tracker
 val note_proposal : tracker -> digest:string -> time:float -> unit
-val note_execution : tracker -> digest:string -> time:float -> unit
+val note_execution :
+  tracker -> party:int -> digest:string -> time:float -> unit
+(** Record one honest execution: emits [Commit] at the replica's
+    execution index (so the monitor's fork and regression checks see
+    every replica), then [Block_decided] once every honest replica has
+    executed [digest]. *)

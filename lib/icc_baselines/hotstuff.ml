@@ -172,7 +172,8 @@ and execute t r h =
           Hashtbl.replace r.executed h ();
           r.executed_order <- h :: r.executed_order;
           if List.mem r.id t.honest then
-            Harness.note_execution t.tracker ~digest:h ~time:(now t))
+            Harness.note_execution t.tracker ~party:r.id ~digest:h
+              ~time:(now t))
         chain
 
 (* The chained commit rule: a proposal's justify closes a potential

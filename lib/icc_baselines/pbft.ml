@@ -5,7 +5,10 @@
    with quorums 2t and n-t), in-order execution, and a view-change
    subprotocol carrying prepared certificates (simplified: no checkpoints
    or watermark garbage collection — the log is unbounded, as in the ICC
-   pools).  The leader of view v is replica ((v-1) mod n) + 1.
+   pools).  Without a stable checkpoint below which slots are settled, a
+   View_change carries every prepared or executed slot of the log, so its
+   size grows with the run.  The leader of view v is replica
+   ((v-1) mod n) + 1.
 
    Known baseline characteristics this reproduces: latency 3·delta; the
    leader transmits the full batch to all n-1 replicas (the bottleneck the
@@ -167,7 +170,8 @@ and execute_ready t r =
         r.executed_digests <- e.digest :: r.executed_digests;
         r.last_progress <- now t;
         if List.mem r.id t.honest then
-          Harness.note_execution t.tracker ~digest:e.digest ~time:(now t);
+          Harness.note_execution t.tracker ~party:r.id ~digest:e.digest
+            ~time:(now t);
         r.next_exec <- r.next_exec + 1;
         go ()
     | _ -> ()
@@ -218,12 +222,17 @@ and check_prepared t r (e : entry) ~view ~seq =
 and start_view_change t r ~new_view =
   if new_view > r.view then begin
     r.view <- new_view;
-    (* canonical ascending-seq order: this list is emitted on the wire in
-       the View_change message, so log bucket order must not leak (D2) *)
+    (* Every prepared slot, executed ones included: a replica that left
+       out a slot it had executed let the new primary fill it with a
+       no-op, which replicas that had not yet executed it then executed
+       instead (a fork).  An executed slot is reported even when a later
+       view's re-proposal has reset its [prepared] flag.  Canonical
+       ascending-seq order: this list is emitted on the wire, so log
+       bucket order must not leak (D2). *)
     let prepared =
       Hashtbl.fold
         (fun seq (e : entry) acc ->
-          if e.prepared && not e.executed then
+          if e.prepared || e.executed then
             match e.batch with
             | Some b -> (seq, e.digest, e.pp_view, b.size) :: acc
             | None -> acc

@@ -167,7 +167,7 @@ and decide t r ~v =
     r.decided <- v :: r.decided;
     r.locked <- None;
     if List.mem r.id t.honest then
-      Harness.note_execution t.tracker ~digest:v ~time:(now t);
+      Harness.note_execution t.tracker ~party:r.id ~digest:v ~time:(now t);
     (* the fixed commit wait before the next height: Tendermint's
        non-responsiveness — pacing is timeout-driven, not delay-driven *)
     let h = r.height in

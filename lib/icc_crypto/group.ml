@@ -33,7 +33,6 @@ let elt_inv a = Fp.inv a p
 let pow base e =
   Counters.bump Counters.pow_generic;
   Fp.pow base (Fp.reduce e q) p
-[@@icc.domain_entry]
 
 (* --- fixed-base windowed exponentiation -------------------------------- *)
 
@@ -48,10 +47,11 @@ let pow base e =
    builds its own tables (a table is a pure function of the base, so
    per-domain rebuilds cost only the ~300-mult construction), which keeps
    the lookup path lock-free and race-free when several domains verify
-   at once (DESIGN.md §3.9).  All cache access is by exact key (never iteration),
-   so cache state can never perturb protocol determinism; a size cap
-   bounds memory against adversarial inputs (full cache => compute
-   generic, don't cache). *)
+   at once (DESIGN.md §3.9; test/parallel_smoke checks it under load).
+   All cache access is by exact key (never iteration), so cache state
+   can never perturb protocol determinism; a size cap bounds memory
+   against adversarial inputs (full cache => compute generic, don't
+   cache). *)
 module Fixed_base = struct
   let windows = 16 (* ceil(61 / 4) *)
   let radix = 16
@@ -180,7 +180,6 @@ let pow_cached base e =
         Fixed_base.pow table e
     | None -> pow base e
   else pow base e
-[@@icc.domain_entry]
 
 let base_pow e = pow_cached g e
 

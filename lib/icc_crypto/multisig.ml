@@ -89,7 +89,6 @@ let verify ?known params msg { signers; signatures } =
           (List.map2
              (fun signer signature -> { signer; signature })
              signers signatures))
-[@@icc.domain_entry]
 
 (* Modeled wire sizes (BLS multi-signature scale): a share is one 48-byte
    signature; a combined signature is 48 bytes plus an n-bit signer map. *)

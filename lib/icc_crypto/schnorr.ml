@@ -53,7 +53,6 @@ let verify { pk } (msg : string) { challenge; response } : bool =
     Group.mul (Group.base_pow response) (Group.pow_cached pk (Group.q - challenge))
   in
   Group.scalar_equal challenge (challenge_hash ~commitment ~pk ~msg)
-[@@icc.domain_entry]
 
 let equal a b =
   Group.scalar_equal a.challenge b.challenge

@@ -6,17 +6,6 @@ type t
 
 val create : report:(Diag.t -> unit) -> t
 
-val attribute_name : string
-
-val string_payload : Parsetree.attribute -> string option
-(** The single string-literal payload of an attribute, if it has that
-    shape.  Shared with the Domain pass, which reads the same attribute
-    grammar. *)
-
-val parse_payload : string -> (string, string) result
-(** Split ["rule-id: justification"]; [Ok rule] iff the rule id is
-    suppressible and the justification is non-empty. *)
-
 val push : t -> Parsetree.attributes -> bool
 (** Open a scope for the allows in [attrs].  Returns [true] iff a frame
     was pushed; the caller must {!pop} after visiting the subtree. *)

@@ -3,33 +3,23 @@
 type config = {
   paths : string list;  (** linted (and contributing type info) *)
   dep_paths : string list;  (** type info only *)
-  json : bool;
-  inventory : bool;  (** dump the mutable-state inventory first *)
   protocol_modules : string list;
 }
 
 val default_protocol_modules : string list
 
-val default :
-  ?json:bool -> ?inventory:bool -> ?dep_paths:string list -> string list -> config
+val default : ?dep_paths:string list -> string list -> config
 
-type result = {
-  findings : Diag.t list;
-  errors : string list;
-  modules : int;
-  inventory : Domain.inv list;
-}
+type result = { findings : Diag.t list; errors : string list; modules : int }
 
 val collect : config -> result
-(** Run all passes (D1-D4 per module, D5-D8 cross-module); findings
-    arrive sorted and de-duplicated. *)
+(** Run the D1-D4 rules over every linted module; findings arrive sorted
+    and de-duplicated. *)
 
 val run : config -> int
-(** [collect] + print findings (stdout) and summary (stderr); with
-    [json] a final ["lint-summary"] object carries per-rule counts.
-    Returns the intended exit code: 0 clean, 1 findings, 2 unreadable
+(** [collect] + print findings (stdout) and summary (stderr).  Returns
+    the intended exit code: 0 clean, 1 findings, 2 unreadable
     artifacts. *)
 
 val config_of_args : string list -> (config, string) Result.t
-(** Parse [--json] [--inventory] [--deps DIR]... [PATH]... (shared by
-    the standalone binary and the [icc lint] subcommand). *)
+(** Parse [--deps DIR]... [PATH]... *)

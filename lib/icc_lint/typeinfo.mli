@@ -12,7 +12,7 @@ type decl =
   | Open
 
 type table
-(** Declaration table plus a record-mutability side table (see ml). *)
+(** Declaration table keyed by ["Module.type"]. *)
 
 val norm_component : string -> string
 (** ["Icc_core__Types"] -> ["Types"]; unwrapped names pass through. *)
@@ -51,16 +51,3 @@ val equality_hazard :
 (** Same question for structural equality ([=], [List.mem], ...). *)
 
 val is_float : table:table -> Types.type_expr -> bool
-
-type mutability =
-  | Shared_mutable of string  (** description, e.g. ["Hashtbl"] *)
-  | Shared_lazy
-  | Unshared
-
-val classify_mutable :
-  ?fuel:int -> table:table -> Types.type_expr -> mutability
-(** Is a value of this type shared mutable state if placed in a
-    top-level binding?  Resolves aliases, looks through tuples and
-    immutable containers, and treats [Atomic.t] / [Mutex.t] /
-    [Domain.DLS.key] as synchronized, hence [Unshared].  Used by the
-    D5-D8 domain pass. *)

@@ -11,7 +11,8 @@
    attribution context are domain-local ([Domain.DLS] — every domain
    profiles its own call tree), the enable toggle is an [Atomic.t], and
    the four aggregation tables are only touched under [profile_lock], so
-   code running on several domains can profile without racing.
+   code running on several domains can profile without racing
+   (test/parallel_smoke checks it under load).
 
    All query output is sorted with keyed comparators — Hashtbl iteration
    order never escapes. *)
@@ -72,19 +73,18 @@ type cell = { mutable cl_count : int; mutable cl_self : float }
 
 let profile_lock = Mutex.create ()
 
+(* The four tables below are written only inside [record]/[reset], under
+   [profile_lock]. *)
+
 let agg_tbl : (string, agg) Hashtbl.t = Hashtbl.create 64
-[@@icc.domain_safe "written only inside [record]/[reset] under profile_lock"]
 
 let folded_tbl : (string, cell) Hashtbl.t = Hashtbl.create 256
-[@@icc.domain_safe "written only inside [record]/[reset] under profile_lock"]
 
 (* context -> (span name -> self seconds); two-level so the leaf tables
    stay small and keyed by the same interned name strings. *)
 let round_tbl : (int, (string, float ref) Hashtbl.t) Hashtbl.t = Hashtbl.create 64
-[@@icc.domain_safe "written only inside [record]/[reset] under profile_lock"]
 
 let party_tbl : (int, (string, float ref) Hashtbl.t) Hashtbl.t = Hashtbl.create 64
-[@@icc.domain_safe "written only inside [record]/[reset] under profile_lock"]
 
 let reset () =
   Mutex.protect profile_lock (fun () ->

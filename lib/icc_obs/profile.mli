@@ -10,9 +10,9 @@
 
     Domain safety (DESIGN.md §3.9): the span stack and attribution
     context are domain-local, the toggle is atomic, and aggregation is
-    serialised behind a lock, so spans may run concurrently in a
-    [Domain.spawn] worker pool; each domain profiles its own call tree
-    and the tables merge race-free.
+    serialised behind a lock, so spans may run on several domains at
+    once; each domain profiles its own call tree and the tables merge
+    race-free.
     When enabled, a span costs two [Unix.gettimeofday] reads plus O(1)
     hashtable updates at exit.  Either way the profiler writes no trace
     events itself and feeds nothing back into the simulation, so enabling

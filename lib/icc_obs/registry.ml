@@ -3,7 +3,7 @@
    Counters and gauges are [Atomic.t]-backed cells: a bump is one atomic
    fetch-and-add, so the hot instrumentation paths (crypto verifies, pool
    admissions) stay race-free when executed from several domains at once
-   — what the d6-domain-escape lint certifies (DESIGN.md §3.9).
+   (DESIGN.md §3.9; test/parallel_smoke checks it under load).
 
    Histogram observation remains plain mutable state: observations come
    only from the self-profiler, which keeps its mutable state domain-
@@ -34,10 +34,9 @@ type metric = M_counter of counter | M_gauge of gauge | M_histogram of histogram
 
 let registry_lock = Mutex.create ()
 
+(* Every lookup/insert goes through [register] under [registry_lock]; the
+   metric cells it hands out are Atomic-backed. *)
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
-[@@icc.domain_safe
-  "every lookup/insert goes through [register] under registry_lock; \
-   metric cells handed out are Atomic-backed"]
 
 (* Find-or-insert under the lock; [make] runs inside the critical
    section so two domains registering the same name get the same cell. *)

@@ -17,7 +17,7 @@
     Domain safety (DESIGN.md §3.9): counters and gauges are [Atomic.t]
     cells, registration is serialised behind a process lock, and the
     name table never leaks iteration order — so the registry may be
-    updated concurrently from a [Domain.spawn] worker pool.  Histograms
+    updated from several domains at once.  Histograms
     keep plain mutable buckets; they are only written by the
     self-profiler, whose aggregation is itself serialised. *)
 

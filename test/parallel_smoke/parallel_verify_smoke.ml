@@ -1,13 +1,14 @@
-(* Parallel-verify smoke: drive the exact closure the D5-D8
-   domain-safety lint certifies — Schnorr / DLEQ / multisig
-   verification, fixed-base cache and Fp fast path enabled, Registry
-   counters and Profile spans live — from several concurrent domains,
-   and check every domain agrees with the sequential baseline.
+(* Parallel-verify smoke: run Schnorr / DLEQ / multisig verification,
+   with the fixed-base cache and Fp fast path enabled and Registry
+   counters and Profile spans live, from several concurrent domains,
+   and check every domain agrees with the sequential baseline.  This
+   exercises the runtime synchronisation of DESIGN.md §3.9 (Atomic
+   toggles and counters, the domain-local fixed-base cache, Profile's
+   domain-local state and lock).
 
-   This is the workload the CI `domain-safety` job runs under a
-   ThreadSanitizer compiler variant: any unsynchronized access the
-   static pass missed shows up here as a TSan report (and, for the lazy
-   / cache hazards, as nondeterministic verdicts). *)
+   The CI `tsan-smoke` job runs it under a ThreadSanitizer compiler
+   variant: an unsynchronized access shows up there as a TSan report
+   (and, for the cache hazards, as nondeterministic verdicts). *)
 
 let domains = 4
 let sigs_per_domain = 24

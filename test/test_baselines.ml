@@ -132,6 +132,48 @@ let test_determinism () =
     c.Icc_baselines.Harness.blocks_committed
     d.Icc_baselines.Harness.blocks_committed
 
+(* Minimised from `icc baselines -p pbft --drop 0.1` (n=7, 30 s): the
+   CLI's seed 42 at n=4 for 6 s under 5% loss.  A replica that had
+   executed a slot left it out of its View_change, the view-3 primary
+   filled it with a no-op, and a lagging replica executed that no-op
+   instead: the executed sequences forked, while the monitor, which saw
+   only all-honest [Block_decided] events, stayed clean. *)
+let test_pbft_lossy_view_change () =
+  let r =
+    Icc_baselines.Pbft.run
+      {
+        (Icc_baselines.Harness.default_scenario ~n:4 ~seed:42) with
+        Icc_baselines.Harness.duration = 6.;
+        nemesis = Some [ Icc_sim.Fault.drop 0.05 ];
+        monitor = Some (Icc_sim.Monitor.default_config ~delta:1.0 ());
+      }
+  in
+  Alcotest.(check bool) "safety" true r.Icc_baselines.Harness.safety_ok;
+  match r.Icc_baselines.Harness.monitor with
+  | Some m -> Alcotest.(check bool) "monitor ok" true (Icc_sim.Monitor.ok m)
+  | None -> Alcotest.fail "monitor not attached"
+
+(* Every honest execution reaches the bus as a [Commit] at the replica's
+   execution index, so the monitor sees a fork before (or without) any
+   all-honest [Block_decided]. *)
+let test_tracker_fork_visible () =
+  let trace = Icc_sim.Trace.create () in
+  let m =
+    Icc_sim.Monitor.attach
+      ~config:(Icc_sim.Monitor.default_config ~delta:1.0 ())
+      trace
+  in
+  Icc_sim.Trace.emit trace ~time:0.
+    (Icc_sim.Trace.Run_start { n = 4; label = "tracker" });
+  let tr = Icc_baselines.Harness.tracker ~n_honest:2 ~trace in
+  Icc_baselines.Harness.note_execution tr ~party:1 ~digest:"aaaaaaaaaaaaaaaa"
+    ~time:0.1;
+  Alcotest.(check bool) "one execution is fine" true (Icc_sim.Monitor.ok m);
+  Icc_baselines.Harness.note_execution tr ~party:2 ~digest:"bbbbbbbbbbbbbbbb"
+    ~time:0.2;
+  Alcotest.(check bool) "fork at index 1 seen" false (Icc_sim.Monitor.ok m);
+  Alcotest.(check int) "nothing decided" 0 tr.Icc_baselines.Harness.decided
+
 let suite =
   [
     Alcotest.test_case "pbft happy path" `Quick test_pbft_happy_path;
@@ -144,4 +186,7 @@ let suite =
       test_hotstuff_rotation_pathology_n4;
     Alcotest.test_case "wan both" `Quick test_wan_both;
     Alcotest.test_case "determinism" `Quick test_determinism;
+    Alcotest.test_case "pbft lossy view change" `Quick
+      test_pbft_lossy_view_change;
+    Alcotest.test_case "tracker fork visible" `Quick test_tracker_fork_visible;
   ]

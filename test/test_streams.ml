@@ -139,9 +139,9 @@ let suite =
     pinned "golden n=16 icc0 nemesis" golden16_nemesis
       "890d13bf435dcc316fe2dca24de23491fa933c9032244e3457a5801f07fbfcdd";
     pinned "pbft drop + withhold" (baseline Icc_baselines.Pbft.run)
-      "0cb21a1a0d618214aae6b7a6656d156d1ba42c49997ab348b79bfd4a02c74944";
+      "e1b893857059abea8f773d6a9b73f76a51dfb307ccfe37ac049893bf19192738";
     pinned "hotstuff drop + withhold" (baseline Icc_baselines.Hotstuff.run)
-      "b9eb8686e1c2a61a6e1e39b8fc4cd04025495fbae35eb9765b5dc52e89a09872";
+      "4f1452fb7e220b453bbfa78ee9992b1227a7e0f46968824f3e89d1cc13635189";
     pinned "tendermint drop + withhold" (baseline Icc_baselines.Tendermint.run)
-      "82c49a742870a3d1801a0d05e5499229b4858982532da40c06aa727a849e675c";
+      "ec1369030d90bce8f49e608f5b527bda7be4f61ae45c4bf5885cd5bb78e6775e";
   ]
