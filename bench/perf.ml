@@ -8,14 +8,16 @@
    the buffers must be byte-identical — the optimisations may only change
    speed, never behaviour.
 
-   Emits BENCH_perf.json (schema in EXPERIMENTS.md) and, with
-   `--check ref.json`, fails if any scenario's optimised wall-clock
-   regressed to more than 2x the checked-in reference, or — when the run's
-   config equals the reference's — if any of its [ops_after] crypto
-   counters differs from the reference at all: the counters are
-   deterministic for a fixed config, so they are gated exactly.  The gate
-   covers the before/after scenarios only; the sweep rows are
-   informational.
+   Emits BENCH_perf.json (schema in EXPERIMENTS.md) through
+   {!Icc_obs.Json} and, with `--check ref.json`, fails if any scenario's
+   optimised wall-clock regressed to more than 2x the checked-in
+   reference, or — when the run's config equals the reference's, compared
+   member by member and numbers by value — if any of its [ops_after]
+   crypto counters differs from the reference at all: the counters are
+   deterministic for a fixed config, so they are gated exactly.  The
+   reference is parsed before anything runs; an unreadable one exits 1 at
+   once.  The gate covers the before/after scenarios only; the sweep rows
+   are informational.
 
    A committee-size sweep rides along: optimised-only ICC0/ICC1 runs at
    n in {16, 50, 100}, reporting wall-clock, message totals and the
@@ -64,12 +66,14 @@ let set_optimizations on =
   Icc_core.Block.set_memoization on;
   Icc_core.Pool.set_caching on
 
+let delay_s = 0.02
+
 let perf_scenario ~quick ~seed ~n =
   {
     (Icc_core.Runner.default_scenario ~n ~seed) with
     Icc_core.Runner.duration = 1e6;
     max_rounds = Some (if quick then 4 else 10);
-    delay = Icc_core.Runner.Fixed_delay 0.02;
+    delay = Icc_core.Runner.Fixed_delay delay_s;
     epsilon = 0.05;
   }
 
@@ -97,9 +101,7 @@ let profiled_phases run_fn scenario =
   let _ = run_fn scenario in
   Icc_obs.Profile.set_enabled false;
   List.map
-    (fun st ->
-      ( st.Icc_obs.Profile.sp_name,
-        int_of_float ((st.Icc_obs.Profile.sp_self_s *. 1e6) +. 0.5) ))
+    (fun st -> (st.Icc_obs.Profile.sp_name, Icc_obs.Profile.us st.sp_self_s))
     (Icc_obs.Profile.stats ())
 
 let measure ~quick ~seed ~n name run_fn =
@@ -165,114 +167,91 @@ let run_sweep ~quick ~seed =
 
 (* --- JSON emission ---------------------------------------------------- *)
 
-let ops_json ops =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "%S:%d" k v) ops)
-  ^ "}"
+module J = Icc_obs.Json
+
+let counts_json kv = J.Object (List.map (fun (k, v) -> (k, J.Int v)) kv)
 
 let scenario_json r =
-  Printf.sprintf
-    {|    {"name":%S,"before_s":%.6f,"after_s":%.6f,"speedup":%.2f,"trace_identical":%b,"trace_events":%d,"ops_before":%s,"ops_after":%s,"phases_us":%s}|}
-    r.name r.before_s r.after_s r.speedup r.trace_identical
-    r.trace_events (ops_json r.ops_before)
-    (ops_json r.ops_after) (ops_json r.phases)
+  J.Object
+    [
+      ("name", J.String r.name);
+      ("before_s", J.Float r.before_s);
+      ("after_s", J.Float r.after_s);
+      ("speedup", J.Float r.speedup);
+      ("trace_identical", J.Bool r.trace_identical);
+      ("trace_events", J.Int r.trace_events);
+      ("ops_before", counts_json r.ops_before);
+      ("ops_after", counts_json r.ops_after);
+      ("phases_us", counts_json r.phases);
+    ]
 
 let sweep_json s =
-  Printf.sprintf
-    {|    {"name":%S,"n":%d,"wall_s":%.6f,"messages":%d,"rounds":%d,"us_per_msg":%.3f}|}
-    s.sw_name s.sw_n s.sw_wall_s s.sw_msgs s.sw_rounds s.sw_us_per_msg
+  J.Object
+    [
+      ("name", J.String s.sw_name);
+      ("n", J.Int s.sw_n);
+      ("wall_s", J.Float s.sw_wall_s);
+      ("messages", J.Int s.sw_msgs);
+      ("rounds", J.Int s.sw_rounds);
+      ("us_per_msg", J.Float s.sw_us_per_msg);
+    ]
 
 let config_json ~quick ~seed ~rounds ~n =
-  Printf.sprintf
-    {|"config": {"n":%d,"seed":%d,"max_rounds":%d,"delay_s":0.02,"quick":%b}|}
-    n seed rounds quick
+  J.Object
+    [
+      ("n", J.Int n);
+      ("seed", J.Int seed);
+      ("max_rounds", J.Int rounds);
+      ("delay_s", J.Float delay_s);
+      ("quick", J.Bool quick);
+    ]
 
 let results_json ~config results sweep =
   let tb = List.fold_left (fun a r -> a +. r.before_s) 0. results in
   let ta = List.fold_left (fun a r -> a +. r.after_s) 0. results in
-  Printf.sprintf
-    {|{
-  %s,
-  "scenarios": [
-%s
-  ],
-  "sweep": [
-%s
-  ],
-  "total": {"before_s":%.6f,"after_s":%.6f,"speedup":%.2f}
-}
-|}
-    config
-    (String.concat ",\n" (List.map scenario_json results))
-    (String.concat ",\n" (List.map sweep_json sweep))
-    tb ta
-    (if ta > 0. then tb /. ta else nan)
+  J.Object
+    [
+      ("config", config);
+      ("scenarios", J.Array (List.map scenario_json results));
+      ("sweep", J.Array (List.map sweep_json sweep));
+      ( "total",
+        J.Object
+          [
+            ("before_s", J.Float tb);
+            ("after_s", J.Float ta);
+            ("speedup", J.Float (if ta > 0. then tb /. ta else nan));
+          ] );
+    ]
 
 (* --- regression check against a committed reference ------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+let load_reference path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | text -> J.parse text
 
-let substr_index s pat from =
-  let n = String.length s and m = String.length pat in
-  let rec go i =
-    if i + m > n then None
-    else if String.equal (String.sub s i m) pat then Some i
-    else go (i + 1)
-  in
-  go from
+(* Configs are equal member by member, numbers by value: 0.02 = 0.020. *)
+let same_config a b =
+  match (a, b) with
+  | Some (J.Object x), J.Object y ->
+      List.length x = List.length y
+      && List.for_all
+           (fun (k, v) ->
+             match (List.assoc_opt k y, J.number v) with
+             | Some w, Some f -> J.number w = Some f
+             | Some w, None -> w = v
+             | None, _ -> false)
+           x
+  | _ -> false
 
-(* The text following `"key":` inside the scenario object named [name] of
-   a BENCH_perf.json document, as an index — a keyed scan, no JSON parser
-   needed for our own fixed schema. *)
-let scenario_field json name key =
-  Option.bind (substr_index json (Printf.sprintf "\"name\":%S" name) 0)
-    (fun p ->
-      Option.map
-        (fun q -> q + String.length key + 3)
-        (substr_index json (Printf.sprintf "%S:" key) p))
+let ref_scenario reference name =
+  match J.member "scenarios" reference with
+  | Some (J.Array scenarios) ->
+      List.find_opt (fun sc -> J.member "name" sc = Some (J.String name)) scenarios
+  | _ -> None
 
-let number_at json start =
-  let n = String.length json in
-  let e = ref start in
-  while
-    !e < n
-    &&
-    match json.[!e] with
-    | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-    | _ -> false
-  do
-    incr e
-  done;
-  String.sub json start (!e - start)
-
-let ref_after_s json name =
-  Option.bind (scenario_field json name "after_s") (fun i ->
-      float_of_string_opt (number_at json i))
-
-(* The scenario's `"ops_after":{"k":v,...}` object as an assoc list. *)
-let ref_ops_after json name =
-  Option.bind (scenario_field json name "ops_after") (fun i ->
-      Option.map
-        (fun close ->
-          String.sub json (i + 1) (close - i - 1)
-          |> String.split_on_char ','
-          |> List.filter_map (fun kv ->
-                 match String.split_on_char ':' kv with
-                 | [ k; v ] ->
-                     Option.map
-                       (fun v -> (String.sub k 1 (String.length k - 2), v))
-                       (int_of_string_opt v)
-                 | _ -> None))
-        (String.index_from_opt json i '}'))
-
-let check_against ~config ref_path results =
-  let json = read_file ref_path in
-  let same_config = Option.is_some (substr_index json config 0) in
+let check_against ~config ~ref_path reference results =
+  let same_config = same_config (J.member "config" reference) config in
   if not same_config then
     Printf.eprintf
       "bench perf: %s was recorded with another config; op counters not \
@@ -281,8 +260,9 @@ let check_against ~config ref_path results =
   let failures =
     List.concat_map
       (fun r ->
+        let sc = ref_scenario reference r.name in
         let wall =
-          match ref_after_s json r.name with
+          match Option.bind (Option.bind sc (J.member "after_s")) J.number with
           | None ->
               [ Printf.sprintf "%s: not found in reference %s" r.name ref_path ]
           | Some ref_after ->
@@ -298,16 +278,18 @@ let check_against ~config ref_path results =
           if not same_config then []
           else
             let ref_ops =
-              Option.value ~default:[] (ref_ops_after json r.name)
+              match Option.bind sc (J.member "ops_after") with
+              | Some (J.Object kv) -> kv
+              | _ -> []
             in
             List.filter_map
               (fun (k, v) ->
                 match List.assoc_opt k ref_ops with
-                | Some v' when v' = v -> None
+                | Some (J.Int v') when v' = v -> None
                 | Some v' ->
                     Some
-                      (Printf.sprintf "%s: ops_after.%s is %d, reference %d"
-                         r.name k v v')
+                      (Printf.sprintf "%s: ops_after.%s is %d, reference %s"
+                         r.name k v (J.to_string v'))
                 | None ->
                     Some
                       (Printf.sprintf "%s: ops_after.%s missing from reference"
@@ -391,6 +373,18 @@ let main () =
   in
   let seed = 7 in
   let rounds = if quick then 4 else 10 in
+  (* The reference is read before anything is measured, so a bad path
+     fails in a moment rather than after the whole run. *)
+  let reference =
+    Option.map
+      (fun path ->
+        match load_reference path with
+        | Ok json -> (path, json)
+        | Error msg ->
+            Printf.eprintf "bench perf: cannot read --check %s: %s\n" path msg;
+            exit 1)
+      (find_arg "--check")
+  in
   Printf.printf
     "== bench perf: hot-path before/after (n=%d, seed %d, %d rounds%s) ==\n" n
     seed rounds
@@ -419,15 +413,17 @@ let main () =
         out msg;
       exit 1
   in
-  output_string oc json;
+  output_string oc (J.to_string json);
+  output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s\n" out;
   let traces_ok = List.for_all (fun r -> r.trace_identical) results in
   if not traces_ok then
     prerr_endline "FAIL: optimisations changed the trace (not byte-identical)";
   let check_ok =
-    match find_arg "--check" with
+    match reference with
     | None -> true
-    | Some ref_path -> check_against ~config ref_path results
+    | Some (ref_path, reference) ->
+        check_against ~config ~ref_path reference results
   in
   if not (traces_ok && check_ok) then exit 1

@@ -3,7 +3,7 @@
    Subcommands:
      run         one ICC0/ICC1/ICC2 simulation with explicit parameters
      table1      regenerate the paper's Table 1 (experiment E1)
-     exp         regenerate any single experiment E1..E8
+     exp         regenerate any single experiment E1..E11
      baselines   run PBFT / chained HotStuff on a matching network
      analyze     replay a --trace JSONL dump offline (monitor + reports)
      profile     run with the self-profiler on and print the breakdown
@@ -408,52 +408,38 @@ let run_cmd =
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sweeps / shorter runs.")
 
+(* The experiments, by id: the dispatcher, the accepted ids and their
+   documentation are this one table. *)
+let experiments =
+  let open Icc_experiments in
+  [
+    ("e1", fun quick -> Table1.print (Table1.run ~quick ()));
+    ("e2", fun quick -> Msg_complexity.print (Msg_complexity.run ~quick ()));
+    ("e3", fun quick -> Round_complexity.print (Round_complexity.run ~quick ()));
+    ("e4", fun quick -> Throughput_latency.print (Throughput_latency.run ~quick ()));
+    ("e5", fun quick -> Leader_bottleneck.print (Leader_bottleneck.run ~quick ()));
+    ("e6", fun quick -> Baselines_compare.print (Baselines_compare.run ~quick ()));
+    ("e7", fun quick -> Robustness.print (Robustness.run ~quick ()));
+    ("e8", fun quick -> Asynchrony.print (Asynchrony.run ~quick ()));
+    ("e9", fun quick -> Adaptivity.print (Adaptivity.run ~quick ()));
+    ("e10", fun quick -> Scale.print (Scale.run ~quick ()));
+    ("e11", fun quick -> Adversary_sweep.print (Adversary_sweep.run ~quick ()));
+  ]
+
 let table1_cmd =
-  let exec quick =
-    Icc_experiments.Table1.print (Icc_experiments.Table1.run ~quick ())
-  in
   Cmd.v
     (Cmd.info "table1" ~doc:"Regenerate the paper's Table 1 (experiment E1).")
-    Term.(const exec $ quick_arg)
+    Term.(const (List.assoc "e1" experiments) $ quick_arg)
 
 let exp_cmd =
   let which =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"ID" ~doc:"Experiment id: e1..e11.")
-  in
-  let exec quick which =
-    match String.lowercase_ascii which with
-    | "e1" -> Icc_experiments.Table1.print (Icc_experiments.Table1.run ~quick ())
-    | "e2" ->
-        Icc_experiments.Msg_complexity.print
-          (Icc_experiments.Msg_complexity.run ~quick ())
-    | "e3" ->
-        Icc_experiments.Round_complexity.print
-          (Icc_experiments.Round_complexity.run ~quick ())
-    | "e4" ->
-        Icc_experiments.Throughput_latency.print
-          (Icc_experiments.Throughput_latency.run ~quick ())
-    | "e5" ->
-        Icc_experiments.Leader_bottleneck.print
-          (Icc_experiments.Leader_bottleneck.run ~quick ())
-    | "e6" ->
-        Icc_experiments.Baselines_compare.print
-          (Icc_experiments.Baselines_compare.run ~quick ())
-    | "e7" ->
-        Icc_experiments.Robustness.print (Icc_experiments.Robustness.run ~quick ())
-    | "e8" ->
-        Icc_experiments.Asynchrony.print (Icc_experiments.Asynchrony.run ~quick ())
-    | "e9" ->
-        Icc_experiments.Adaptivity.print (Icc_experiments.Adaptivity.run ~quick ())
-    | "e10" -> Icc_experiments.Scale.print (Icc_experiments.Scale.run ~quick ())
-    | "e11" ->
-        Icc_experiments.Adversary_sweep.print
-          (Icc_experiments.Adversary_sweep.run ~quick ())
-    | other -> Printf.eprintf "unknown experiment %s (expected e1..e11)\n" other
+    Arg.(required & pos 0 (some (enum experiments)) None
+         & info [] ~docv:"ID"
+             ~doc:("Experiment id: " ^ doc_alts_enum experiments ^ "."))
   in
   Cmd.v
     (Cmd.info "exp" ~doc:"Regenerate one experiment (e1..e11).")
-    Term.(const exec $ quick_arg $ which)
+    Term.(const (fun quick run -> run quick) $ quick_arg $ which)
 
 (* ----------------------------------------------------------- baselines *)
 
@@ -616,7 +602,6 @@ let profile_cmd =
              ~doc:"Write the end-of-run registry in Prometheus text \
                    exposition format to $(docv) ($(i,-) for stdout).")
   in
-  let us s = int_of_float ((s *. 1e6) +. 0.5) in
   let exec protocol n seed duration delta wan fanout monitor folded json top
       prometheus =
     Icc_obs.Registry.reset ();
@@ -643,186 +628,49 @@ let profile_cmd =
     in
     let wall = Icc_obs.Profile.now () -. t0 in
     Icc_obs.Profile.set_enabled false;
-    let stats = Icc_obs.Profile.stats () in
-    let counters =
-      List.filter (fun (_, v) -> v > 0) (Icc_obs.Registry.counters ())
+    let report = Icc_obs.Profile.report () in
+    let write_out what path text =
+      match open_out path with
+      | oc ->
+          output_string oc text;
+          close_out oc
+      | exception Sys_error msg ->
+          Printf.eprintf "icc: cannot open %s output: %s\n" what msg;
+          exit 1
     in
-    let by_self =
-      List.sort
-        (fun a b ->
-          match
-            Float.compare b.Icc_obs.Profile.sp_self_s a.Icc_obs.Profile.sp_self_s
-          with
-          | 0 ->
-              String.compare a.Icc_obs.Profile.sp_name b.Icc_obs.Profile.sp_name
-          | c -> c)
-        stats
-    in
-    let total_self =
-      List.fold_left
-        (fun acc st -> acc +. st.Icc_obs.Profile.sp_self_s)
-        0. stats
-    in
-    (match folded with
-    | None -> ()
-    | Some path -> (
-        match open_out path with
-        | oc ->
-            output_string oc (Icc_obs.Profile.folded_lines ());
-            close_out oc
-        | exception Sys_error msg ->
-            Printf.eprintf "icc: cannot open folded output: %s\n" msg;
-            exit 1));
+    Option.iter
+      (fun path -> write_out "folded" path (Icc_obs.Profile.folded_lines ()))
+      folded;
     (match prometheus with
     | None -> ()
     | Some "-" -> print_string (Icc_obs.Registry.to_prometheus ())
-    | Some path -> (
-        match open_out path with
-        | oc ->
-            output_string oc (Icc_obs.Registry.to_prometheus ());
-            close_out oc
-        | exception Sys_error msg ->
-            Printf.eprintf "icc: cannot open prometheus output: %s\n" msg;
-            exit 1));
-    if json then begin
-      let b = Buffer.create 4096 in
-      let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-      let proto_name =
-        match protocol with `Icc0 -> "icc0" | `Icc1 -> "icc1" | `Icc2 -> "icc2"
-      in
-      p {|{"protocol":"%s","n":%d,"seed":%d,"duration":%g,"wall_s":%.6f|}
-        proto_name n seed duration wall;
-      p {|,"rounds_decided":%d|} r.Icc_core.Runner.rounds_decided;
-      p {|,"spans":[|};
-      List.iteri
-        (fun i st ->
-          if i > 0 then p ",";
-          p {|{"name":"%s","count":%d,"total_us":%d,"self_us":%d}|}
-            (Icc_sim.Trace.json_escape st.Icc_obs.Profile.sp_name)
-            st.Icc_obs.Profile.sp_count
-            (us st.Icc_obs.Profile.sp_total_s)
-            (us st.Icc_obs.Profile.sp_self_s))
-        by_self;
-      p {|],"counters":[|};
-      List.iteri
-        (fun i (name, v) ->
-          if i > 0 then p ",";
-          p {|{"name":"%s","value":%d}|} (Icc_sim.Trace.json_escape name) v)
-        counters;
-      let contexts key_name rows =
-        List.iteri
-          (fun i (key, cells) ->
-            if i > 0 then p ",";
-            p {|{"%s":%d,"spans":[|} key_name key;
-            List.iteri
-              (fun j (name, self) ->
-                if j > 0 then p ",";
-                p {|{"name":"%s","self_us":%d}|}
-                  (Icc_sim.Trace.json_escape name) (us self))
-              cells;
-            p "]}")
-          rows
-      in
-      p {|],"by_round":[|};
-      contexts "round" (Icc_obs.Profile.by_round ());
-      p {|],"by_party":[|};
-      contexts "party" (Icc_obs.Profile.by_party ());
-      p "]}";
-      print_endline (Buffer.contents b)
-    end
+    | Some path ->
+        write_out "prometheus" path (Icc_obs.Registry.to_prometheus ()));
+    let proto_name =
+      match protocol with `Icc0 -> "icc0" | `Icc1 -> "icc1" | `Icc2 -> "icc2"
+    in
+    if json then
+      print_endline
+        (Icc_obs.Json.to_string
+           (Icc_obs.Json.Object
+              ([
+                 ("protocol", Icc_obs.Json.String proto_name);
+                 ("n", Int n);
+                 ("seed", Int seed);
+                 ("duration", Float duration);
+                 ("wall_s", Float wall);
+                 ("rounds_decided", Int r.Icc_core.Runner.rounds_decided);
+               ]
+              @ Icc_obs.Profile.to_json report)))
     else begin
-      let proto_name =
-        match protocol with `Icc0 -> "icc0" | `Icc1 -> "icc1" | `Icc2 -> "icc2"
-      in
       Printf.printf
         "profile: %s n=%d seed=%d duration=%g (wall %.3f s, %d rounds decided)\n"
         proto_name n seed duration wall r.Icc_core.Runner.rounds_decided;
       print_newline ();
-      Printf.printf "phase breakdown (self-time descending):\n";
-      Printf.printf "  %-28s %10s %12s %12s %6s\n" "span" "count" "total-us"
-        "self-us" "share";
-      let shown, rest =
-        if top <= 0 || List.length by_self <= top then (by_self, [])
-        else (List.filteri (fun i _ -> i < top) by_self,
-              List.filteri (fun i _ -> i >= top) by_self)
-      in
-      let share self =
-        if total_self = 0. then 0. else 100. *. self /. total_self
-      in
-      List.iter
-        (fun st ->
-          Printf.printf "  %-28s %10d %12d %12d %5.1f%%\n"
-            st.Icc_obs.Profile.sp_name st.Icc_obs.Profile.sp_count
-            (us st.Icc_obs.Profile.sp_total_s)
-            (us st.Icc_obs.Profile.sp_self_s)
-            (share st.Icc_obs.Profile.sp_self_s))
-        shown;
-      if rest <> [] then begin
-        let cnt = List.fold_left (fun a st -> a + st.Icc_obs.Profile.sp_count) 0 rest in
-        let tot = List.fold_left (fun a st -> a +. st.Icc_obs.Profile.sp_total_s) 0. rest in
-        let slf = List.fold_left (fun a st -> a +. st.Icc_obs.Profile.sp_self_s) 0. rest in
-        Printf.printf "  %-28s %10d %12d %12d %5.1f%%\n"
-          (Printf.sprintf "(other x%d)" (List.length rest))
-          cnt (us tot) (us slf) (share slf)
-      end;
-      if counters <> [] then begin
-        print_newline ();
-        Printf.printf "counters:\n";
-        List.iter
-          (fun (name, v) -> Printf.printf "  %-28s %12d\n" name v)
-          counters
-      end;
-      (* Per-round self-µs heatmap: one row per round context, bar scaled
-         to the busiest round. *)
-      let rounds = Icc_obs.Profile.by_round () in
-      if rounds <> [] then begin
-        let row_total cells =
-          List.fold_left (fun a (_, s) -> a +. s) 0. cells
-        in
-        let peak =
-          List.fold_left (fun a (_, cells) -> Float.max a (row_total cells)) 0.
-            rounds
-        in
-        print_newline ();
-        Printf.printf "per-round self-us (0 = outside any round):\n";
-        List.iter
-          (fun (round, cells) ->
-            let t = row_total cells in
-            let bar =
-              if peak = 0. then 0
-              else int_of_float (40. *. t /. peak +. 0.5)
-            in
-            let topname =
-              match
-                List.sort
-                  (fun (n1, s1) (n2, s2) ->
-                    match Float.compare s2 s1 with
-                    | 0 -> String.compare n1 n2
-                    | c -> c)
-                  cells
-              with
-              | (name, _) :: _ -> name
-              | [] -> "-"
-            in
-            Printf.printf "  %5d %10d  %-40s %s\n" round (us t)
-              (String.make bar '#') topname)
-          rounds
-      end;
-      let parties = Icc_obs.Profile.by_party () in
-      if parties <> [] then begin
-        print_newline ();
-        Printf.printf "per-party self-us (0 = outside any party):\n";
-        List.iter
-          (fun (party, cells) ->
-            let t = List.fold_left (fun a (_, s) -> a +. s) 0. cells in
-            Printf.printf "  %5d %10d\n" party (us t))
-          parties
-      end;
-      match folded with
-      | None -> ()
-      | Some path ->
-          print_newline ();
-          Printf.printf "folded stacks written to %s\n" path
+      print_string (Icc_obs.Profile.render ~top report);
+      Option.iter
+        (Printf.printf "\nfolded stacks written to %s\n")
+        folded
     end
   in
   Cmd.v

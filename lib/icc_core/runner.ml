@@ -480,7 +480,7 @@ let run scenario =
      profiling toggle, so unprofiled traces carry no prof-* lines and stay
      byte-identical (CI strips these lines and compares the remainder). *)
   if Icc_obs.Profile.enabled () && Icc_sim.Trace.active trace then begin
-    let us s = int_of_float ((s *. 1e6) +. 0.5) in
+    let us = Icc_obs.Profile.us in
     List.iter
       (fun st ->
         Icc_sim.Trace.emit trace ~time:elapsed

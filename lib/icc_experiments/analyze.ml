@@ -307,15 +307,23 @@ let print_violation_window r =
   end
 
 (* Profiler snapshot carried on the bus ([prof-span]/[prof-counter] lines,
-   present only when the run was profiled): per-phase wall-clock table,
-   self-time share ranked descending, plus the crypto-op counters. *)
+   present only when the run was profiled), rendered by the same table as
+   [icc profile]: every span, self-time descending, plus the counters. *)
 let print_profile r =
   let spans = ref [] and counters = ref [] in
+  let secs us = float_of_int us /. 1e6 in
   Array.iter
     (fun (e : Icc_sim.Replay.entry) ->
       match e.Icc_sim.Replay.event with
       | Icc_sim.Trace.Prof_span { name; count; total_us; self_us } ->
-          spans := (name, count, total_us, self_us) :: !spans
+          spans :=
+            {
+              Icc_obs.Profile.sp_name = name;
+              sp_count = count;
+              sp_total_s = secs total_us;
+              sp_self_s = secs self_us;
+            }
+            :: !spans
       | Icc_sim.Trace.Prof_counter { name; value } ->
           counters := (name, value) :: !counters
       | Icc_sim.Trace.Run_start _ | Icc_sim.Trace.Run_end _
@@ -340,40 +348,15 @@ let print_profile r =
       | Icc_sim.Trace.Resync_reply _ -> ())
     r.load.Icc_sim.Replay.entries;
   if !spans <> [] then begin
-    let spans =
-      List.sort
-        (fun (n1, _, _, s1) (n2, _, _, s2) ->
-          match Int.compare s2 s1 with 0 -> String.compare n1 n2 | c -> c)
-        !spans
-    in
-    let total_self =
-      List.fold_left (fun acc (_, _, _, s) -> acc + s) 0 spans
-    in
     print_newline ();
-    Printf.printf "profile (host wall-clock, self-time descending):
-";
-    Printf.printf "  %-28s %10s %12s %12s %6s
-" "span" "count" "total-us"
-      "self-us" "share";
-    List.iter
-      (fun (name, count, total_us, self_us) ->
-        Printf.printf "  %-28s %10d %12d %12d %5.1f%%
-" name count total_us
-          self_us
-          (if total_self = 0 then 0.
-           else 100. *. float_of_int self_us /. float_of_int total_self))
-      spans;
-    let counters =
-      List.sort (fun (n1, _) (n2, _) -> String.compare n1 n2) !counters
-    in
-    if counters <> [] then begin
-      Printf.printf "  counters:
-";
-      List.iter
-        (fun (name, value) -> Printf.printf "    %-28s %12d
-" name value)
-        counters
-    end
+    print_string
+      (Icc_obs.Profile.render ~top:0
+         {
+           spans = !spans;
+           counters = List.rev !counters;
+           rounds = [];
+           parties = [];
+         })
   end
 
 let print_critical_path r =

@@ -203,13 +203,15 @@ let folded () =
           feed the keyed List.sort below"]))
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
+let us s = int_of_float ((s *. 1e6) +. 0.5)
+
 let folded_lines () =
   let b = Buffer.create 1024 in
   List.iter
     (fun (path, _count, self) ->
       Buffer.add_string b path;
       Buffer.add_char b ' ';
-      Buffer.add_string b (string_of_int (int_of_float ((self *. 1e6) +. 0.5)));
+      Buffer.add_string b (string_of_int (us self));
       Buffer.add_char b '\n')
     (folded ());
   Buffer.contents b
@@ -231,3 +233,133 @@ let contexts tbl =
 
 let by_round () = contexts round_tbl
 let by_party () = contexts party_tbl
+
+(* --- rendering ---------------------------------------------------------- *)
+
+type report = {
+  spans : stat list;
+  counters : (string * int) list;
+  rounds : (int * (string * float) list) list;
+  parties : (int * (string * float) list) list;
+}
+
+let report () =
+  {
+    spans = stats ();
+    counters = Registry.counters ();
+    rounds = by_round ();
+    parties = by_party ();
+  }
+
+let by_self spans =
+  List.sort
+    (fun a b ->
+      match Float.compare b.sp_self_s a.sp_self_s with
+      | 0 -> String.compare a.sp_name b.sp_name
+      | c -> c)
+    spans
+
+let nonzero counters = List.filter (fun (_, v) -> v > 0) counters
+let self_sum cells = List.fold_left (fun a (_, s) -> a +. s) 0. cells
+
+let top_cell cells =
+  match
+    List.sort
+      (fun (n1, s1) (n2, s2) ->
+        match Float.compare s2 s1 with 0 -> String.compare n1 n2 | c -> c)
+      cells
+  with
+  | (name, _) :: _ -> name
+  | [] -> "-"
+
+let render ~top r =
+  let b = Buffer.create 4096 in
+  let p fmt = Printf.bprintf b fmt in
+  let spans = by_self r.spans in
+  let total_self = List.fold_left (fun a st -> a +. st.sp_self_s) 0. spans in
+  let row name count total self =
+    p "  %-28s %10d %12d %12d %5.1f%%\n" name count (us total) (us self)
+      (if total_self = 0. then 0. else 100. *. self /. total_self)
+  in
+  p "profile (host wall-clock, self-time descending):\n";
+  p "  %-28s %10s %12s %12s %6s\n" "span" "count" "total-us" "self-us" "share";
+  let shown, rest =
+    if top <= 0 then (spans, [])
+    else
+      ( List.filteri (fun i _ -> i < top) spans,
+        List.filteri (fun i _ -> i >= top) spans )
+  in
+  List.iter (fun st -> row st.sp_name st.sp_count st.sp_total_s st.sp_self_s) shown;
+  if rest <> [] then
+    row
+      (Printf.sprintf "(other x%d)" (List.length rest))
+      (List.fold_left (fun a st -> a + st.sp_count) 0 rest)
+      (List.fold_left (fun a st -> a +. st.sp_total_s) 0. rest)
+      (List.fold_left (fun a st -> a +. st.sp_self_s) 0. rest);
+  (match nonzero r.counters with
+  | [] -> ()
+  | counters ->
+      p "\ncounters:\n";
+      List.iter (fun (name, v) -> p "  %-28s %12d\n" name v) counters);
+  (* Per-round self-µs heatmap: one bar per round context, scaled to the
+     busiest round, labelled with the round's top span. *)
+  if r.rounds <> [] then begin
+    let peak =
+      List.fold_left (fun a (_, cells) -> Float.max a (self_sum cells)) 0. r.rounds
+    in
+    p "\nper-round self-us (0 = outside any round):\n";
+    List.iter
+      (fun (round, cells) ->
+        let t = self_sum cells in
+        let bar = if peak = 0. then 0 else int_of_float ((40. *. t /. peak) +. 0.5) in
+        p "  %5d %10d  %-40s %s\n" round (us t) (String.make bar '#')
+          (top_cell cells))
+      r.rounds
+  end;
+  if r.parties <> [] then begin
+    p "\nper-party self-us (0 = outside any party):\n";
+    List.iter
+      (fun (party, cells) -> p "  %5d %10d\n" party (us (self_sum cells)))
+      r.parties
+  end;
+  Buffer.contents b
+
+let to_json r =
+  let obj fields = Json.Object fields and str s = Json.String s in
+  let contexts key rows =
+    Json.Array
+      (List.map
+         (fun (k, cells) ->
+           obj
+             [
+               (key, Json.Int k);
+               ( "spans",
+                 Json.Array
+                   (List.map
+                      (fun (name, self) ->
+                        obj [ ("name", str name); ("self_us", Json.Int (us self)) ])
+                      cells) );
+             ])
+         rows)
+  in
+  [
+    ( "spans",
+      Json.Array
+        (List.map
+           (fun st ->
+             obj
+               [
+                 ("name", str st.sp_name);
+                 ("count", Json.Int st.sp_count);
+                 ("total_us", Json.Int (us st.sp_total_s));
+                 ("self_us", Json.Int (us st.sp_self_s));
+               ])
+           (by_self r.spans)) );
+    ( "counters",
+      Json.Array
+        (List.map
+           (fun (name, v) -> obj [ ("name", str name); ("value", Json.Int v) ])
+           (nonzero r.counters)) );
+    ("by_round", contexts "round" r.rounds);
+    ("by_party", contexts "party" r.parties);
+  ]

@@ -78,3 +78,36 @@ val by_round : unit -> (int * (string * float) list) list
 
 val by_party : unit -> (int * (string * float) list) list
 (** Same, keyed by the party context; party 0 is outside-any-party work. *)
+
+(** {1 Rendering}
+
+    One renderer for every view of a profile: [icc profile] feeds it the
+    live profiler, [icc analyze] the stats it rebuilds from a trace's
+    [prof-span]/[prof-counter] events. *)
+
+val us : float -> int
+(** Seconds to whole microseconds, rounded to nearest: the one conversion
+    behind every exported microsecond figure (folded stacks, [prof-span]
+    events, JSON, tables). *)
+
+type report = {
+  spans : stat list;
+  counters : (string * int) list;
+  rounds : (int * (string * float) list) list;  (** As {!by_round}. *)
+  parties : (int * (string * float) list) list;  (** As {!by_party}. *)
+}
+
+val report : unit -> report
+(** The live profiler's {!stats}, {!by_round} and {!by_party}, with the
+    registry counters. *)
+
+val render : top:int -> report -> string
+(** The phase table, spans by self-time descending (ties by name): at
+    most [top] rows, the rest summed into one [(other xK)] row, or every
+    row when [top <= 0].  Then the non-zero counters and, when present,
+    the per-round self-time bars (each labelled with the round's top
+    span) and the per-party self-times. *)
+
+val to_json : report -> (string * Json.t) list
+(** The same report as JSON members: [spans] (self-time descending),
+    non-zero [counters], [by_round] and [by_party]. *)

@@ -268,46 +268,26 @@ let corrupted t =
 
 (* --- JSON scripts ------------------------------------------------------- *)
 
-exception Script_error of string
-
-(* Ids, ranks, rounds and budgets must be integral JSON numbers: a party
-   of 2.7 is rejected, not truncated to 2. *)
-let int_of_num name f =
-  if Float.is_integer f then int_of_float f
-  else raise (Script_error (name ^ ": expected an integer"))
+module J = Icc_obs.Json
 
 let directive_of_obj fields =
   let find name = List.assoc_opt name fields in
-  let num ?default name =
-    match find name with
-    | Some (Fault.Jnum f) -> f
-    | Some (Fault.Jnull | Jbool _ | Jstr _ | Jarr _ | Jobj _) ->
-        raise (Script_error (name ^ ": expected number"))
-    | None -> (
-        match default with
-        | Some d -> d
-        | None -> raise (Script_error ("missing field " ^ name)))
-  in
-  let int_opt name =
-    match find name with
-    | Some (Fault.Jnum f) -> Some (int_of_num name f)
-    | Some (Fault.Jnull | Jbool _ | Jstr _ | Jarr _ | Jobj _) ->
-        raise (Script_error (name ^ ": expected number"))
-    | None -> None
-  in
+  let num = Fault.num fields in
+  let int_opt name = Option.map (Fault.integer name) (find name) in
   let bool_opt name =
     match find name with
-    | Some (Fault.Jbool b) -> Some b
-    | Some (Fault.Jnull | Jnum _ | Jstr _ | Jarr _ | Jobj _) ->
-        raise (Script_error (name ^ ": expected bool"))
+    | Some (J.Bool b) -> Some b
+    | Some (J.Null | J.Int _ | J.Float _ | J.String _ | J.Array _ | J.Object _) ->
+        raise (Fault.Script_error (name ^ ": expected bool"))
     | None -> None
   in
   let window () = (num ~default:0. "from", num ~default:infinity "until") in
   let kind =
     match find "adversary" with
-    | Some (Fault.Jstr s) -> s
-    | Some (Fault.Jnull | Jbool _ | Jnum _ | Jarr _ | Jobj _) | None ->
-        raise (Script_error "directive needs an \"adversary\" string field")
+    | Some (J.String s) -> s
+    | Some (J.Null | J.Bool _ | J.Int _ | J.Float _ | J.Array _ | J.Object _)
+    | None ->
+        raise (Fault.Script_error "directive needs an \"adversary\" string field")
   in
   let action =
     match kind with
@@ -329,26 +309,21 @@ let directive_of_obj fields =
     | "censor" ->
         let dsts =
           match find "dsts" with
-          | Some (Fault.Jarr ids) ->
-              List.map
-                (function
-                  | Fault.Jnum f -> int_of_num "dsts" f
-                  | Fault.Jnull | Jbool _ | Jstr _ | Jarr _ | Jobj _ ->
-                      raise (Script_error "dsts: expected party id"))
-                ids
-          | Some (Fault.Jnull | Jbool _ | Jnum _ | Jstr _ | Jobj _) | None ->
-              raise (Script_error "censor needs a \"dsts\" array")
+          | Some (J.Array ids) -> List.map (Fault.integer "dsts") ids
+          | Some (J.Null | J.Bool _ | J.Int _ | J.Float _ | J.String _ | J.Object _)
+          | None ->
+              raise (Fault.Script_error "censor needs a \"dsts\" array")
         in
         Censor { dsts }
     | "delay" -> Delay { by = num "by" }
     | "crash" -> Crash_window
     | "straggle" -> Straggle { p = num "p" }
     | other ->
-        raise (Script_error (Printf.sprintf "unknown adversary kind %S" other))
+        raise (Fault.Script_error (Printf.sprintf "unknown adversary kind %S" other))
   in
   let from_, until = window () in
   (if action = Crash_window && not (Float.is_finite until) then
-     raise (Script_error "crash window needs a finite \"until\""));
+     raise (Fault.Script_error "crash window needs a finite \"until\""));
   match int_opt "party" with
   | Some party ->
       { who = Party party; from_; until; trigger = Always; action;
@@ -365,24 +340,9 @@ let directive_of_obj fields =
         | Some m -> m
         | None ->
             raise
-              (Script_error
+              (Fault.Script_error
                  "adaptive directive (no \"party\") needs a \"max\" budget")
       in
       { who = Any; from_; until; trigger; action; max_corrupt }
 
-let script_of_json text =
-  match Fault.parse_json text with
-  | exception Fault.Script_error msg -> Error msg
-  | Jarr items -> (
-      match
-        List.map
-          (function
-            | Fault.Jobj fields -> directive_of_obj fields
-            | Fault.Jnull | Jbool _ | Jnum _ | Jstr _ | Jarr _ ->
-                raise (Script_error "expected an array of objects"))
-          items
-      with
-      | script -> Ok script
-      | exception Script_error msg -> Error msg)
-  | Jnull | Jbool _ | Jnum _ | Jstr _ | Jobj _ ->
-      Error "expected a top-level array of directives"
+let script_of_json = Fault.directives_of_json directive_of_obj

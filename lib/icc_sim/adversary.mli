@@ -169,8 +169,6 @@ val corrupted : t -> int list
 
 (** {1 Script files} *)
 
-exception Script_error of string
-
 val script_of_json : string -> (script, string) result
 (** Parse a JSON script: an array of objects selected by their
     ["adversary"] field.  Directives name a ["party"] or are adaptive

@@ -167,11 +167,10 @@ let finally_down script =
 
 (* --- JSON scripts ------------------------------------------------------- *)
 
-(* A minimal recursive JSON reader for nemesis script files.  Unlike the
-   flat-object parser in {!Trace}, scripts nest (partition groups), so this
-   one handles arrays and objects generically.  It accepts standard JSON
-   minus exotic escapes; errors carry a byte offset. *)
+module J = Icc_obs.Json
 
+(* The generic tree and reader the repository benchmark's spec loader
+   (benchmark/spec.ml) names: a view of {!Icc_obs.Json}'s. *)
 type json =
   | Jnull
   | Jbool of bool
@@ -182,254 +181,94 @@ type json =
 
 exception Script_error of string
 
+let rec of_json : J.t -> json = function
+  | J.Null -> Jnull
+  | J.Bool b -> Jbool b
+  | J.Int i -> Jnum (float_of_int i)
+  | J.Float f -> Jnum f
+  | J.String s -> Jstr s
+  | J.Array l -> Jarr (List.map of_json l)
+  | J.Object kv -> Jobj (List.map (fun (k, v) -> (k, of_json v)) kv)
+
 let parse_json text =
-  let len = String.length text in
-  let pos = ref 0 in
-  let fail msg =
-    raise (Script_error (Printf.sprintf "%s at byte %d" msg !pos))
-  in
-  let peek () = if !pos < len then Some text.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < len
-      && (match text.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    if !pos < len && text.[!pos] = c then incr pos
-    else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    if
-      !pos + String.length word <= len
-      && String.sub text !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= len then fail "unterminated string";
-      match text.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-          incr pos;
-          if !pos >= len then fail "truncated escape";
-          let c = text.[!pos] in
-          incr pos;
-          (match c with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | _ -> fail "unsupported escape");
-          go ()
-      | c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let numchar c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e'
-      || c = 'E'
-    in
-    while !pos < len && numchar text.[!pos] do incr pos done;
-    if !pos = start then fail "expected number";
-    match float_of_string_opt (String.sub text start (!pos - start)) with
-    | Some f -> Jnum f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Jstr (parse_string ())
-    | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          Jarr []
-        end
-        else begin
-          let items = ref [ parse_value () ] in
-          let rec more () =
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                items := parse_value () :: !items;
-                more ()
-            | Some ']' -> incr pos
-            | _ -> fail "expected ',' or ']'"
-          in
-          more ();
-          Jarr (List.rev !items)
-        end
-    | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          Jobj []
-        end
-        else begin
-          let member () =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            (key, parse_value ())
-          in
-          let fields = ref [ member () ] in
-          let rec more () =
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                fields := member () :: !fields;
-                more ()
-            | Some '}' -> incr pos
-            | _ -> fail "expected ',' or '}'"
-          in
-          more ();
-          Jobj (List.rev !fields)
-        end
-    | Some 't' -> literal "true" (Jbool true)
-    | Some 'f' -> literal "false" (Jbool false)
-    | Some 'n' -> literal "null" Jnull
-    | _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> len then fail "trailing garbage";
-  v
+  match J.parse text with Ok v -> of_json v | Error msg -> raise (Script_error msg)
 
-(* A party id must be an integral JSON number: 2.7 is not party 2. *)
-let party_id name f =
-  if Float.is_integer f then int_of_float f
-  else raise (Script_error (name ^ ": expected an integer party id"))
+let num fields ?default name =
+  match (List.assoc_opt name fields, default) with
+  | Some v, _ -> (
+      match J.number v with
+      | Some f -> f
+      | None -> raise (Script_error (name ^ ": expected number")))
+  | None, Some d -> d
+  | None, None -> raise (Script_error ("missing field " ^ name))
 
-let directive_of_obj fields =
-  let find name = List.assoc_opt name fields in
-  let num ?default name =
-    match find name with
-    | Some (Jnum f) -> f
-    | Some (Jnull | Jbool _ | Jstr _ | Jarr _ | Jobj _) ->
-        raise (Script_error (name ^ ": expected number"))
-    | None -> (
-        match default with
-        | Some d -> d
-        | None -> raise (Script_error ("missing field " ^ name)))
-  in
-  let int_opt name =
-    match find name with
-    | Some (Jnum f) -> Some (party_id name f)
-    | Some (Jnull | Jbool _ | Jstr _ | Jarr _ | Jobj _) ->
-        raise (Script_error (name ^ ": expected number"))
-    | None -> None
-  in
-  let window () = (num ~default:0. "from", num ~default:infinity "until") in
-  let kind =
-    match find "fault" with
-    | Some (Jstr s) -> s
-    | Some (Jnull | Jbool _ | Jnum _ | Jarr _ | Jobj _) | None ->
-        raise (Script_error "directive needs a \"fault\" string field")
-  in
-  match kind with
-  | "drop" ->
-      let from_, until = window () in
-      Rule
-        {
-          from_;
-          until;
-          src = int_opt "src";
-          dst = int_opt "dst";
-          action = Drop { p = num "p" };
-        }
-  | "dup" | "duplicate" ->
-      let from_, until = window () in
-      Rule
-        {
-          from_;
-          until;
-          src = int_opt "src";
-          dst = int_opt "dst";
-          action = Duplicate { p = num "p"; spread = num ~default:0.05 "spread" };
-        }
-  | "reorder" ->
-      let from_, until = window () in
-      Rule
-        {
-          from_;
-          until;
-          src = int_opt "src";
-          dst = int_opt "dst";
-          action =
-            Reorder { p = num "p"; max_extra = num ~default:0.25 "max_extra" };
-        }
-  | "flap" ->
-      let from_, until = window () in
-      Rule
-        {
-          from_;
-          until;
-          src = int_opt "src";
-          dst = int_opt "dst";
-          action = Flap { period = num "period"; up = num ~default:0.5 "up" };
-        }
-  | "partition" ->
-      let from_, until = window () in
-      let groups =
-        match find "groups" with
-        | Some (Jarr gs) ->
-            List.map
-              (function
-                | Jarr ids ->
-                    List.map
-                      (function
-                        | Jnum f -> party_id "groups" f
-                        | Jnull | Jbool _ | Jstr _ | Jarr _ | Jobj _ ->
-                            raise (Script_error "groups: expected party id"))
-                      ids
-                | Jnull | Jbool _ | Jnum _ | Jstr _ | Jobj _ ->
-                    raise (Script_error "groups: expected array of arrays"))
-              gs
-        | Some (Jnull | Jbool _ | Jnum _ | Jstr _ | Jobj _) | None ->
-            raise (Script_error "partition needs a \"groups\" array")
-      in
-      Partition { from_; until; groups }
-  | "crash" ->
-      Crash { party = party_id "party" (num "party"); at = num "at" }
-  | "recover" ->
-      Recover { party = party_id "party" (num "party"); at = num "at" }
-  | other -> raise (Script_error (Printf.sprintf "unknown fault kind %S" other))
+(* Ids, ranks and budgets must be integral JSON numbers: party 2.7 is
+   rejected, not truncated to 2. *)
+let integer name v =
+  match J.number v with
+  | Some f when Float.is_integer f -> int_of_float f
+  | Some _ | None -> raise (Script_error (name ^ ": expected an integer"))
 
-let script_of_json text =
-  match parse_json text with
-  | exception Script_error msg -> Error msg
-  | Jarr items -> (
+let directives_of_json directive text =
+  match J.parse text with
+  | Error msg -> Error msg
+  | Ok (J.Array items) -> (
       match
         List.map
           (function
-            | Jobj fields -> directive_of_obj fields
-            | Jnull | Jbool _ | Jnum _ | Jstr _ | Jarr _ ->
+            | J.Object fields -> directive fields
+            | J.Null | J.Bool _ | J.Int _ | J.Float _ | J.String _ | J.Array _ ->
                 raise (Script_error "expected an array of objects"))
           items
       with
       | script -> Ok script
       | exception Script_error msg -> Error msg)
-  | Jnull | Jbool _ | Jnum _ | Jstr _ | Jobj _ ->
+  | Ok (J.Null | J.Bool _ | J.Int _ | J.Float _ | J.String _ | J.Object _) ->
       Error "expected a top-level array of directives"
+
+let directive_of_obj fields =
+  let num = num fields in
+  let int_opt name = Option.map (integer name) (List.assoc_opt name fields) in
+  let party name =
+    match int_opt name with
+    | Some id -> id
+    | None -> raise (Script_error ("missing field " ^ name))
+  in
+  let window () = (num ~default:0. "from", num ~default:infinity "until") in
+  let link action =
+    let from_, until = window () in
+    Rule { from_; until; src = int_opt "src"; dst = int_opt "dst"; action }
+  in
+  match List.assoc_opt "fault" fields with
+  | Some (J.String "drop") -> link (Drop { p = num "p" })
+  | Some (J.String ("dup" | "duplicate")) ->
+      link (Duplicate { p = num "p"; spread = num ~default:0.05 "spread" })
+  | Some (J.String "reorder") ->
+      link (Reorder { p = num "p"; max_extra = num ~default:0.25 "max_extra" })
+  | Some (J.String "flap") ->
+      link (Flap { period = num "period"; up = num ~default:0.5 "up" })
+  | Some (J.String "partition") ->
+      let from_, until = window () in
+      let groups =
+        match List.assoc_opt "groups" fields with
+        | Some (J.Array gs) ->
+            List.map
+              (function
+                | J.Array ids -> List.map (integer "groups") ids
+                | J.Null | J.Bool _ | J.Int _ | J.Float _ | J.String _ | J.Object _
+                  ->
+                    raise (Script_error "groups: expected array of arrays"))
+              gs
+        | Some (J.Null | J.Bool _ | J.Int _ | J.Float _ | J.String _ | J.Object _)
+        | None ->
+            raise (Script_error "partition needs a \"groups\" array")
+      in
+      Partition { from_; until; groups }
+  | Some (J.String "crash") -> Crash { party = party "party"; at = num "at" }
+  | Some (J.String "recover") -> Recover { party = party "party"; at = num "at" }
+  | Some (J.String other) ->
+      raise (Script_error (Printf.sprintf "unknown fault kind %S" other))
+  | Some (J.Null | J.Bool _ | J.Int _ | J.Float _ | J.Array _ | J.Object _) | None ->
+      raise (Script_error "directive needs a \"fault\" string field")
+
+let script_of_json = directives_of_json directive_of_obj

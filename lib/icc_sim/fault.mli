@@ -113,7 +113,8 @@ val finally_down : script -> int list
 
 (** {1 Script files} *)
 
-(** Generic JSON value, shared with {!Adversary} script parsing. *)
+(** The generic JSON tree the repository benchmark's spec loader reads
+    BENCHMARK.json with: {!Icc_obs.Json.t} with every number as a float. *)
 type json =
   | Jnull
   | Jbool of bool
@@ -123,11 +124,28 @@ type json =
   | Jobj of (string * json) list
 
 exception Script_error of string
+(** A malformed script directive. *)
 
 val parse_json : string -> json
-(** Parse arbitrary (nesting) JSON text; raises {!Script_error} with a
-    byte offset on malformed input.  Exposed so sibling script formats
-    ({!Adversary}) reuse one reader. *)
+(** {!Icc_obs.Json.parse} viewed as a {!json}; raises {!Script_error}
+    with the parser's byte offset on malformed input. *)
+
+(** {2 Script reading, shared with {!Adversary}} *)
+
+val directives_of_json :
+  ((string * Icc_obs.Json.t) list -> 'd) -> string -> ('d list, string) result
+(** [directives_of_json directive text] reads a script file: a top-level
+    JSON array of objects, each mapped by [directive], which reports a
+    bad field by raising {!Script_error}. *)
+
+val num : (string * Icc_obs.Json.t) list -> ?default:float -> string -> float
+(** The number field [name] of a directive object, or [default] when
+    absent; raises {!Script_error} when it is missing without a default or
+    is not a number. *)
+
+val integer : string -> Icc_obs.Json.t -> int
+(** An integral JSON number ([2] or [2.0], not [2.7]) as an id, rank or
+    budget; raises {!Script_error} naming field [name] otherwise. *)
 
 val script_of_json : string -> (script, string) result
 (** Parse a JSON script: an array of objects selected by their ["fault"]

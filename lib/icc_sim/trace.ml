@@ -173,241 +173,98 @@ let kind_of = function
   | Prof_span _ -> "prof-span"
   | Prof_counter _ -> "prof-counter"
 
-(* Strings on the bus are message kinds and artifact ids (printable ASCII),
-   but escape defensively so every emitted line is valid JSON. *)
+module J = Icc_obs.Json
+
+(* Test-facing: the body of a string literal as {!Icc_obs.Json} writes it. *)
 let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+  let lit = J.to_string (J.String s) in
+  String.sub lit 1 (String.length lit - 2)
+
+let fields_of ev =
+  let i k v = (k, J.Int v) and s k v = (k, J.String v) and f k v = (k, J.Float v) in
+  match ev with
+  | Run_start { n; label } -> [ i "n" n; s "label" label ]
+  | Run_end { label } -> [ s "label" label ]
+  | Engine_dispatch { seq } -> [ i "seq" seq ]
+  | Net_send { src; dst; kind; size; copies } ->
+      [ i "src" src; i "dst" dst; s "kind" kind; i "size" size; i "copies" copies ]
+  | Net_deliver { src; dst; kind; size } ->
+      [ i "src" src; i "dst" dst; s "kind" kind; i "size" size ]
+  | Net_hold { src; dst; kind; release } ->
+      [ i "src" src; i "dst" dst; s "kind" kind; f "release" release ]
+  | Gossip_publish { party; artifact } -> [ i "party" party; s "artifact" artifact ]
+  | Gossip_request { party; peer; artifact }
+  | Gossip_acquire { party; peer; artifact } ->
+      [ i "party" party; i "peer" peer; s "artifact" artifact ]
+  | Rbc_fragment { party; round; proposer; index } ->
+      [ i "party" party; i "round" round; i "proposer" proposer; i "index" index ]
+  | Rbc_echo { party; round; proposer }
+  | Rbc_reconstruct { party; round; proposer }
+  | Rbc_inconsistent { party; round; proposer } ->
+      [ i "party" party; i "round" round; i "proposer" proposer ]
+  | Round_entry { party; round }
+  | Propose { party; round }
+  | Beacon_share { party; round } ->
+      [ i "party" party; i "round" round ]
+  | Notarize { party; round; block }
+  | Finalize { party; round; block }
+  | Commit { party; round; block } ->
+      [ i "party" party; i "round" round; s "block" block ]
+  | Block_decided { round; block } -> [ i "round" round; s "block" block ]
+  | Protocol_error { party; round; what } ->
+      [ i "party" party; i "round" round; s "what" what ]
+  | Monitor_violation { round; what; detail } ->
+      [ i "round" round; s "what" what; s "detail" detail ]
+  | Monitor_stall { round; stage; waited }
+  | Monitor_clear { round; stage; waited } ->
+      [ i "round" round; s "stage" stage; f "waited" waited ]
+  | Fault_drop { src; dst; kind }
+  | Adv_censor { src; dst; kind }
+  | Adv_straggle { src; dst; kind } ->
+      [ i "src" src; i "dst" dst; s "kind" kind ]
+  | Fault_duplicate { src; dst; kind; copies } ->
+      [ i "src" src; i "dst" dst; s "kind" kind; i "copies" copies ]
+  | Fault_reorder { src; dst; kind; extra } ->
+      [ i "src" src; i "dst" dst; s "kind" kind; f "extra" extra ]
+  | Fault_link_down { src; dst; kind; release } ->
+      [ i "src" src; i "dst" dst; s "kind" kind; f "release" release ]
+  | Fault_crash { party } | Fault_recover { party } -> [ i "party" party ]
+  | Adv_corrupt { party; round; strategy } ->
+      [ i "party" party; i "round" round; s "strategy" strategy ]
+  | Adv_equivocate { party; round; block_a; block_b } ->
+      [ i "party" party; i "round" round; s "block_a" block_a; s "block_b" block_b ]
+  | Adv_withhold { party; round; kind } ->
+      [ i "party" party; i "round" round; s "kind" kind ]
+  | Adv_delay { src; dst; kind; by } ->
+      [ i "src" src; i "dst" dst; s "kind" kind; f "by" by ]
+  | Resync_summary { party; peer; round; kmax } ->
+      [ i "party" party; i "peer" peer; i "round" round; i "kmax" kmax ]
+  | Resync_request { party; peer; from_round; upto } ->
+      [ i "party" party; i "peer" peer; i "from" from_round; i "upto" upto ]
+  | Resync_reply { party; peer; from_round; upto; count } ->
+      [
+        i "party" party; i "peer" peer; i "from" from_round; i "upto" upto;
+        i "count" count;
+      ]
+  | Prof_span { name; count; total_us; self_us } ->
+      [ s "name" name; i "count" count; i "total_us" total_us; i "self_us" self_us ]
+  | Prof_counter { name; value } -> [ s "name" name; i "value" value ]
 
 let to_json ~time ev =
-  let p = Printf.sprintf in
-  let fields =
-    match ev with
-    | Run_start { n; label } -> p {|"n":%d,"label":"%s"|} n (json_escape label)
-    | Run_end { label } -> p {|"label":"%s"|} (json_escape label)
-    | Engine_dispatch { seq } -> p {|"seq":%d|} seq
-    | Net_send { src; dst; kind; size; copies } ->
-        p {|"src":%d,"dst":%d,"kind":"%s","size":%d,"copies":%d|} src dst
-          (json_escape kind) size copies
-    | Net_deliver { src; dst; kind; size } ->
-        p {|"src":%d,"dst":%d,"kind":"%s","size":%d|} src dst
-          (json_escape kind) size
-    | Net_hold { src; dst; kind; release } ->
-        p {|"src":%d,"dst":%d,"kind":"%s","release":%.6f|} src dst
-          (json_escape kind) release
-    | Gossip_publish { party; artifact } ->
-        p {|"party":%d,"artifact":"%s"|} party (json_escape artifact)
-    | Gossip_request { party; peer; artifact }
-    | Gossip_acquire { party; peer; artifact } ->
-        p {|"party":%d,"peer":%d,"artifact":"%s"|} party peer
-          (json_escape artifact)
-    | Rbc_fragment { party; round; proposer; index } ->
-        p {|"party":%d,"round":%d,"proposer":%d,"index":%d|} party round
-          proposer index
-    | Rbc_echo { party; round; proposer }
-    | Rbc_reconstruct { party; round; proposer }
-    | Rbc_inconsistent { party; round; proposer } ->
-        p {|"party":%d,"round":%d,"proposer":%d|} party round proposer
-    | Round_entry { party; round }
-    | Propose { party; round }
-    | Beacon_share { party; round } ->
-        p {|"party":%d,"round":%d|} party round
-    | Notarize { party; round; block }
-    | Finalize { party; round; block }
-    | Commit { party; round; block } ->
-        p {|"party":%d,"round":%d,"block":"%s"|} party round
-          (json_escape block)
-    | Block_decided { round; block } ->
-        p {|"round":%d,"block":"%s"|} round (json_escape block)
-    | Protocol_error { party; round; what } ->
-        p {|"party":%d,"round":%d,"what":"%s"|} party round (json_escape what)
-    | Monitor_violation { round; what; detail } ->
-        p {|"round":%d,"what":"%s","detail":"%s"|} round (json_escape what)
-          (json_escape detail)
-    | Monitor_stall { round; stage; waited } ->
-        p {|"round":%d,"stage":"%s","waited":%.6f|} round (json_escape stage)
-          waited
-    | Monitor_clear { round; stage; waited } ->
-        p {|"round":%d,"stage":"%s","waited":%.6f|} round (json_escape stage)
-          waited
-    | Fault_drop { src; dst; kind } ->
-        p {|"src":%d,"dst":%d,"kind":"%s"|} src dst (json_escape kind)
-    | Fault_duplicate { src; dst; kind; copies } ->
-        p {|"src":%d,"dst":%d,"kind":"%s","copies":%d|} src dst
-          (json_escape kind) copies
-    | Fault_reorder { src; dst; kind; extra } ->
-        p {|"src":%d,"dst":%d,"kind":"%s","extra":%.6f|} src dst
-          (json_escape kind) extra
-    | Fault_link_down { src; dst; kind; release } ->
-        p {|"src":%d,"dst":%d,"kind":"%s","release":%.6f|} src dst
-          (json_escape kind) release
-    | Fault_crash { party } | Fault_recover { party } ->
-        p {|"party":%d|} party
-    | Adv_corrupt { party; round; strategy } ->
-        p {|"party":%d,"round":%d,"strategy":"%s"|} party round
-          (json_escape strategy)
-    | Adv_equivocate { party; round; block_a; block_b } ->
-        p {|"party":%d,"round":%d,"block_a":"%s","block_b":"%s"|} party round
-          (json_escape block_a) (json_escape block_b)
-    | Adv_withhold { party; round; kind } ->
-        p {|"party":%d,"round":%d,"kind":"%s"|} party round (json_escape kind)
-    | Adv_censor { src; dst; kind } ->
-        p {|"src":%d,"dst":%d,"kind":"%s"|} src dst (json_escape kind)
-    | Adv_delay { src; dst; kind; by } ->
-        p {|"src":%d,"dst":%d,"kind":"%s","by":%.6f|} src dst
-          (json_escape kind) by
-    | Adv_straggle { src; dst; kind } ->
-        p {|"src":%d,"dst":%d,"kind":"%s"|} src dst (json_escape kind)
-    | Resync_summary { party; peer; round; kmax } ->
-        p {|"party":%d,"peer":%d,"round":%d,"kmax":%d|} party peer round kmax
-    | Resync_request { party; peer; from_round; upto } ->
-        p {|"party":%d,"peer":%d,"from":%d,"upto":%d|} party peer from_round
-          upto
-    | Resync_reply { party; peer; from_round; upto; count } ->
-        p {|"party":%d,"peer":%d,"from":%d,"upto":%d,"count":%d|} party peer
-          from_round upto count
-    | Prof_span { name; count; total_us; self_us } ->
-        p {|"name":"%s","count":%d,"total_us":%d,"self_us":%d|}
-          (json_escape name) count total_us self_us
-    | Prof_counter { name; value } ->
-        p {|"name":"%s","value":%d|} (json_escape name) value
-  in
-  p {|{"t":%.6f,"ev":"%s",%s}|} time (kind_of ev) fields
+  J.to_string
+    (J.Object
+       (("t", J.Float time) :: ("ev", J.String (kind_of ev)) :: fields_of ev))
 
 (* --- parsing (the inverse of [to_json]) -------------------------------- *)
 
-(* [to_json] only ever produces flat objects whose values are integers,
-   floats and escaped strings, so the parser below covers exactly that
-   grammar (plus standard JSON escapes, defensively).  Keeping it inverse-
-   exact is what locks the JSONL schema: the round-trip property test in
-   test/test_trace.ml fails on any drift between the two. *)
-
-type jvalue = Jint of int | Jfloat of float | Jstring of string
-
 exception Parse_error of string
 
-let parse_flat_object line =
-  let len = String.length line in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < len then Some line.[!pos] else None in
-  let skip_ws () =
-    while !pos < len && (line.[!pos] = ' ' || line.[!pos] = '\t') do incr pos done
-  in
-  let expect c =
-    if !pos < len && line.[!pos] = c then incr pos
-    else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let hex4 () =
-    if !pos + 4 > len then fail "truncated \\u escape";
-    let h = String.sub line !pos 4 in
-    pos := !pos + 4;
-    match int_of_string_opt ("0x" ^ h) with
-    | Some c -> c
-    | None -> fail "bad \\u escape"
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= len then fail "unterminated string";
-      match line.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-          incr pos;
-          if !pos >= len then fail "truncated escape";
-          let c = line.[!pos] in
-          incr pos;
-          (match c with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-              let c = hex4 () in
-              if c > 0xff then fail "non-ASCII \\u escape"
-              else Buffer.add_char b (Char.chr c)
-          | _ -> fail "unknown escape");
-          go ()
-      | c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let numchar c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e'
-      || c = 'E'
-    in
-    while !pos < len && numchar line.[!pos] do incr pos done;
-    if !pos = start then fail "expected number";
-    let s = String.sub line start (!pos - start) in
-    let is_float =
-      String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s
-    in
-    if is_float then
-      match float_of_string_opt s with
-      | Some f -> Jfloat f
-      | None -> fail "bad float"
-    else
-      match int_of_string_opt s with
-      | Some i -> Jint i
-      | None -> fail "bad integer"
-  in
-  skip_ws ();
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if peek () = Some '}' then incr pos
-  else begin
-    let rec members () =
-      skip_ws ();
-      let key = parse_string () in
-      skip_ws ();
-      expect ':';
-      skip_ws ();
-      let v =
-        match peek () with
-        | Some '"' -> Jstring (parse_string ())
-        | _ -> parse_number ()
-      in
-      fields := (key, v) :: !fields;
-      skip_ws ();
-      match peek () with
-      | Some ',' ->
-          incr pos;
-          members ()
-      | Some '}' -> incr pos
-      | _ -> fail "expected ',' or '}'"
-    in
-    members ()
-  end;
-  skip_ws ();
-  if !pos <> len then fail "trailing garbage";
-  List.rev !fields
-
 let of_json line =
-  match parse_flat_object line with
-  | exception Parse_error msg -> Error msg
-  | fields -> (
+  match J.parse line with
+  | Error msg -> Error msg
+  | Ok (J.Null | J.Bool _ | J.Int _ | J.Float _ | J.String _ | J.Array _) ->
+      Error "expected an object"
+  | Ok (J.Object fields) -> (
       let find name =
         match List.assoc_opt name fields with
         | Some v -> v
@@ -415,21 +272,20 @@ let of_json line =
       in
       let int name =
         match find name with
-        | Jint i -> i
-        | Jfloat _ | Jstring _ ->
+        | J.Int i -> i
+        | J.Null | J.Bool _ | J.Float _ | J.String _ | J.Array _ | J.Object _ ->
             raise (Parse_error (Printf.sprintf "field %S: expected int" name))
       in
       let str name =
         match find name with
-        | Jstring s -> s
-        | Jint _ | Jfloat _ ->
+        | J.String s -> s
+        | J.Null | J.Bool _ | J.Int _ | J.Float _ | J.Array _ | J.Object _ ->
             raise (Parse_error (Printf.sprintf "field %S: expected string" name))
       in
       let flt name =
-        match find name with
-        | Jfloat f -> f
-        | Jint i -> float_of_int i
-        | Jstring _ ->
+        match J.number (find name) with
+        | Some f -> f
+        | None ->
             raise (Parse_error (Printf.sprintf "field %S: expected number" name))
       in
       match

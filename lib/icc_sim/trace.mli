@@ -12,7 +12,9 @@
 
     The JSONL schema is bidirectional: {!to_json} serialises one event per
     line and {!of_json} parses it back, round-tripping every constructor
-    (property-tested in test/test_trace.ml). *)
+    (property-tested in test/test_trace.ml).  Both go through
+    {!Icc_obs.Json}, so times and float payloads are written with six
+    decimals and a non-finite one as [null]. *)
 
 type event =
   | Run_start of { n : int; label : string }
@@ -143,8 +145,8 @@ val kind_of : event -> string
     {!to_json}. *)
 
 val json_escape : string -> string
-(** The body of a JSON string literal: escapes double quotes,
-    backslashes and every control character. *)
+(** The body of a JSON string literal as {!Icc_obs.Json} writes it:
+    escapes double quotes, backslashes and every control character. *)
 
 val to_json : time:float -> event -> string
 (** One JSON object (no trailing newline):

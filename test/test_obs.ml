@@ -1,4 +1,5 @@
-(* Icc_obs — metrics registry and span profiler.
+(* Icc_obs — metrics registry, span profiler, profile renderer and the
+   JSON codec.
 
    The registry is process-global, so every test uses its own metric
    names; profiler tests run under [with_profiler], which guarantees the
@@ -6,6 +7,7 @@
 
 module Registry = Icc_obs.Registry
 module Profile = Icc_obs.Profile
+module Json = Icc_obs.Json
 
 let with_profiler f =
   Fun.protect
@@ -250,6 +252,149 @@ let test_latency_percentile_invalidation () =
   Alcotest.(check (float 0.)) "p50 re-sorted over 5 samples" 3.0
     (Icc_sim.Metrics.latency_percentile m 50.)
 
+(* ------------------------------------------------------------ renderer *)
+
+let stat sp_name sp_count total_us self_us =
+  {
+    Profile.sp_name;
+    sp_count;
+    sp_total_s = float_of_int total_us /. 1e6;
+    sp_self_s = float_of_int self_us /. 1e6;
+  }
+
+let synthetic =
+  {
+    Profile.spans =
+      [
+        stat "crypto.verify" 4 900 900;
+        stat "engine.dispatch" 10 1500 300;
+        stat "net.transmit" 6 200 200;
+        stat "pool.admit" 3 100 100;
+      ];
+    counters = [ ("schnorr_verifies", 4); ("multi_exps", 0) ];
+    rounds =
+      [
+        (1, [ ("crypto.verify", 0.0009); ("pool.admit", 0.0001) ]);
+        (2, [ ("net.transmit", 0.0005) ]);
+      ];
+    parties = [ (1, [ ("crypto.verify", 0.0012) ]) ];
+  }
+
+let test_render_top () =
+  Alcotest.(check string) "top 2: two rows, the rest in (other x2)"
+    {|profile (host wall-clock, self-time descending):
+  span                              count     total-us      self-us  share
+  crypto.verify                         4          900          900  60.0%
+  engine.dispatch                      10         1500          300  20.0%
+  (other x2)                            9          300          300  20.0%
+
+counters:
+  schnorr_verifies                        4
+
+per-round self-us (0 = outside any round):
+      1       1000  ######################################## crypto.verify
+      2        500  ####################                     net.transmit
+
+per-party self-us (0 = outside any party):
+      1       1200
+|}
+    (Profile.render ~top:2 synthetic)
+
+let test_render_all_rows () =
+  Alcotest.(check string) "top 0: every row, no other-row"
+    {|profile (host wall-clock, self-time descending):
+  span                              count     total-us      self-us  share
+  crypto.verify                         4          900          900  60.0%
+  engine.dispatch                      10         1500          300  20.0%
+  net.transmit                          6          200          200  13.3%
+  pool.admit                            3          100          100   6.7%
+
+counters:
+  schnorr_verifies                        4
+|}
+    (Profile.render ~top:0 { synthetic with rounds = []; parties = [] })
+
+(* ---------------------------------------------------------------- json *)
+
+(* Values the writer renders exactly: ints of any size and sign, floats
+   exact at six decimals, strings over every byte 0x00-0x7f, nesting. *)
+let gen_json =
+  QCheck.Gen.(
+    let str = string_size ~gen:(char_range '\000' '\127') (int_bound 12) in
+    let leaf =
+      oneof
+        [
+          return Json.Null;
+          map (fun b -> Json.Bool b) bool;
+          map (fun i -> Json.Int i) int;
+          map
+            (fun k -> Json.Float (float_of_int k /. 1e6))
+            (int_range (-10_000_000_000) 10_000_000_000);
+          map (fun s -> Json.String s) str;
+        ]
+    in
+    sized_size (int_bound 4)
+      (fix (fun self depth ->
+           if depth = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 ( 1,
+                   map
+                     (fun l -> Json.Array l)
+                     (list_size (int_bound 4) (self (depth - 1))) );
+                 ( 1,
+                   map
+                     (fun l -> Json.Object l)
+                     (list_size (int_bound 4) (pair str (self (depth - 1)))) );
+               ])))
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"json: parse inverts to_string" ~count:1000
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun v -> Json.parse (Json.to_string v) = Ok v)
+
+let test_json_units () =
+  let every_byte = String.init 128 Char.chr in
+  Alcotest.(check bool) "every byte 0x00-0x7f round-trips" true
+    (Json.parse (Json.to_string (Json.String every_byte))
+    = Ok (Json.String every_byte));
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "%h writes null" f) "null"
+        (Json.to_string (Json.Float f)))
+    [ nan; infinity; neg_infinity ];
+  Alcotest.(check string) "six-decimal floats, compact" {|{"a":[1,-2.500000,"x\n"]}|}
+    (Json.to_string
+       (Json.Object
+          [ ("a", Json.Array [ Json.Int 1; Json.Float (-2.5); Json.String "x\n" ]) ]));
+  Alcotest.(check bool) "int vs float lexeme" true
+    (Json.parse "[3,3.0,-7]"
+    = Ok (Json.Array [ Json.Int 3; Json.Float 3.; Json.Int (-7) ]));
+  Alcotest.(check bool) "an int lexeme past max_int reads as a float" true
+    (Json.parse "92233720368547758070" = Ok (Json.Float 92233720368547758070.));
+  Alcotest.(check bool) "whitespace and escapes" true
+    (Json.parse " {\"k\" :\t[true, false,null],\n\"s\":\"\\u0041\\/\\t\"} "
+    = Ok
+        (Json.Object
+           [
+             ("k", Json.Array [ Json.Bool true; Json.Bool false; Json.Null ]);
+             ("s", Json.String "A/\t");
+           ]));
+  List.iter
+    (fun (text, msg) ->
+      Alcotest.(check (result reject string)) text (Error msg)
+        (Result.map ignore (Json.parse text)))
+    [
+      ({|{"a":1} x|}, "trailing garbage at byte 8");
+      ({|["abc|}, "unterminated string at byte 5");
+      ({|"a\qb"|}, "bad escape at byte 3");
+      ("", "expected a value at byte 0");
+      ({|{"a" 1}|}, "expected ':' at byte 5");
+      ({|[1,2|}, "expected ',' or ']' at byte 4");
+    ]
+
 let suite =
   [
     Alcotest.test_case "registry: counter basics" `Quick test_counter_basics;
@@ -276,4 +421,9 @@ let suite =
       test_context_attribution;
     Alcotest.test_case "metrics: latency percentile memo invalidation" `Quick
       test_latency_percentile_invalidation;
+    Alcotest.test_case "render: top rows and the (other) row" `Quick
+      test_render_top;
+    Alcotest.test_case "render: every row at top 0" `Quick test_render_all_rows;
+    Alcotest.test_case "json: writer and parser cases" `Quick test_json_units;
+    QCheck_alcotest.to_alcotest prop_json_round_trip;
   ]
