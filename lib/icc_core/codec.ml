@@ -8,7 +8,8 @@
    Layout: integers travel as LEB128 varints of their 64-bit two's
    complement (1 byte for values < 128 — rounds, party ids, counts, share
    signer ids — up to 10 bytes for huge or negative values, which honest
-   encoders never produce); strings and lists are preceded by a varint
+   encoders never produce; a varint decodes only if it is the one encoding
+   of a 63-bit [int]); strings and lists are preceded by a varint
    length/count; digests are 32 raw bytes; floats are their raw IEEE-754
    bits in 8 fixed little-endian bytes (converting through the 63-bit
    native int would corrupt bit 63 by sign extension); each message starts
@@ -71,25 +72,26 @@ let r_byte c =
   c.pos <- c.pos + 1;
   b
 
-let r_varint64 c =
-  let v = ref 0L in
-  let shift = ref 0 in
-  let continue = ref true in
-  while !continue do
-    if !shift > 63 then raise Malformed;
-    let b = r_byte c in
-    v := Int64.logor !v (Int64.shift_left (Int64.of_int (b land 0x7f)) !shift);
-    if b land 0x80 = 0 then begin
-      (* reject non-canonical trailing zero groups ("0x80 0x00"-style
-         padding), so every value has exactly one encoding *)
-      if b = 0 && !shift > 0 then raise Malformed;
-      continue := false
-    end
-    else shift := !shift + 7
-  done;
-  !v
+(* Unsigned LEB128 of the 64-bit two's complement, read straight into a
+   native int.  Groups 1-9 fill bits 0-62, the 9th group's top bit landing
+   on the int's sign bit; a 10th group may carry only bit 63, which must
+   equal bit 62 for the value to be a 63-bit [int].  Zero-padding groups
+   are rejected too, so every int has exactly one accepted encoding. *)
+let rec r_int_from c v shift =
+  let b = r_byte c in
+  let v = v lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then begin
+    if b = 0 && shift > 0 then raise Malformed;
+    if shift = 56 && b land 0x40 <> 0 then raise Malformed;
+    v
+  end
+  else if shift = 56 then begin
+    if b land 0x40 = 0 || r_byte c <> 1 then raise Malformed;
+    v
+  end
+  else r_int_from c v (shift + 7)
 
-let r_int c = Int64.to_int (r_varint64 c)
+let r_int c = r_int_from c 0 0
 
 let r_float c =
   need c 8;

@@ -9,17 +9,23 @@
      - small artifacts (signature shares, certificates, beacon shares) are
        flooded: pushed to all peers, re-pushed on first receipt.
 
-   The known/requested sets are per party: one table per party id, so the
-   state remains logically distributed and the per-hop dedup check hashes
-   a short artifact id instead of allocating a (party, id) tuple key. *)
-
-type artifact_id = string
+   Artifact ids are interned: an artifact's name ([artifact_id_of]) is
+   mapped to a dense int once, when it enters the layer through [publish]
+   or [inject], and the wire carries only that int.  The per-party state
+   is arrays indexed by it — a requested flag and a stored copy, whose
+   presence is what the party knows — grown together with the intern
+   table.  It stays per party, so logically distributed, and a relay hop
+   costs an array read instead of hashing a ~72-byte name.  The trace
+   still names artifacts by their strings. *)
 
 type wire =
-  | Advert of { id : artifact_id }
-  | Request of { id : artifact_id }
-  | Deliver of { id : artifact_id; msg : Icc_core.Message.t }
-  | Push of { id : artifact_id; msg : Icc_core.Message.t }
+  | Advert of { id : int }
+  | Request of { id : int }
+  | Deliver of { id : int; msg : Icc_core.Message.t }
+  | Push of { id : int; msg : Icc_core.Message.t }
+
+(* Resync control is never interned (see [inject]). *)
+let no_id = -1
 
 let advert_wire_size = 48
 let request_wire_size = 48
@@ -27,17 +33,19 @@ let header_wire_size = 16
 
 type t = {
   n : int;
-  fanout : int;
   engine : Icc_sim.Engine.t;
   trace : Icc_sim.Trace.t;
   net : wire Icc_sim.Network.t;
   peers : int list array; (* 1-based; peers.(0) unused *)
-  known : (artifact_id, unit) Hashtbl.t array; (* per party; index 0 unused *)
-  requested : (artifact_id, unit) Hashtbl.t array;
-  store : (artifact_id, Icc_core.Message.t) Hashtbl.t array;
+  ids : (string, int) Hashtbl.t; (* artifact name -> interned id *)
+  mutable names : string array; (* interned id -> name; length = capacity *)
+  mutable requested : Bytes.t array; (* per party; index 0 unused *)
+  mutable store : Icc_core.Message.t option array array; (* [Some] = known *)
   is_active : int -> bool;
   deliver_up : dst:int -> Icc_core.Message.t -> unit;
 }
+
+let initial_capacity = 256
 
 (* A connected random graph: ring + [fanout - 2] random chords per node,
    symmetrised. *)
@@ -110,31 +118,60 @@ let send t ~src ~dst w =
   Icc_sim.Network.unicast t.net ~src ~dst ~size:(wire_size t w)
     ~kind:(wire_kind w) w
 
-let mark_known t party id = Hashtbl.replace t.known.(party) id ()
-let knows t party id = Hashtbl.mem t.known.(party) id
+(* Double the id space of the intern table and of every party's arrays. *)
+let grow t =
+  let old = Array.length t.names in
+  t.names <- Array.append t.names (Array.make old "");
+  t.requested <-
+    Array.map
+      (fun b ->
+        let b' = Bytes.make (2 * old) '\000' in
+        Bytes.blit b 0 b' 0 old;
+        b')
+      t.requested;
+  t.store <- Array.map (fun a -> Array.append a (Array.make old None)) t.store
 
-(* Gossip-layer events carry the artifact id; they are detail-level, so an
-   unobserved run never reaches the emit. *)
+let intern t name =
+  match Hashtbl.find_opt t.ids name with
+  | Some id -> id
+  | None ->
+      let id = Hashtbl.length t.ids in
+      if id = Array.length t.names then grow t;
+      t.names.(id) <- name;
+      Hashtbl.add t.ids name id;
+      id
+
+let knows t party id = Option.is_some t.store.(party).(id)
+let remember t party id msg = t.store.(party).(id) <- Some msg
+
+(* Gossip-layer events carry the artifact's name; they are detail-level,
+   so an unobserved run never reaches the emit. *)
 let emit_detail t ev =
   if Icc_sim.Trace.detailed t.trace then
     Icc_sim.Trace.emit t.trace ~time:(Icc_sim.Engine.now t.engine) (ev ())
+
+(* Offer an artifact to every peer of [src] but [except]: an advert for a
+   block, the artifact itself otherwise.  The wire value, its size and its
+   kind are built once for the whole fan-out. *)
+let relay t ~src ~except id msg =
+  let w = if is_large msg then Advert { id } else Push { id; msg } in
+  let size = wire_size t w and kind = wire_kind w in
+  List.iter
+    (fun peer ->
+      if peer <> except then
+        Icc_sim.Network.unicast t.net ~src ~dst:peer ~size ~kind w)
+    t.peers.(src)
 
 (* First acquisition of an artifact at [party]: hand it to the protocol
    layer and propagate. *)
 let acquire t ~party ~from_peer id msg =
   if not (knows t party id) then begin
-    mark_known t party id;
-    Hashtbl.replace t.store.(party) id msg;
+    remember t party id msg;
     emit_detail t (fun () ->
-        Icc_sim.Trace.Gossip_acquire { party; peer = from_peer; artifact = id });
+        Icc_sim.Trace.Gossip_acquire
+          { party; peer = from_peer; artifact = t.names.(id) });
     t.deliver_up ~dst:party msg;
-    if t.is_active party then
-      List.iter
-        (fun peer ->
-          if peer <> from_peer then
-            if is_large msg then send t ~src:party ~dst:peer (Advert { id })
-            else send t ~src:party ~dst:peer (Push { id; msg }))
-        t.peers.(party)
+    if t.is_active party then relay t ~src:party ~except:from_peer id msg
   end
 
 let on_wire t ~dst ~src w =
@@ -142,20 +179,21 @@ let on_wire t ~dst ~src w =
   if t.is_active dst then
     match w with
     | Advert { id } ->
-        if (not (knows t dst id)) && not (Hashtbl.mem t.requested.(dst) id)
+        if (not (knows t dst id)) && Bytes.get t.requested.(dst) id = '\000'
         then begin
-          Hashtbl.replace t.requested.(dst) id ();
+          Bytes.set t.requested.(dst) id '\001';
           emit_detail t (fun () ->
-              Icc_sim.Trace.Gossip_request { party = dst; peer = src; artifact = id });
+              Icc_sim.Trace.Gossip_request
+                { party = dst; peer = src; artifact = t.names.(id) });
           send t ~src:dst ~dst:src (Request { id })
         end
     | Request { id } -> (
-        match Hashtbl.find_opt t.store.(dst) id with
+        match t.store.(dst).(id) with
         | Some msg -> send t ~src:dst ~dst:src (Deliver { id; msg })
         | None -> ())
     | Deliver { id; msg } | Push { id; msg } ->
         (* Resync control is point-to-point and intentionally repeatable:
-           it must never enter the known/store dedup tables, or repeated
+           it carries no id and never enters the store, or repeated
            identical summaries would be swallowed. *)
         if Icc_core.Message.is_resync msg then t.deliver_up ~dst msg
         else acquire t ~party:dst ~from_peer:src id msg
@@ -166,14 +204,15 @@ let create (ctx : Icc_core.Runner.transport_ctx) ~fanout =
   let t =
     {
       n;
-      fanout;
       engine = ctx.tr_engine;
       trace = ctx.tr_trace;
       net;
       peers = build_peer_graph ctx.tr_rng ~n ~fanout;
-      known = Array.init (n + 1) (fun _ -> Hashtbl.create 64);
-      requested = Array.init (n + 1) (fun _ -> Hashtbl.create 64);
-      store = Array.init (n + 1) (fun _ -> Hashtbl.create 64);
+      ids = Hashtbl.create initial_capacity;
+      names = Array.make initial_capacity "";
+      requested =
+        Array.init (n + 1) (fun _ -> Bytes.make initial_capacity '\000');
+      store = Array.init (n + 1) (fun _ -> Array.make initial_capacity None);
       is_active = ctx.tr_is_active;
       deliver_up = ctx.tr_deliver;
     }
@@ -186,33 +225,27 @@ let create (ctx : Icc_core.Runner.transport_ctx) ~fanout =
    messages). *)
 let publish t ~src msg =
   Icc_obs.Profile.span "gossip.publish" @@ fun () ->
-  let id = artifact_id_of msg in
+  let id = intern t (artifact_id_of msg) in
   if not (knows t src id) then begin
-    mark_known t src id;
-    Hashtbl.replace t.store.(src) id msg;
+    remember t src id msg;
     emit_detail t (fun () ->
-        Icc_sim.Trace.Gossip_publish { party = src; artifact = id });
+        Icc_sim.Trace.Gossip_publish { party = src; artifact = t.names.(id) });
     t.deliver_up ~dst:src msg;
-    List.iter
-      (fun peer ->
-        if is_large msg then send t ~src ~dst:peer (Advert { id })
-        else send t ~src ~dst:peer (Push { id; msg }))
-      t.peers.(src)
+    relay t ~src ~except:0 id msg
   end
 
 (* Byzantine split delivery: hand an artifact directly to one party, outside
    the advert/request discipline.  The receiver re-gossips as usual. *)
 let inject t ~src ~dst msg =
-  let id = artifact_id_of msg in
   if Icc_core.Message.is_resync msg then
-    (* Point-to-point resync control: skip the dedup tables on the send
-       side too (see on_wire) so every retransmission actually travels. *)
-    send t ~src ~dst (Deliver { id; msg })
+    (* Point-to-point resync control: skip the store on the send side too
+       (see on_wire) so every retransmission actually travels. *)
+    send t ~src ~dst (Deliver { id = no_id; msg })
   else if dst = src then publish t ~src msg
   else begin
     (* sender remembers its own artifact *)
-    mark_known t src id;
-    Hashtbl.replace t.store.(src) id msg;
+    let id = intern t (artifact_id_of msg) in
+    remember t src id msg;
     send t ~src ~dst (Deliver { id; msg })
   end
 

@@ -252,6 +252,94 @@ let test_non_canonical_varint_rejected () =
         (Icc_core.Message.Pool_summary
            { ps_party = 0; ps_round = 0; ps_kmax = 0 }))
 
+(* The 10th varint group holds bit 63 alone.  [Pool_summary {3; 5; 7}] is
+   "07 03 05 07"; re-padding the 03 to ten groups whose last one is 0x01,
+   0x02 or 0x7e once decoded to the same message, so one message had four
+   encodings. *)
+let test_tenth_varint_group_rejected () =
+  let msg =
+    Icc_core.Message.Pool_summary { ps_party = 3; ps_round = 5; ps_kmax = 7 }
+  in
+  Alcotest.(check string) "encoding" "\x07\x03\x05\x07"
+    (Icc_core.Codec.encode msg);
+  List.iter
+    (fun last ->
+      let padded =
+        "\x07\x83" ^ String.make 8 '\x80' ^ String.make 1 last ^ "\x05\x07"
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "tenth group %02x rejected" (Char.code last))
+        true
+        (Icc_core.Codec.decode padded = None))
+    [ '\x01'; '\x02'; '\x7e' ];
+  (* nine groups setting bit 62 without bit 63: 2^63 - 1 is no int *)
+  Alcotest.(check bool) "bit 62 without bit 63 rejected" true
+    (Icc_core.Codec.decode ("\x07" ^ String.make 8 '\xff' ^ "\x7f\x05\x07")
+    = None);
+  (* a negative int needs all ten groups, and its encoding still decodes *)
+  let negative =
+    Icc_core.Message.Pool_summary { ps_party = -1; ps_round = min_int; ps_kmax = max_int }
+  in
+  Alcotest.(check bool) "negative ints roundtrip" true
+    (Icc_core.Codec.decode (Icc_core.Codec.encode negative) = Some negative)
+
+(* Encodings to mutate: every variant, plus the resync frames, whose bytes
+   are all varints. *)
+let mutation_seeds =
+  List.map Icc_core.Codec.encode
+    (sample_messages ()
+    @ [
+        Icc_core.Message.Pool_summary
+          { ps_party = 3; ps_round = 300; ps_kmax = 7 };
+        Icc_core.Message.Pool_request
+          { pr_party = 2; pr_from = 1 lsl 20; pr_upto = -5 };
+      ])
+
+(* Truncation, splicing two encodings, re-padding the byte at a position
+   as a longer varint (continuation bit set, [k] 0x80 groups, then a final
+   group), and random bytes behind a valid tag. *)
+let mutated_encoding =
+  let open QCheck.Gen in
+  let seed = oneofl mutation_seeds in
+  let cut s = map (fun k -> k mod (String.length s + 1)) nat in
+  let truncation =
+    seed >>= fun s -> map (fun k -> String.sub s 0 k) (cut s)
+  in
+  let splice =
+    pair seed seed >>= fun (a, b) ->
+    map2
+      (fun i j -> String.sub a 0 i ^ String.sub b j (String.length b - j))
+      (cut a) (cut b)
+  in
+  let repad =
+    seed >>= fun s ->
+    let last = oneof [ oneofl [ 0x00; 0x01; 0x02; 0x7e ]; int_bound 0x7f ] in
+    map3
+      (fun pos k last ->
+        let pos = pos mod String.length s in
+        String.sub s 0 pos
+        ^ String.make 1 (Char.chr (Char.code s.[pos] lor 0x80))
+        ^ String.make k '\x80'
+        ^ String.make 1 (Char.chr last)
+        ^ String.sub s (pos + 1) (String.length s - pos - 1))
+      nat (int_bound 8) last
+  in
+  let random =
+    map2
+      (fun tag rest -> String.make 1 (Char.chr tag) ^ rest)
+      (int_range 1 8)
+      (string_size ~gen:char (int_bound 12))
+  in
+  oneof [ truncation; splice; repad; random ]
+
+let prop_decode_is_canonical =
+  QCheck.Test.make ~name:"decoded frames re-encode to their bytes" ~count:1000
+    (QCheck.make ~print:String.escaped mutated_encoding)
+    (fun s ->
+      match Icc_core.Codec.decode s with
+      | Some msg -> Icc_core.Codec.encode msg = s
+      | None -> true)
+
 let suite =
   [
     Alcotest.test_case "roundtrip variants" `Quick test_roundtrip_all_variants;
@@ -260,6 +348,9 @@ let suite =
     Alcotest.test_case "compact frame sizes" `Quick test_compactness;
     Alcotest.test_case "non-canonical varints rejected" `Quick
       test_non_canonical_varint_rejected;
+    Alcotest.test_case "tenth varint group rejected" `Quick
+      test_tenth_varint_group_rejected;
+    QCheck_alcotest.to_alcotest prop_decode_is_canonical;
     QCheck_alcotest.to_alcotest prop_varint_edges_roundtrip;
     Alcotest.test_case "hashes/signatures preserved" `Quick
       test_roundtrip_preserves_hashes_and_signatures;

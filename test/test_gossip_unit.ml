@@ -9,8 +9,8 @@ type world = {
   delivered : (int, Icc_core.Message.t list ref) Hashtbl.t;
 }
 
-let make_world ?(fanout = 3) ?(seed = 9) () =
-  let env = Icc_sim.Transport.env ~n:7 () in
+let make_world ?(fanout = 3) ?(seed = 9) ?trace () =
+  let env = Icc_sim.Transport.env ?trace ~n:7 () in
   let engine = env.Icc_sim.Transport.engine in
   let metrics = env.Icc_sim.Transport.metrics in
   let delivered = Hashtbl.create 8 in
@@ -107,6 +107,110 @@ let test_inject_reaches_target_then_spreads () =
     true
     (List.length got >= 6)
 
+let beacon_share =
+  lazy
+    (Icc_crypto.Threshold_vuf.sign_share
+       kit.Kit.system.Icc_crypto.Keygen.beacon
+       (Kit.key kit 3).Icc_crypto.Keygen.beacon_key "beacon text")
+
+(* 300 distinct artifacts, more than the 256 ids the layer starts with, so
+   the intern table and every party's arrays grow mid-run.  Every tenth is
+   a block, so ids on both sides of the growth take the advert/request
+   path. *)
+let test_many_artifacts_reach_everyone_once () =
+  let trace = Icc_sim.Trace.create () in
+  let acquired = ref [] in
+  Icc_sim.Trace.subscribe trace (fun ~time:_ ev ->
+      match ev with
+      | Icc_sim.Trace.Gossip_acquire { artifact; _ } ->
+          acquired := artifact :: !acquired
+      | _ -> ());
+  let w = make_world ~trace () in
+  let count = 300 in
+  let msgs =
+    List.init count (fun i ->
+        if i mod 10 = 0 then proposal ~filler:(100 + i) ~proposer:(1 + (i mod 7)) ()
+        else
+          Icc_core.Message.Beacon_share
+            { b_round = i; b_signer = 3; b_share = Lazy.force beacon_share })
+  in
+  (* all published before any is relayed, so copies of the first 256 are
+     still in flight when the arrays grow *)
+  List.iteri
+    (fun i msg -> Icc_gossip.Gossip.publish w.gossip ~src:(1 + (i mod 7)) msg)
+    msgs;
+  Icc_sim.Engine.run w.engine;
+  let names = List.map Icc_gossip.Gossip.artifact_id_of msgs in
+  Alcotest.(check int) "distinct artifacts" count
+    (List.length (List.sort_uniq String.compare names));
+  Hashtbl.iter
+    (fun party l ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "party %d got each artifact exactly once" party)
+        (List.sort String.compare names)
+        (List.sort String.compare
+           (List.map Icc_gossip.Gossip.artifact_id_of !l)))
+    w.delivered;
+  Alcotest.(check bool) "acquire events name published artifacts" true
+    (List.for_all (fun a -> List.mem a names) !acquired)
+
+(* Resync control is never deduplicated: the same summary sent twice is
+   delivered twice, and only to its destination. *)
+let test_repeated_summary_delivered_twice () =
+  let w = make_world () in
+  let summary =
+    Icc_core.Message.Pool_summary { ps_party = 1; ps_round = 4; ps_kmax = 3 }
+  in
+  Icc_gossip.Gossip.inject w.gossip ~src:1 ~dst:2 summary;
+  Icc_gossip.Gossip.inject w.gossip ~src:1 ~dst:2 summary;
+  Icc_sim.Engine.run w.engine;
+  Hashtbl.iter
+    (fun party l ->
+      Alcotest.(check int)
+        (Printf.sprintf "party %d deliveries" party)
+        (if party = 2 then 2 else 0)
+        (List.length !l))
+    w.delivered
+
+(* Trace events name each artifact by [artifact_id_of], not by the int
+   the wire carries. *)
+let test_trace_names_artifacts () =
+  let trace = Icc_sim.Trace.create () in
+  let seen = ref [] in
+  Icc_sim.Trace.subscribe trace (fun ~time:_ ev ->
+      match ev with
+      | Icc_sim.Trace.Gossip_publish { artifact; _ } ->
+          seen := ("publish", artifact) :: !seen
+      | Icc_sim.Trace.Gossip_request { artifact; _ } ->
+          seen := ("request", artifact) :: !seen
+      | Icc_sim.Trace.Gossip_acquire { artifact; _ } ->
+          seen := ("acquire", artifact) :: !seen
+      | _ -> ());
+  let w = make_world ~trace () in
+  let block = proposal ~proposer:2 () and share = small_message () in
+  Icc_gossip.Gossip.publish w.gossip ~src:2 block;
+  Icc_gossip.Gossip.publish w.gossip ~src:5 share;
+  Icc_sim.Engine.run w.engine;
+  let names =
+    List.map Icc_gossip.Gossip.artifact_id_of [ block; share ]
+  in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) (kind ^ " events seen") true
+        (List.mem_assoc kind !seen))
+    [ "publish"; "request"; "acquire" ];
+  List.iter
+    (fun (kind, artifact) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s names %s" kind artifact)
+        true (List.mem artifact names))
+    !seen;
+  Alcotest.(check bool) "requests name the block" true
+    (List.for_all
+       (fun (kind, artifact) ->
+         kind <> "request" || artifact = Icc_gossip.Gossip.artifact_id_of block)
+       !seen)
+
 let suite =
   [
     Alcotest.test_case "large artifact once" `Quick
@@ -115,4 +219,9 @@ let suite =
     Alcotest.test_case "republish no-op" `Quick test_republish_is_noop;
     Alcotest.test_case "traffic bounded" `Quick test_large_artifact_traffic_bounded;
     Alcotest.test_case "inject spreads" `Quick test_inject_reaches_target_then_spreads;
+    Alcotest.test_case "300 artifacts once each" `Quick
+      test_many_artifacts_reach_everyone_once;
+    Alcotest.test_case "repeated summary delivered twice" `Quick
+      test_repeated_summary_delivered_twice;
+    Alcotest.test_case "trace names artifacts" `Quick test_trace_names_artifacts;
   ]

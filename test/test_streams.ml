@@ -57,6 +57,17 @@ let icc2_adversary trace =
                 ] })
     trace
 
+(* Party 2 equivocates: its proposals reach the others by [Gossip.inject]'s
+   split delivery, each with its own artifact name in the trace. *)
+let icc1_equivocate trace =
+  icc
+    (fun s ->
+      Icc_gossip.Icc1.run ~fanout:3
+        { s with
+          Icc_core.Runner.delay = Icc_core.Runner.Uniform_delay (0.01, 0.05);
+          adversary = Some [ Icc_sim.Adversary.equivocate 2 ] })
+    trace
+
 (* Regression: the self-copy of the next round's beacon share re-entered
    [step], finished the round and left the outer frame asking for its
    rank in a round whose beacon was unknown ([Party.my_rank] raised).
@@ -126,6 +137,8 @@ let suite =
       "5f92d38d6eda67a0db1bae742ad71362ac58b5c4b06331c524101056a0c229ba";
     pinned "icc2 censor/delay/straggle/withhold" icc2_adversary
       "02ad1b1d3c898a2ed40651afd3b2043bb3b044091756309e8e53687b1c2a00a4";
+    pinned "icc1 equivocate" icc1_equivocate
+      "26f4b7194d2e56259f686f1eb53296e3906cd1de33d6c6e470c18fe7bc3c1e82";
     pinned "icc1 wan drop + crash cycle" icc1_crash_cycle
       "55e7cdf5ca25f35bec9998c8f5052785cdca029dcd00291a18f3f9ddac00ce7c";
     pinned "golden n=16 icc0" (fun tr -> golden16 tr)
