@@ -30,16 +30,22 @@ let bench_sha256 =
   Test.make ~name:"sha256-1KiB" (Staged.stage (fun () ->
       ignore (Icc_crypto.Sha256.digest_string kilobyte)))
 
+(* Signature rows sign what the protocol signs: a notarization text on a
+   real 32-byte block digest (36 bytes, one SHA-256 block per challenge). *)
+let signed_text =
+  Icc_core.Types.notarization_text ~round:7 ~proposer:3
+    ~block_hash:(Icc_crypto.Sha256.digest_string "bench block")
+
 let schnorr_sk, schnorr_pk = Icc_crypto.Schnorr.keygen rand_bits
-let schnorr_sig = Icc_crypto.Schnorr.sign schnorr_sk "bench message"
+let schnorr_sig = Icc_crypto.Schnorr.sign schnorr_sk signed_text
 
 let bench_schnorr_sign =
   Test.make ~name:"schnorr-sign" (Staged.stage (fun () ->
-      ignore (Icc_crypto.Schnorr.sign schnorr_sk "bench message")))
+      ignore (Icc_crypto.Schnorr.sign schnorr_sk signed_text)))
 
 let bench_schnorr_verify =
   Test.make ~name:"schnorr-verify" (Staged.stage (fun () ->
-      ignore (Icc_crypto.Schnorr.verify schnorr_pk "bench message" schnorr_sig)))
+      ignore (Icc_crypto.Schnorr.verify schnorr_pk signed_text schnorr_sig)))
 
 let vuf_params, vuf_secrets = Icc_crypto.Threshold_vuf.setup ~threshold_t:4 ~n:13 rand_bits
 let vuf_msg = "beacon round 7"
@@ -64,13 +70,13 @@ let bench_vuf_combine =
       ignore (Icc_crypto.Threshold_vuf.combine vuf_params vuf_msg vuf_shares)))
 
 let ms_params, ms_secrets = Icc_crypto.Multisig.setup ~threshold_h:9 ~n:13 rand_bits
-let ms_msg = "notarization|7|3|deadbeef"
 let ms_shares =
-  List.map (fun sk -> Icc_crypto.Multisig.sign_share ms_params sk ms_msg) ms_secrets
+  List.map (fun sk -> Icc_crypto.Multisig.sign_share ms_params sk signed_text)
+    ms_secrets
 
 let bench_multisig_combine =
   Test.make ~name:"multisig-combine-9of13" (Staged.stage (fun () ->
-      ignore (Icc_crypto.Multisig.combine ms_params ms_msg ms_shares)))
+      ignore (Icc_crypto.Multisig.combine ms_params signed_text ms_shares)))
 
 let rs_data = String.init 65536 (fun i -> Char.chr (i land 0xff))
 let rs_coded = Icc_erasure.Reed_solomon.encode ~k:5 ~n:13 rs_data

@@ -24,21 +24,7 @@ exception Malformed
 
 let w_byte buf b = Buffer.add_char buf (Char.chr (b land 0xff))
 
-(* Unsigned LEB128 over the two's-complement bits. *)
-let w_varint64 buf n =
-  let v = ref n in
-  let continue = ref true in
-  while !continue do
-    let low = Int64.to_int (Int64.logand !v 0x7fL) in
-    v := Int64.shift_right_logical !v 7;
-    if Int64.equal !v 0L then begin
-      Buffer.add_char buf (Char.chr low);
-      continue := false
-    end
-    else Buffer.add_char buf (Char.chr (low lor 0x80))
-  done
-
-let w_int buf n = w_varint64 buf (Int64.of_int n)
+let w_int = Leb128.add_int
 
 (* Floats travel as raw IEEE-754 bits, fixed width: varint-packing the
    mantissa-heavy bit pattern would usually *grow* it. *)

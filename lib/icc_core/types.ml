@@ -39,19 +39,24 @@ let payload_digest p =
             p.commands))
 
 (* Signed-text encodings (paper §3.4): the tuples
-   (authenticator|notarization|finalization, k, alpha, H(B)). *)
+   (authenticator|notarization|finalization, k, alpha, H(B)) as one kind
+   byte, the 32 raw digest bytes, then LEB128 k and alpha.  Fixed-width
+   fields first and self-delimiting varints last keep the encoding
+   injective for every int, and typical texts (k < 2^14, alpha < 128) are
+   36 bytes, so a Schnorr challenge over one fits in a single SHA-256
+   block (DESIGN.md §3.11). *)
 
-let authenticator_text ~round ~proposer ~block_hash =
-  Printf.sprintf "authenticator|%d|%d|%s" round proposer
-    (Icc_crypto.Sha256.to_hex block_hash)
+let signed_text kind ~round ~proposer ~block_hash =
+  let buf = Buffer.create 40 in
+  Buffer.add_char buf kind;
+  Buffer.add_string buf (block_hash : Icc_crypto.Sha256.t :> string);
+  Leb128.add_int buf round;
+  Leb128.add_int buf proposer;
+  Buffer.contents buf
 
-let notarization_text ~round ~proposer ~block_hash =
-  Printf.sprintf "notarization|%d|%d|%s" round proposer
-    (Icc_crypto.Sha256.to_hex block_hash)
-
-let finalization_text ~round ~proposer ~block_hash =
-  Printf.sprintf "finalization|%d|%d|%s" round proposer
-    (Icc_crypto.Sha256.to_hex block_hash)
+let authenticator_text = signed_text '\x01'
+let notarization_text = signed_text '\x02'
+let finalization_text = signed_text '\x03'
 
 (* The random beacon chain: R_k is the unique threshold signature on a text
    binding round number and R_{k-1} (paper §2.3). *)

@@ -34,7 +34,13 @@ val empty_payload : payload
 val payload_size : payload -> int
 val payload_digest : payload -> Icc_crypto.Sha256.t
 
-(** {1 Signed-text encodings} *)
+(** {1 Signed-text encodings}
+
+    One kind byte ([0x01] authenticator, [0x02] notarization, [0x03]
+    finalization), the 32 raw digest bytes, then LEB128 round and
+    proposer ({!Leb128}).  Injective for every int; 36 bytes for
+    round < 2^14 and proposer < 128, so a Schnorr challenge over a text
+    is one SHA-256 block. *)
 
 val authenticator_text :
   round:round -> proposer:party_id -> block_hash:Icc_crypto.Sha256.t -> string

@@ -21,11 +21,13 @@ type proof = {
   commit2 : Group.elt; (* base2^nonce; carried for inversion-free verify *)
 }
 
+(* A domain byte and the six elements as 8-byte big-endian values: 49
+   bytes, one SHA-256 block. *)
 let challenge_hash ~base1 ~base2 ~a ~b ~commit1 ~commit2 =
   Group.scalar_of_hash
-    (Sha256.digest_string
-       (Printf.sprintf "dleq|%d|%d|%d|%d|%d|%d" base1 base2 a b commit1
-          commit2))
+    (Group.hash_fields Group.Dleq_challenge
+       [ base1; base2; a; b; commit1; commit2 ]
+       "")
 
 let prove ~base1 ~base2 ~exponent ~msg_tag =
   Icc_obs.Profile.span "crypto.dleq_prove" @@ fun () ->
@@ -38,11 +40,8 @@ let prove ~base1 ~base2 ~exponent ~msg_tag =
   let a = Group.pow_cached base1 x and b = Group.pow_cached base2 x in
   (* Deterministic nonce (the prover holds x, so this is safe). *)
   let nonce =
-    let d =
-      Sha256.digest_string
-        (Printf.sprintf "dleq-nonce|%d|%d|%d|%s" x base1 base2 msg_tag)
-    in
-    Group.scalar_of_hash_nonzero ~tag:"dleq-nonce" d
+    Group.scalar_of_hash_nonzero ~tag:"dleq-nonce"
+      (Group.hash_fields Group.Dleq_nonce [ x; base1; base2 ] msg_tag)
   in
   let commit1 = Group.pow_cached base1 nonce
   and commit2 = Group.pow_cached base2 nonce in

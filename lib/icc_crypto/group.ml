@@ -192,6 +192,29 @@ let scalar_reduce a = Fp.reduce a q
 
 let scalar_of_hash (d : Sha256.t) = Fp.reduce (Sha256.to_int61 d) q
 
+(* Challenge and nonce hash inputs: one domain byte, each int as 8
+   big-endian bytes, then [suffix].  The fixed-width fields precede the
+   one variable-length field, so each domain's encoding is injective, and
+   the domain bytes lie below every ASCII-tagged hash input of the tree
+   (block, beacon, VUF output, Merkle), so no two uses share an input.
+   A Schnorr challenge on a 36-byte signed text is 53 bytes and a DLEQ
+   challenge 49: each fits one SHA-256 block (at most 55 bytes). *)
+type hash_domain = Schnorr_challenge | Schnorr_nonce | Dleq_challenge | Dleq_nonce
+
+let domain_byte = function
+  | Schnorr_challenge -> '\x01'
+  | Schnorr_nonce -> '\x02'
+  | Dleq_challenge -> '\x03'
+  | Dleq_nonce -> '\x04'
+
+let hash_fields domain ints suffix =
+  let fixed = 1 + (8 * List.length ints) in
+  let b = Bytes.create (fixed + String.length suffix) in
+  Bytes.set b 0 (domain_byte domain);
+  List.iteri (fun i v -> Bytes.set_int64_be b (1 + (8 * i)) (Int64.of_int v)) ints;
+  Bytes.blit_string suffix 0 b fixed (String.length suffix);
+  Sha256.digest_bytes b
+
 (* Hash a message into the group: square the hash-derived residue.  Squaring
    maps Z_p^* onto the QR subgroup, giving a proper hash-to-group for the
    threshold-VUF beacon (the CKS-style coin needs H2G with unknown dlog). *)

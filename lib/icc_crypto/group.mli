@@ -49,6 +49,15 @@ val scalar_reduce : int -> scalar
 
 val scalar_of_hash : Sha256.t -> scalar
 
+type hash_domain = Schnorr_challenge | Schnorr_nonce | Dleq_challenge | Dleq_nonce
+(** The uses of {!hash_fields}; each has its own leading byte. *)
+
+val hash_fields : hash_domain -> int list -> string -> Sha256.t
+(** [hash_fields domain ints suffix] hashes the domain's byte, each int
+    as 8 big-endian bytes, then [suffix].  Injective per domain, since
+    only the last field varies in length; 55 bytes or fewer hash as one
+    SHA-256 block. *)
+
 val scalar_of_hash_nonzero : tag:string -> Sha256.t -> scalar
 (** Like {!scalar_of_hash}, but guarantees a non-zero result without
     biasing the distribution: the first derivation is byte-identical to

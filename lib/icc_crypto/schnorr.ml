@@ -26,17 +26,19 @@ let keygen rand_bits =
 
 let public_key_of_secret { cached_pk; _ } = { pk = cached_pk }
 
+(* Challenge and nonce hash the same layout, a domain byte, two 8-byte
+   group values and the message: 53 bytes, one SHA-256 block, for the
+   36-byte signed texts of the protocol. *)
 let challenge_hash ~commitment ~pk ~msg =
   Group.scalar_of_hash
-    (Sha256.digest_string
-       (Printf.sprintf "schnorr|%d|%d|%s" commitment pk msg))
+    (Group.hash_fields Group.Schnorr_challenge [ commitment; pk ] msg)
 
 let sign { sk; cached_pk } (msg : string) : signature =
   Icc_obs.Profile.span "crypto.schnorr_sign" @@ fun () ->
   Counters.bump Counters.schnorr_signs;
   let nonce =
-    let d = Sha256.digest_string (Printf.sprintf "nonce|%d|%s" sk msg) in
-    Group.scalar_of_hash_nonzero ~tag:"schnorr-nonce" d
+    Group.scalar_of_hash_nonzero ~tag:"schnorr-nonce"
+      (Group.hash_fields Group.Schnorr_nonce [ sk; cached_pk ] msg)
   in
   let commitment = Group.base_pow nonce in
   let challenge = challenge_hash ~commitment ~pk:cached_pk ~msg in

@@ -73,25 +73,32 @@ let prop_wrong_statement_rejected =
 
 (* Every tamper kind of a share's proof or statement is rejected by the
    single verify, and the untampered proof is accepted: response + 1,
-   challenge + 1, a wrong [b], and [a] shifted by one factor of [g]. *)
+   challenge + 1, either commitment times g, a wrong [b], [a] shifted by
+   one factor of [g], [a] and [b] swapped, and another [base2].  Together
+   they alter each of the six elements the challenge hashes. *)
 let prop_tampered_rejected =
   QCheck.Test.make ~name:"dleq rejects every tamper kind" ~count:60
     QCheck.small_string (fun tag ->
       let module G = Icc_crypto.Group in
       let module D = Icc_crypto.Dleq in
       let base1, base2 = fresh_bases () in
+      let _, other_base2 = fresh_bases () in
       let x = G.random_scalar rand_bits in
       let proof = D.prove ~base1 ~base2 ~exponent:x ~msg_tag:tag in
       let a = G.pow base1 x and b = G.pow base2 x in
-      let verify (a, b, pf) = D.verify ~base1 ~base2 ~a ~b pf in
-      verify (a, b, proof)
+      let verify (base2, a, b, pf) = D.verify ~base1 ~base2 ~a ~b pf in
+      verify (base2, a, b, proof)
       && List.for_all
            (fun item -> not (verify item))
            [
-             (a, b, { proof with D.response = G.scalar_add proof.D.response 1 });
-             (a, b, { proof with D.challenge = G.scalar_add proof.D.challenge 1 });
-             (a, G.pow base2 (G.scalar_add x 1), proof);
-             (G.mul a G.generator, b, proof);
+             (base2, a, b, { proof with D.response = G.scalar_add proof.D.response 1 });
+             (base2, a, b, { proof with D.challenge = G.scalar_add proof.D.challenge 1 });
+             (base2, a, b, { proof with D.commit1 = G.mul proof.D.commit1 G.generator });
+             (base2, a, b, { proof with D.commit2 = G.mul proof.D.commit2 G.generator });
+             (base2, a, G.pow base2 (G.scalar_add x 1), proof);
+             (base2, G.mul a G.generator, b, proof);
+             (base2, b, a, proof);
+             (other_base2, a, b, proof);
            ])
 
 let suite =
