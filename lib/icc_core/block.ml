@@ -25,14 +25,13 @@ let compute_digest ~round ~proposer ~parent_hash ~payload =
        (Icc_crypto.Sha256.to_hex parent_hash)
        (Icc_crypto.Sha256.to_hex (Types.payload_digest payload)))
 
-(* Â§3.5 toggle, Atomic so domains hashing blocks concurrently read it
-   race-free; flip only while single-domain (DESIGN.md Â§3.9). *)
-let memoize = Atomic.make true
-let set_memoization on = Atomic.set memoize on
-let memoization_enabled () = Atomic.get memoize
+(* §3.5 toggle. *)
+let memoize = ref true
+let set_memoization on = memoize := on
+let memoization_enabled () = !memoize
 
 let hash (b : t) =
-  if Atomic.get memoize then b.digest
+  if !memoize then b.digest
   else
     compute_digest ~round:b.round ~proposer:b.proposer
       ~parent_hash:b.parent_hash ~payload:b.payload

@@ -109,12 +109,10 @@ type t = {
   mutable pruned_below : Types.round;
 }
 
-(* Â§3.5 toggle, Atomic so a parallel pool reader sees a coherent value;
-   discipline: flip only while single-domain (snapshot-at-spawn,
-   DESIGN.md Â§3.9). *)
-let caching = Atomic.make true
-let set_caching on = Atomic.set caching on
-let caching_enabled () = Atomic.get caching
+(* §3.5 toggle. *)
+let caching = ref true
+let set_caching on = caching := on
+let caching_enabled () = !caching
 
 let fresh_slot () =
   {
@@ -297,7 +295,7 @@ let valid_blocks t round =
   match find_slot t round with
   | None -> []
   | Some s ->
-      if not (Atomic.get caching) then compute_valid s
+      if not !caching then compute_valid s
       else (
         match s.s_valid_cache with
         | Some (ep, v) when ep = s.s_epoch -> v
@@ -315,7 +313,7 @@ let notarized_blocks t round =
   match find_slot t round with
   | None -> []
   | Some s ->
-      if not (Atomic.get caching) then compute_notarized s
+      if not !caching then compute_notarized s
       else (
         match s.s_notarized_cache with
         | Some (ep, v) when ep = s.s_epoch -> v
@@ -759,41 +757,40 @@ let beacon_share_msgs t ~round =
 
 (* Everything this pool can re-send for one round, as the original wire
    messages, so a lagging peer admits them through the ordinary verified
-   path.  Proposal bundles are capped at two per round (one honest block
-   plus at most one equivocation suffices to unblock any peer); shares are
-   resent only where no certificate subsumes them, and only for blocks we
-   hold (the share text needs the proposer, which only the block names). *)
+   path.  Every proposal bundle we hold is resent: a peer that lost the
+   round's lowest-ranked block can only notarize once it has that block,
+   whatever else it holds.  Shares are resent only where no certificate
+   subsumes them, and only for blocks we hold (the share text needs the
+   proposer, which only the block names). *)
 let retransmit_set t ~round =
   let blocks = match find_slot t round with None -> [] | Some s -> s.s_blocks in
   let proposals =
-    List.filteri
-      (fun i _ -> i < 2)
-      (List.filter_map
-         (fun e ->
-           match (e.e_block, e.e_auth) with
-           | Some b, Some auth ->
-               if round = 1 then
-                 Some
-                   (Message.Proposal
-                      {
-                        Message.p_block = b;
-                        p_authenticator = auth;
-                        p_parent_cert = None;
-                      })
-               else begin
-                 match notarization_cert t (round - 1, b.Block.parent_hash) with
-                 | Some cert ->
-                     Some
-                       (Message.Proposal
-                          {
-                            Message.p_block = b;
-                            p_authenticator = auth;
-                            p_parent_cert = Some cert;
-                          })
-                 | None -> None (* cannot form a well-formed bundle yet *)
-               end
-           | _ -> None)
-         blocks)
+    List.filter_map
+      (fun e ->
+        match (e.e_block, e.e_auth) with
+        | Some b, Some auth ->
+            if round = 1 then
+              Some
+                (Message.Proposal
+                   {
+                     Message.p_block = b;
+                     p_authenticator = auth;
+                     p_parent_cert = None;
+                   })
+            else begin
+              match notarization_cert t (round - 1, b.Block.parent_hash) with
+              | Some cert ->
+                  Some
+                    (Message.Proposal
+                       {
+                         Message.p_block = b;
+                         p_authenticator = auth;
+                         p_parent_cert = Some cert;
+                       })
+              | None -> None (* cannot form a well-formed bundle yet *)
+            end
+        | _ -> None)
+      blocks
   in
   let certs_and_shares which_cert which_shares mk_cert mk_share =
     List.concat_map
@@ -875,7 +872,7 @@ let round_completion t round =
   match find_slot t round with
   | None -> None
   | Some s ->
-      if not (Atomic.get caching) then compute_round_completion t s
+      if not !caching then compute_round_completion t s
       else (
         match s.s_completion_cache with
         | Some (ep, v) when ep = s.s_epoch -> v
@@ -912,7 +909,7 @@ let fin_hit t round =
   match find_slot t round with
   | None -> None
   | Some s ->
-      if not (Atomic.get caching) then compute_fin_hit t s
+      if not !caching then compute_fin_hit t s
       else (
         match s.s_fin_cache with
         | Some (ep, v) when ep = s.s_epoch -> v

@@ -109,7 +109,7 @@ val quorum : t -> int
 val retransmit_set : t -> round:Types.round -> Message.t list
 (** Everything this pool can re-send for [round], as the original wire
     messages, so a lagging peer admits them through the ordinary verified
-    path: up to two proposal bundles (authenticator + parent certificate),
+    path: every held proposal bundle (authenticator + parent certificate),
     notarization / finalization certificates, shares where no certificate
     subsumes them (and the block — hence the proposer the share text needs
     — is held), and the round's beacon shares. *)

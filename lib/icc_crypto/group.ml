@@ -43,11 +43,9 @@ let pow base e =
    non-zero window) instead of ~91 for square-and-multiply.  Building a
    table costs ~300 mults, amortised after four exponentiations.
 
-   Tables live in a domain-local cache keyed by base element: each domain
-   builds its own tables (a table is a pure function of the base, so
-   per-domain rebuilds cost only the ~300-mult construction), which keeps
-   the lookup path lock-free and race-free when several domains verify
-   at once (DESIGN.md §3.9; test/parallel_smoke checks it under load).
+   Tables live in one process-wide cache keyed by base element (the
+   runtime is single-domain, DESIGN.md §3.9); a table is a pure function
+   of its base, so the cache holds no state a run could observe.
    All cache access is by exact key (never iteration), so cache state
    can never perturb protocol determinism; a size cap bounds memory
    against adversarial inputs (full cache => compute generic, don't
@@ -94,8 +92,10 @@ module Fixed_base = struct
      a table of its own.  This fixes the saturation starvation bug
      where a full cache silently sent every later base — e.g. post-DKG
      re-keys — to generic pow forever.  The generator's table is built
-     at domain init and never enters the eviction ring, so [base_pow]
-     can't lose its table to adversarial base churn. *)
+     on the first lookup, not at module load, so its [fixed_base_tables]
+     bump lands in the first run's counters.  It never enters the
+     eviction ring, so [base_pow] can't lose its table to adversarial
+     base churn. *)
   type cache = {
     tbl : (elt, table) Hashtbl.t;
     ring : elt Queue.t; (* insertion-ordered evictable residents *)
@@ -106,12 +106,12 @@ module Fixed_base = struct
   let probation_cap = 1024
   let probation_hits = 3
 
-  let cache_key : cache Domain.DLS.key =
-    Domain.DLS.new_key (fun () ->
-        let tbl = Hashtbl.create 64 in
-        (* Pin the generator: built eagerly, never enqueued on [ring]. *)
-        Hashtbl.replace tbl g (make g);
-        { tbl; ring = Queue.create (); probation = Hashtbl.create 64 })
+  let cache : cache Lazy.t =
+    lazy
+      (let tbl = Hashtbl.create 64 in
+       (* Pin the generator: never enqueued on [ring]. *)
+       Hashtbl.replace tbl g (make g);
+       { tbl; ring = Queue.create (); probation = Hashtbl.create 64 })
 
   let evict_one c =
     (* FIFO over evictable residents; entries are unique (a base is
@@ -137,7 +137,7 @@ module Fixed_base = struct
     Some t
 
   let find (base : elt) : table option =
-    let c = Domain.DLS.get cache_key in
+    let c = Lazy.force cache in
     match Hashtbl.find_opt c.tbl base with
     | Some t -> Some t
     | None ->
@@ -165,15 +165,13 @@ module Fixed_base = struct
         end
 end
 
-(* §3.5 toggle, Atomic so concurrent verify domains read it race-free;
-   discipline: flip only while single-domain (snapshot-at-spawn,
-   DESIGN.md §3.9). *)
-let fixed_base = Atomic.make true
-let set_fixed_base on = Atomic.set fixed_base on
-let fixed_base_enabled () = Atomic.get fixed_base
+(* §3.5 toggle. *)
+let fixed_base = ref true
+let set_fixed_base on = fixed_base := on
+let fixed_base_enabled () = !fixed_base
 
 let pow_cached base e =
-  if Atomic.get fixed_base then
+  if !fixed_base then
     match Fixed_base.find base with
     | Some table ->
         Counters.bump Counters.pow_fixed_base;

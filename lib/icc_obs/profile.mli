@@ -4,15 +4,10 @@
 
     The profiler is a speed toggle in the §3.5 style — OFF by default and
     forbidden from changing behaviour.  When disabled, {!span} is one
-    atomic load and a branch before calling the thunk: no clock is read,
+    load and a branch before calling the thunk: no clock is read,
     nothing is recorded, and traced runs stay byte-identical to
     unprofiled ones.
 
-    Domain safety (DESIGN.md §3.9): the span stack and attribution
-    context are domain-local, the toggle is atomic, and aggregation is
-    serialised behind a lock, so spans may run on several domains at
-    once; each domain profiles its own call tree and the tables merge
-    race-free.
     When enabled, a span costs two [Unix.gettimeofday] reads plus O(1)
     hashtable updates at exit.  Either way the profiler writes no trace
     events itself and feeds nothing back into the simulation, so enabling

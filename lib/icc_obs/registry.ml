@@ -1,24 +1,17 @@
 (* Process-global metrics registry (see registry.mli for the contract).
 
-   Counters and gauges are [Atomic.t]-backed cells: a bump is one atomic
-   fetch-and-add, so the hot instrumentation paths (crypto verifies, pool
-   admissions) stay race-free when executed from several domains at once
-   (DESIGN.md §3.9; test/parallel_smoke checks it under load).
+   Every metric is a plain mutable record: a counter bump on the hot
+   instrumentation paths (crypto verifies, pool admissions) is one field
+   write.  The runtime is single-domain (DESIGN.md §3.9), so nothing here
+   synchronises.
 
-   Histogram observation remains plain mutable state: observations come
-   only from the self-profiler, which keeps its mutable state domain-
-   local and serialises aggregation behind a lock (profile.ml), so a
-   histogram is only ever touched under that discipline.
-
-   Registration mutates the global name table and is serialised by
-   [registry_lock]; it is idempotent, so load-time registration races
-   from concurrently-initialised domains resolve to the same metric.
+   Registration is idempotent find-or-insert on the global name table.
    All ordering-sensitive output (snapshots, exposition) is sorted by
    name with keyed comparators, so nothing about Hashtbl bucket order
    ever escapes. *)
 
-type counter = { c_name : string; c_value : int Atomic.t }
-type gauge = { g_name : string; g_value : float Atomic.t }
+type counter = { c_name : string; mutable c_value : int }
+type gauge = { g_name : string; mutable g_value : float }
 
 type histogram = {
   h_name : string;
@@ -32,16 +25,9 @@ type histogram = {
 
 type metric = M_counter of counter | M_gauge of gauge | M_histogram of histogram
 
-let registry_lock = Mutex.create ()
-
-(* Every lookup/insert goes through [register] under [registry_lock]; the
-   metric cells it hands out are Atomic-backed. *)
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 
-(* Find-or-insert under the lock; [make] runs inside the critical
-   section so two domains registering the same name get the same cell. *)
 let register name ~make ~cast ~kind =
-  Mutex.protect registry_lock @@ fun () ->
   match Hashtbl.find_opt registry name with
   | Some m -> (
       match cast m with
@@ -58,22 +44,22 @@ let counter name =
   register name ~kind:"counter"
     ~cast:(function M_counter c -> Some c | M_gauge _ | M_histogram _ -> None)
     ~make:(fun () ->
-      let c = { c_name = name; c_value = Atomic.make 0 } in
+      let c = { c_name = name; c_value = 0 } in
       (M_counter c, c))
 
-let inc c = ignore (Atomic.fetch_and_add c.c_value 1)
-let add c k = ignore (Atomic.fetch_and_add c.c_value k)
-let value c = Atomic.get c.c_value
+let inc c = c.c_value <- c.c_value + 1
+let add c k = c.c_value <- c.c_value + k
+let value c = c.c_value
 
 let gauge name =
   register name ~kind:"gauge"
     ~cast:(function M_gauge g -> Some g | M_counter _ | M_histogram _ -> None)
     ~make:(fun () ->
-      let g = { g_name = name; g_value = Atomic.make 0. } in
+      let g = { g_name = name; g_value = 0. } in
       (M_gauge g, g))
 
-let set_gauge g v = Atomic.set g.g_value v
-let gauge_value g = Atomic.get g.g_value
+let set_gauge g v = g.g_value <- v
+let gauge_value g = g.g_value
 
 let histogram ?(lo = 1e-6) ?(ratio = 2.) ?(buckets = 36) name =
   if not (lo > 0. && ratio > 1. && buckets >= 1) then
@@ -174,18 +160,14 @@ let hist_stats h =
 (* --- registry-wide ------------------------------------------------------ *)
 
 let all_sorted () =
-  Mutex.protect registry_lock (fun () ->
-      (Hashtbl.fold (fun name m acc -> (name, m) :: acc) registry []
-       [@icc.allow
-         "d2-hashtbl-order: unordered (name, metric) pairs collected under \
-          the lock feed the keyed List.sort below"]))
+  Hashtbl.fold (fun name m acc -> (name, m) :: acc) registry []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let counters () =
   List.filter_map
     (fun (name, m) ->
       match m with
-      | M_counter c -> Some (name, Atomic.get c.c_value)
+      | M_counter c -> Some (name, c.c_value)
       | M_gauge _ | M_histogram _ -> None)
     (all_sorted ())
 
@@ -195,8 +177,8 @@ let snapshot () =
   List.map
     (fun (name, m) ->
       match m with
-      | M_counter c -> (name, Counter (Atomic.get c.c_value))
-      | M_gauge g -> (name, Gauge (Atomic.get g.g_value))
+      | M_counter c -> (name, Counter c.c_value)
+      | M_gauge g -> (name, Gauge g.g_value)
       | M_histogram h -> (name, Histogram (hist_stats h)))
     (all_sorted ())
 
@@ -204,8 +186,8 @@ let reset () =
   List.iter
     (fun (_, m) ->
       match m with
-      | M_counter c -> Atomic.set c.c_value 0
-      | M_gauge g -> Atomic.set g.g_value 0.
+      | M_counter c -> c.c_value <- 0
+      | M_gauge g -> g.g_value <- 0.
       | M_histogram h ->
           Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
           h.h_count <- 0;
@@ -233,10 +215,10 @@ let to_prometheus () =
       match m with
       | M_counter c ->
           line "# TYPE %s counter" pname;
-          line "%s %d" pname (Atomic.get c.c_value)
+          line "%s %d" pname c.c_value
       | M_gauge g ->
           line "# TYPE %s gauge" pname;
-          line "%s %g" pname (Atomic.get g.g_value)
+          line "%s %g" pname g.g_value
       | M_histogram h ->
           line "# TYPE %s histogram" pname;
           let cum = ref 0 in

@@ -14,12 +14,8 @@
     declare their metrics at load time without coordination.  Registering
     an existing name as a *different* kind raises [Invalid_argument].
 
-    Domain safety (DESIGN.md §3.9): counters and gauges are [Atomic.t]
-    cells, registration is serialised behind a process lock, and the
-    name table never leaks iteration order — so the registry may be
-    updated from several domains at once.  Histograms
-    keep plain mutable buckets; they are only written by the
-    self-profiler, whose aggregation is itself serialised. *)
+    Every metric is plain mutable state with no synchronisation: the
+    runtime is single-domain (DESIGN.md §3.9). *)
 
 type counter
 type gauge
@@ -31,8 +27,7 @@ val counter : string -> counter
 (** Register (or fetch) the monotonic counter [name]. *)
 
 val inc : counter -> unit
-(** O(1) increment — one [Atomic.fetch_and_add], safe on hot paths and
-    race-free when bumped from several domains at once. *)
+(** O(1) increment — one field write, safe on hot paths. *)
 
 val add : counter -> int -> unit
 val value : counter -> int

@@ -175,11 +175,6 @@ let kind_of = function
 
 module J = Icc_obs.Json
 
-(* Test-facing: the body of a string literal as {!Icc_obs.Json} writes it. *)
-let json_escape s =
-  let lit = J.to_string (J.String s) in
-  String.sub lit 1 (String.length lit - 2)
-
 let fields_of ev =
   let i k v = (k, J.Int v) and s k v = (k, J.String v) and f k v = (k, J.Float v) in
   match ev with

@@ -144,10 +144,6 @@ val kind_of : event -> string
 (** Stable kebab-case tag, e.g. ["net-send"] — the ["ev"] field of
     {!to_json}. *)
 
-val json_escape : string -> string
-(** The body of a JSON string literal as {!Icc_obs.Json} writes it:
-    escapes double quotes, backslashes and every control character. *)
-
 val to_json : time:float -> event -> string
 (** One JSON object (no trailing newline):
     [{"t":<time>,"ev":"<kind>",...payload fields}]. *)

@@ -8,7 +8,8 @@
    - the combined acceptance schedule from the issue: 20% drop +
      duplication + a healed two-way partition + crash-recover of f
      parties, with every party (including the recovered ones) committing
-     the full chain. *)
+     the full chain;
+   - loss in the first second only: resync heals a split round 1. *)
 
 let base ?(n = 4) ~seed ~duration () =
   {
@@ -271,6 +272,32 @@ let test_partition_heals_without_crash () =
     true
     (r.Icc_core.Runner.rounds_decided >= 30)
 
+(* ------------------------------------- resync after early-round loss *)
+
+(* Loss only in the first second can split round 1: two parties
+   share-notarize one proposal, the other two a higher-ranked one, and
+   neither reaches a quorum.  Resync must then resend every round-1
+   proposal a peer holds, not just its two newest, or the split never
+   heals.  Seeds 2 and 38 are two such splits. *)
+let test_early_loss_recovers seed () =
+  let r =
+    Icc_core.Runner.run
+      { (base ~seed ~duration:15. ()) with
+        Icc_core.Runner.nemesis =
+          Some [ Icc_sim.Fault.drop ~from_:0. ~until:1. 0.199 ];
+        monitor = Some (Icc_sim.Monitor.default_config ~delta:0.5 ()) }
+  in
+  Alcotest.(check bool) "safety" true r.Icc_core.Runner.safety_ok;
+  Alcotest.(check bool)
+    (Printf.sprintf "decides (%d rounds)" r.Icc_core.Runner.rounds_decided)
+    true
+    (r.Icc_core.Runner.rounds_decided >= 1);
+  match r.Icc_core.Runner.monitor with
+  | Some m ->
+      Alcotest.(check (list int)) "no unrecovered stall" []
+        (Icc_sim.Monitor.stalled_rounds m)
+  | None -> Alcotest.fail "monitor missing"
+
 (* ------------------------------------------------ party-id validation *)
 
 (* A scenario naming a party outside 1..n is rejected before the run,
@@ -353,4 +380,8 @@ let suite =
       test_determinism_icc2;
     Alcotest.test_case "partition heals via resync" `Quick
       test_partition_heals_without_crash;
+    Alcotest.test_case "early loss recovers via resync (seed 2)" `Quick
+      (test_early_loss_recovers 2);
+    Alcotest.test_case "early loss recovers via resync (seed 38)" `Quick
+      (test_early_loss_recovers 38);
   ]

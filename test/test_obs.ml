@@ -365,6 +365,9 @@ let test_json_units () =
       Alcotest.(check string) (Printf.sprintf "%h writes null" f) "null"
         (Json.to_string (Json.Float f)))
     [ nan; infinity; neg_infinity ];
+  (* Control characters must not reach a string literal raw. *)
+  Alcotest.(check string) "newline and \\x01 escaped" {|"a\nb\u0001\"\\"|}
+    (Json.to_string (Json.String "a\nb\x01\"\\"));
   Alcotest.(check string) "six-decimal floats, compact" {|{"a":[1,-2.500000,"x\n"]}|}
     (Json.to_string
        (Json.Object

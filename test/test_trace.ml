@@ -178,11 +178,13 @@ let test_json_shape () =
     {|{"t":0.000000,"ev":"gossip-publish","party":1,"artifact":"a\"b\\c"}|}
     tricky
 
-(* The escaper `icc profile --json` shares with the bus: control
-   characters must not reach a JSON string literal raw. *)
+(* The trace writer shares {!Icc_obs.Json}'s escaper: control characters
+   in a string payload must not reach the JSONL line raw. *)
 let test_json_escape_control () =
-  Alcotest.(check string) "newline and \\x01 escaped" {|a\nb\u0001\"\\|}
-    (Icc_sim.Trace.json_escape "a\nb\x01\"\\")
+  Alcotest.(check string) "newline and \\x01 escaped"
+    {|{"t":0.000000,"ev":"gossip-publish","party":1,"artifact":"a\nb\u0001\"\\"}|}
+    (Icc_sim.Trace.to_json ~time:0.
+       (Icc_sim.Trace.Gossip_publish { party = 1; artifact = "a\nb\x01\"\\" }))
 
 (* -------------------------------------------------- json round-trip *)
 
