@@ -196,7 +196,7 @@ let timeline_scenario ~seed =
 let print_timeline label (metrics : Icc_sim.Metrics.t) =
   Printf.printf "-- %s: per-round pipeline (first events, seconds) --\n" label;
   Printf.printf "%5s %9s %10s %10s %10s %9s\n" "round" "entry" "+propose"
-    "+notarize" "+finalize" "total";
+    "+notarize" "+decided" "total";
   let dash w = String.make (w - 1) ' ' ^ "-" in
   let abs = function
     | Some a -> Printf.sprintf "%9.3f" a
@@ -207,18 +207,18 @@ let print_timeline label (metrics : Icc_sim.Metrics.t) =
     | Some a, Some b -> Printf.sprintf "%*.3f" w (b -. a)
     | _ -> dash w
   in
-  let rounds = Icc_sim.Metrics.max_round metrics in
-  let shown = min rounds 8 in
-  for round = 1 to shown do
-    let entry = Icc_sim.Metrics.round_entry_time metrics round in
-    let prop = Icc_sim.Metrics.proposal_time metrics round in
-    let notz = Icc_sim.Metrics.notarization_time metrics round in
-    let fin = Icc_sim.Metrics.finalization_time metrics round in
-    Printf.printf "%5d %s %s %s %s %s\n" round (abs entry)
-      (delta 10 entry prop) (delta 10 prop notz) (delta 10 notz fin)
-      (delta 9 entry fin)
-  done;
-  if rounds > shown then Printf.printf "  ... (%d rounds total)\n" rounds;
+  let rows = Icc_sim.Metrics.rounds metrics in
+  List.iteri
+    (fun i (r : Icc_sim.Metrics.round_row) ->
+      if i < 8 then
+        Printf.printf "%5d %s %s %s %s %s\n" r.r_round (abs r.r_entry)
+          (delta 10 r.r_entry r.r_propose)
+          (delta 10 r.r_propose r.r_notarize)
+          (delta 10 r.r_notarize r.r_decided)
+          (delta 9 r.r_entry r.r_decided))
+    rows;
+  if List.length rows > 8 then
+    Printf.printf "  ... (%d rounds total)\n" (List.length rows);
   print_endline "   traffic by kind:";
   List.iter
     (fun (kind, msgs, bytes) ->

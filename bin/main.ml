@@ -243,9 +243,17 @@ let adversary_script ~file ~equivocate ~withhold ~adaptive ~extra =
   in
   match script with [] -> None | s -> Some s
 
-(* ------------------------------------------------------------------ run *)
+(* ------------------------------------------------------------- scenario *)
 
-let run_cmd =
+(* The scenario flags `run` and `profile` share: one term yields the
+   protocol, its gossip fanout and the scenario, without a trace bus. *)
+type setup = {
+  protocol : [ `Icc0 | `Icc1 | `Icc2 ];
+  fanout : int;
+  scenario : Icc_core.Runner.scenario;
+}
+
+let setup_term =
   let protocol =
     Arg.(value & opt protocol_conv `Icc0 & info [ "protocol"; "p" ]
            ~docv:"PROTO" ~doc:"Protocol variant: icc0, icc1 or icc2.")
@@ -294,19 +302,10 @@ let run_cmd =
   let fanout =
     Arg.(value & opt int 4 & info [ "fanout" ] ~doc:"Gossip fanout (icc1).")
   in
-  let profile =
-    Arg.(value & flag
-         & info [ "profile" ]
-             ~doc:"Enable the self-profiler (spans + registry counters). \
-                   With $(b,--trace), the run's aggregate lands on the bus \
-                   as $(i,prof-span)/$(i,prof-counter) events before \
-                   run-end; $(b,icc analyze) renders them.")
-  in
-  let exec protocol n seed duration delta wan epsilon delta_bnd load block_size
-      corrupt async_until fanout profile drop dup reorder flap nemesis_file
-      crash_cycles adversary_file equivocate withhold corrupt_adaptive
-      trace_file monitor monitor_abort stall_factor =
-    Icc_obs.Profile.set_enabled profile;
+  let build protocol n seed duration delta wan epsilon delta_bnd load
+      block_size corrupt async_until fanout drop dup reorder flap nemesis_file
+      crash_cycles adversary_file equivocate withhold corrupt_adaptive monitor
+      monitor_abort stall_factor =
     let nemesis =
       nemesis_script ~drop ~dup ~reorder ~flap ~file:nemesis_file
         ~cycles:crash_cycles
@@ -316,40 +315,63 @@ let run_cmd =
       adversary_script ~file:adversary_file ~equivocate ~withhold
         ~adaptive:corrupt_adaptive ~extra:corrupt_directives
     in
+    let scenario =
+      {
+        (Icc_core.Runner.default_scenario ~n ~seed) with
+        Icc_core.Runner.duration;
+        nemesis;
+        adversary;
+        delay =
+          (if wan then Icc_core.Runner.Wan { rtt_lo = 0.006; rtt_hi = 0.110 }
+           else Icc_core.Runner.Fixed_delay delta);
+        epsilon;
+        delta_bnd;
+        behaviors;
+        async_until;
+        workload =
+          (match (block_size, load) with
+          | Some size, _ -> Icc_core.Runner.Fixed_block_size size
+          | None, Some rate ->
+              Icc_core.Runner.Load { rate_per_s = rate; cmd_size = 1024 }
+          | None, None -> Icc_core.Runner.No_load);
+        monitor =
+          monitor_config ~on:monitor ~abort:monitor_abort ~stall_factor
+            ~delta:delta_bnd;
+      }
+    in
+    { protocol; fanout; scenario }
+  in
+  Term.(
+    const build $ protocol $ n $ seed $ duration $ delta $ wan $ epsilon
+    $ delta_bnd $ load $ block_size $ corrupt $ async_until $ fanout
+    $ drop_arg $ dup_arg $ reorder_arg $ flap_arg $ nemesis_file_arg
+    $ crash_cycle_arg $ adversary_file_arg $ equivocate_arg $ withhold_arg
+    $ corrupt_adaptive_arg $ monitor_arg $ monitor_abort_arg
+    $ stall_factor_arg)
+
+let run_setup ?trace { protocol; fanout; scenario } =
+  let scenario = { scenario with Icc_core.Runner.trace } in
+  match protocol with
+  | `Icc0 -> Icc_core.Runner.run scenario
+  | `Icc1 -> Icc_gossip.Icc1.run ~fanout scenario
+  | `Icc2 -> Icc_rbc.Icc2.run scenario
+
+(* ------------------------------------------------------------------ run *)
+
+let run_cmd =
+  let profile =
+    Arg.(value & flag
+         & info [ "profile" ]
+             ~doc:"Enable the self-profiler (spans + registry counters). \
+                   With $(b,--trace), the run's aggregate lands on the bus \
+                   as $(i,prof-span)/$(i,prof-counter) events before \
+                   run-end; $(b,icc analyze) renders them.")
+  in
+  let exec setup profile trace_file =
+    Icc_obs.Profile.set_enabled profile;
     let r =
       with_run_errors (fun () ->
-          with_trace_file trace_file (fun trace ->
-              let scenario =
-                {
-                  (Icc_core.Runner.default_scenario ~n ~seed) with
-                  Icc_core.Runner.duration;
-                  nemesis;
-                  adversary;
-                  delay =
-                    (if wan then
-                       Icc_core.Runner.Wan { rtt_lo = 0.006; rtt_hi = 0.110 }
-                     else Icc_core.Runner.Fixed_delay delta);
-                  epsilon;
-                  delta_bnd;
-                  behaviors;
-                  async_until;
-                  workload =
-                    (match (block_size, load) with
-                    | Some size, _ -> Icc_core.Runner.Fixed_block_size size
-                    | None, Some rate ->
-                        Icc_core.Runner.Load
-                          { rate_per_s = rate; cmd_size = 1024 }
-                    | None, None -> Icc_core.Runner.No_load);
-                  trace;
-                  monitor =
-                    monitor_config ~on:monitor ~abort:monitor_abort
-                      ~stall_factor ~delta:delta_bnd;
-                }
-              in
-              match protocol with
-              | `Icc0 -> Icc_core.Runner.run scenario
-              | `Icc1 -> Icc_gossip.Icc1.run ~fanout scenario
-              | `Icc2 -> Icc_rbc.Icc2.run scenario))
+          with_trace_file trace_file (fun trace -> run_setup ?trace setup))
     in
     Option.iter (Printf.printf "trace written       %s\n") trace_file;
     Printf.printf "rounds decided      %d\n" r.Icc_core.Runner.rounds_decided;
@@ -395,13 +417,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one ICC simulation.")
-    Term.(
-      const exec $ protocol $ n $ seed $ duration $ delta $ wan $ epsilon
-      $ delta_bnd $ load $ block_size $ corrupt $ async_until $ fanout
-      $ profile $ drop_arg $ dup_arg $ reorder_arg $ flap_arg
-      $ nemesis_file_arg $ crash_cycle_arg $ adversary_file_arg
-      $ equivocate_arg $ withhold_arg $ corrupt_adaptive_arg $ trace_arg
-      $ monitor_arg $ monitor_abort_arg $ stall_factor_arg)
+    Term.(const exec $ setup_term $ profile $ trace_arg)
 
 (* ------------------------------------------------------------ exhibits *)
 
@@ -557,32 +573,12 @@ let analyze_cmd =
    run itself is the same deterministic run `icc run` performs. *)
 
 let profile_cmd =
-  let protocol =
-    Arg.(value & opt protocol_conv `Icc0 & info [ "protocol"; "p" ]
-           ~docv:"PROTO" ~doc:"Protocol variant: icc0, icc1 or icc2.")
-  in
-  let n = Arg.(value & opt int 7 & info [ "n" ] ~doc:"Number of parties.") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
-  let duration =
-    Arg.(value & opt float 30. & info [ "duration"; "d" ]
-           ~doc:"Simulated seconds.")
-  in
-  let delta =
-    Arg.(value & opt float 0.05 & info [ "delta" ]
-           ~doc:"One-way network delay in seconds (fixed model).")
-  in
-  let wan =
-    Arg.(value & flag & info [ "wan" ]
-           ~doc:"Use the paper's WAN model instead of a fixed delay.")
-  in
-  let fanout =
-    Arg.(value & opt int 4 & info [ "fanout" ] ~doc:"Gossip fanout (icc1).")
-  in
   let folded =
     Arg.(value & opt (some string) None
          & info [ "folded" ] ~docv:"FILE"
              ~doc:"Write the folded-stack profile (one \"path \
-                   self-microseconds\" line per distinct span stack) to                    $(docv) — flamegraph.pl / inferno input.")
+                   self-microseconds\" line per distinct span stack) to \
+                   $(docv) — flamegraph.pl / inferno input.")
   in
   let json =
     Arg.(value & flag
@@ -602,30 +598,12 @@ let profile_cmd =
              ~doc:"Write the end-of-run registry in Prometheus text \
                    exposition format to $(docv) ($(i,-) for stdout).")
   in
-  let exec protocol n seed duration delta wan fanout monitor folded json top
-      prometheus =
+  let exec setup folded json top prometheus =
     Icc_obs.Registry.reset ();
     Icc_obs.Profile.reset ();
     Icc_obs.Profile.set_enabled true;
     let t0 = Icc_obs.Profile.now () in
-    let r =
-      let scenario =
-        {
-          (Icc_core.Runner.default_scenario ~n ~seed) with
-          Icc_core.Runner.duration;
-          delay =
-            (if wan then Icc_core.Runner.Wan { rtt_lo = 0.006; rtt_hi = 0.110 }
-             else Icc_core.Runner.Fixed_delay delta);
-          monitor =
-            monitor_config ~on:monitor ~abort:false ~stall_factor:8.
-              ~delta:1.0;
-        }
-      in
-      match protocol with
-      | `Icc0 -> Icc_core.Runner.run scenario
-      | `Icc1 -> Icc_gossip.Icc1.run ~fanout scenario
-      | `Icc2 -> Icc_rbc.Icc2.run scenario
-    in
+    let r = with_run_errors (fun () -> run_setup setup) in
     let wall = Icc_obs.Profile.now () -. t0 in
     Icc_obs.Profile.set_enabled false;
     let report = Icc_obs.Profile.report () in
@@ -647,8 +625,12 @@ let profile_cmd =
     | Some path ->
         write_out "prometheus" path (Icc_obs.Registry.to_prometheus ()));
     let proto_name =
-      match protocol with `Icc0 -> "icc0" | `Icc1 -> "icc1" | `Icc2 -> "icc2"
+      match setup.protocol with
+      | `Icc0 -> "icc0"
+      | `Icc1 -> "icc1"
+      | `Icc2 -> "icc2"
     in
+    let { Icc_core.Runner.n; seed; duration; _ } = setup.scenario in
     if json then
       print_endline
         (Icc_obs.Json.to_string
@@ -675,10 +657,10 @@ let profile_cmd =
   in
   Cmd.v
     (Cmd.info "profile"
-       ~doc:"Run one simulation with the self-profiler enabled and print              the per-phase wall-clock breakdown (plus folded-stack and              JSON exports).")
-    Term.(
-      const exec $ protocol $ n $ seed $ duration $ delta $ wan $ fanout
-      $ monitor_arg $ folded $ json $ top $ prometheus)
+       ~doc:"Run one simulation with the self-profiler enabled and print \
+             the per-phase wall-clock breakdown (plus folded-stack and \
+             JSON exports).")
+    Term.(const exec $ setup_term $ folded $ json $ top $ prometheus)
 
 (* ---------------------------------------------------------------- keys *)
 

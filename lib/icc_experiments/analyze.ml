@@ -1,5 +1,6 @@
 (* Offline trace analysis report — the printing layer of `icc analyze`.
-   All aggregation lives in Icc_sim.Replay; this module renders the
+   All aggregation lives in Icc_sim.Replay (one Metrics fold over the
+   trace, projected three ways); this module renders the
    waterfall, bandwidth matrices, amplification factors and critical path
    as terminal tables. *)
 
@@ -25,7 +26,8 @@ let default_critical_round rounds =
 let analyze ?config ?round path =
   let load = Icc_sim.Replay.load_file path in
   let monitor = Icc_sim.Replay.monitor ?config load.entries in
-  let rounds = Icc_sim.Replay.rounds load.entries in
+  let tally = Icc_sim.Replay.fold load.entries in
+  let rounds = Icc_sim.Metrics.rounds tally in
   let critical_round =
     match round with Some r -> Some r | None -> default_critical_round rounds
   in
@@ -33,9 +35,9 @@ let analyze ?config ?round path =
     path;
     load;
     monitor;
-    bandwidth = Icc_sim.Replay.bandwidth load.entries;
+    bandwidth = Icc_sim.Replay.bandwidth_of tally;
     rounds;
-    amplification = Icc_sim.Replay.amplification load.entries;
+    amplification = Icc_sim.Replay.amplification_of tally;
     critical_round;
     critical_path =
       (match critical_round with

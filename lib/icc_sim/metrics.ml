@@ -1,11 +1,12 @@
-(* Per-party traffic and protocol metrics for one simulation run,
-   maintained incrementally from the {!Trace} bus (see [attach]).
+(* Per-party traffic and protocol metrics for one simulation run: the one
+   fold over (time, event).  The trace bus drives it online ([attach]),
+   and Replay.fold drives it over a parsed trace, so `icc analyze` and the
+   `icc run` that wrote the trace run the same code.
 
    Traffic is accounted at modeled wire sizes (see DESIGN.md): the network
    layer carries the byte size of each message on its [Net_send] events.
-   Per-round milestone tables (entry / proposal / notarization /
-   finalization) are Hashtbl-backed, so recording is O(1) per event rather
-   than a scan over all rounds seen so far.
+   The per-round milestone table is Hashtbl-backed, so recording is O(1)
+   per event rather than a scan over all rounds seen so far.
 
    The per-kind traffic counters sit on the hottest path of all — one
    update per [Net_send], i.e. per broadcast — so they are interned
@@ -14,10 +15,29 @@
    string as the previous event) is a physical-equality hit that touches
    no hash function at all. *)
 
+type round_row = {
+  r_round : int;
+  mutable r_entry : float option;
+  mutable r_propose : float option;
+  mutable r_notarize : float option;
+  mutable r_finalize : float option;
+  mutable r_decided : float option;
+}
+
+type dissemination = {
+  mutable gossip_publish : int;
+  mutable gossip_request : int;
+  mutable gossip_acquire : int;
+  mutable rbc_fragments : int;
+  mutable rbc_echoes : int;
+  mutable rbc_reconstructs : int;
+  mutable rbc_inconsistent : int;
+}
+
 type t = {
   n : int;
-  msgs_sent : int array; (* per party, network messages (unicast count) *)
-  bytes_sent : int array;
+  link_msgs : int array array; (* [src][dst], 0..n; rows are per-party sends *)
+  link_bytes : int array array;
   (* interned per-kind counters *)
   mutable kind_names : string array;
   mutable kind_msgs : int array;
@@ -27,20 +47,17 @@ type t = {
   mutable last_kind_idx : int;
   mutable finalized_blocks : int;
   mutable finalization_log : (int * float) list; (* (round, time), newest first *)
-  finalization_by_round : (int, float) Hashtbl.t; (* first decision per round *)
-  proposal_by_round : (int, float) Hashtbl.t; (* first proposal per round *)
-  notarization_by_round : (int, float) Hashtbl.t; (* first notarization *)
-  round_entry_by_round : (int, float) Hashtbl.t; (* first party entry *)
-  mutable latencies : float list; (* propose -> finalize, per finalized block *)
+  by_round : (int, round_row) Hashtbl.t; (* first milestone times *)
+  mutable latencies : float list; (* propose -> decide, per decided block *)
   mutable latencies_sorted : float array option; (* memoized sorted view *)
-  mutable max_round : int; (* highest round seen in any milestone *)
+  dissemination : dissemination;
 }
 
 let create n =
   {
     n;
-    msgs_sent = Array.make (n + 1) 0;
-    bytes_sent = Array.make (n + 1) 0;
+    link_msgs = Array.make_matrix (n + 1) (n + 1) 0;
+    link_bytes = Array.make_matrix (n + 1) (n + 1) 0;
     kind_names = Array.make 16 "";
     kind_msgs = Array.make 16 0;
     kind_bytes = Array.make 16 0;
@@ -49,18 +66,24 @@ let create n =
     last_kind_idx = -1;
     finalized_blocks = 0;
     finalization_log = [];
-    finalization_by_round = Hashtbl.create 64;
-    proposal_by_round = Hashtbl.create 64;
-    notarization_by_round = Hashtbl.create 64;
-    round_entry_by_round = Hashtbl.create 64;
+    by_round = Hashtbl.create 64;
     latencies = [];
     latencies_sorted = None;
-    max_round = 0;
+    dissemination =
+      {
+        gossip_publish = 0;
+        gossip_request = 0;
+        gossip_acquire = 0;
+        rbc_fragments = 0;
+        rbc_echoes = 0;
+        rbc_reconstructs = 0;
+        rbc_inconsistent = 0;
+      };
   }
 
 let n t = t.n
 
-(* --- recording --------------------------------------------------------- *)
+(* --- the fold ---------------------------------------------------------- *)
 
 (* Intern [kind], with a fast path for repeat senders: kind strings are
    static literals from [Message.kind] and friends, so physical equality
@@ -100,74 +123,108 @@ let kind_index t kind =
     !idx
   end
 
-let record_send t ~src ~size ~kind ~copies =
-  if src >= 1 && src <= t.n then begin
-    t.msgs_sent.(src) <- t.msgs_sent.(src) + copies;
-    t.bytes_sent.(src) <- t.bytes_sent.(src) + (size * copies)
-  end;
+let link t ~src ~dst ~size =
+  if src >= 0 && src <= t.n && dst >= 1 && dst <= t.n then begin
+    t.link_msgs.(src).(dst) <- t.link_msgs.(src).(dst) + 1;
+    t.link_bytes.(src).(dst) <- t.link_bytes.(src).(dst) + size
+  end
+
+(* Broadcast convention (pinned by test/test_replay.ml): a [Net_send] with
+   [dst = 0] models [copies] unicast transmissions from [src] — one to each
+   of the [copies] lowest-numbered parties other than [src].  The network
+   layer always emits broadcasts with [copies = n - 1], so this attributes
+   exactly one copy to every other party; the round-robin rule keeps the
+   row/column totals right even for foreign traces with partial fanout. *)
+let record_send t ~src ~dst ~size ~kind ~copies =
+  if dst = 0 then begin
+    let sent = ref 0 and d = ref 1 in
+    while !sent < copies && !d <= t.n do
+      if !d <> src then begin
+        link t ~src ~dst:!d ~size;
+        incr sent
+      end;
+      incr d
+    done
+  end
+  else link t ~src ~dst ~size;
   let i = kind_index t kind in
   t.kind_msgs.(i) <- t.kind_msgs.(i) + copies;
   t.kind_bytes.(i) <- t.kind_bytes.(i) + (size * copies)
 
-let seen_round t round = if round > t.max_round then t.max_round <- round
+let row t round =
+  match Hashtbl.find_opt t.by_round round with
+  | Some r -> r
+  | None ->
+      let r =
+        {
+          r_round = round;
+          r_entry = None;
+          r_propose = None;
+          r_notarize = None;
+          r_finalize = None;
+          r_decided = None;
+        }
+      in
+      Hashtbl.add t.by_round round r;
+      r
 
-(* First-event-wins per round: O(1) membership via the Hashtbl, replacing
-   the old List.mem_assoc scan over every round recorded so far. *)
-let record_first tbl t ~round ~time =
-  if not (Hashtbl.mem tbl round) then begin
-    Hashtbl.add tbl round time;
-    seen_round t round
-  end
+(* Each column keeps its round's first event. *)
+let observe t ~time ev =
+  let d = t.dissemination in
+  match ev with
+  | Trace.Net_send { src; dst; kind; size; copies } ->
+      record_send t ~src ~dst ~size ~kind ~copies
+  | Trace.Round_entry { round; _ } ->
+      let r = row t round in
+      if Option.is_none r.r_entry then r.r_entry <- Some time
+  | Trace.Propose { round; _ } ->
+      let r = row t round in
+      if Option.is_none r.r_propose then r.r_propose <- Some time
+  | Trace.Notarize { round; _ } ->
+      let r = row t round in
+      if Option.is_none r.r_notarize then r.r_notarize <- Some time
+  | Trace.Finalize { round; _ } ->
+      let r = row t round in
+      if Option.is_none r.r_finalize then r.r_finalize <- Some time
+  | Trace.Block_decided { round; _ } ->
+      let r = row t round in
+      if Option.is_none r.r_decided then r.r_decided <- Some time;
+      t.finalized_blocks <- t.finalized_blocks + 1;
+      t.finalization_log <- (round, time) :: t.finalization_log;
+      Option.iter
+        (fun t0 ->
+          t.latencies <- (time -. t0) :: t.latencies;
+          t.latencies_sorted <- None)
+        r.r_propose
+  | Trace.Gossip_publish _ -> d.gossip_publish <- d.gossip_publish + 1
+  | Trace.Gossip_request _ -> d.gossip_request <- d.gossip_request + 1
+  | Trace.Gossip_acquire _ -> d.gossip_acquire <- d.gossip_acquire + 1
+  | Trace.Rbc_fragment _ -> d.rbc_fragments <- d.rbc_fragments + 1
+  | Trace.Rbc_echo _ -> d.rbc_echoes <- d.rbc_echoes + 1
+  | Trace.Rbc_reconstruct _ -> d.rbc_reconstructs <- d.rbc_reconstructs + 1
+  | Trace.Rbc_inconsistent _ -> d.rbc_inconsistent <- d.rbc_inconsistent + 1
+  | Trace.Run_start _ | Trace.Run_end _ | Trace.Engine_dispatch _
+  | Trace.Net_deliver _ | Trace.Net_hold _ | Trace.Beacon_share _
+  | Trace.Commit _ | Trace.Protocol_error _ | Trace.Monitor_violation _
+  | Trace.Monitor_stall _ | Trace.Monitor_clear _ | Trace.Fault_drop _
+  | Trace.Fault_duplicate _ | Trace.Fault_reorder _ | Trace.Fault_link_down _
+  | Trace.Fault_crash _ | Trace.Fault_recover _ | Trace.Adv_corrupt _
+  | Trace.Adv_equivocate _ | Trace.Adv_withhold _ | Trace.Adv_censor _
+  | Trace.Adv_delay _ | Trace.Adv_straggle _ | Trace.Resync_summary _
+  | Trace.Resync_request _ | Trace.Resync_reply _ | Trace.Prof_span _
+  | Trace.Prof_counter _ ->
+      ()
 
-let record_proposal t ~round ~time = record_first t.proposal_by_round t ~round ~time
-let record_round_entry t ~round ~time = record_first t.round_entry_by_round t ~round ~time
-let record_notarization t ~round ~time = record_first t.notarization_by_round t ~round ~time
-
-let record_finalization t ~round ~time =
-  t.finalized_blocks <- t.finalized_blocks + 1;
-  t.finalization_log <- (round, time) :: t.finalization_log;
-  record_first t.finalization_by_round t ~round ~time
-
-let record_latency t dt =
-  t.latencies <- dt :: t.latencies;
-  t.latencies_sorted <- None
-
-(* --- the trace-bus consumer -------------------------------------------- *)
-
-let attach t trace =
-  Trace.subscribe ~all:false trace (fun ~time ev ->
-      match ev with
-      | Trace.Net_send { src; kind; size; copies; _ } ->
-          record_send t ~src ~size ~kind ~copies
-      | Trace.Round_entry { round; _ } -> record_round_entry t ~round ~time
-      | Trace.Propose { round; _ } -> record_proposal t ~round ~time
-      | Trace.Notarize { round; _ } -> record_notarization t ~round ~time
-      | Trace.Block_decided { round; _ } -> (
-          record_finalization t ~round ~time;
-          match Hashtbl.find_opt t.proposal_by_round round with
-          | Some t0 -> record_latency t (time -. t0)
-          | None -> ())
-      | Trace.Run_start _ | Trace.Run_end _ | Trace.Engine_dispatch _
-      | Trace.Net_deliver _ | Trace.Net_hold _ | Trace.Gossip_publish _
-      | Trace.Gossip_request _ | Trace.Gossip_acquire _ | Trace.Rbc_fragment _
-      | Trace.Rbc_echo _ | Trace.Rbc_reconstruct _ | Trace.Rbc_inconsistent _
-      | Trace.Finalize _ | Trace.Beacon_share _ | Trace.Commit _
-      | Trace.Protocol_error _ | Trace.Monitor_violation _
-      | Trace.Monitor_stall _ | Trace.Monitor_clear _
-      | Trace.Fault_drop _ | Trace.Fault_duplicate _ | Trace.Fault_reorder _
-      | Trace.Fault_link_down _ | Trace.Fault_crash _ | Trace.Fault_recover _ | Trace.Adv_corrupt _ | Trace.Adv_equivocate _
-      | Trace.Adv_withhold _ | Trace.Adv_censor _ | Trace.Adv_delay _
-      | Trace.Adv_straggle _
-      | Trace.Resync_summary _ | Trace.Resync_request _ | Trace.Resync_reply _
-      | Trace.Prof_span _ | Trace.Prof_counter _ ->
-          ())
+let attach t trace = Trace.subscribe ~all:false trace (observe t)
 
 (* --- queries ----------------------------------------------------------- *)
 
-let total_msgs t = Array.fold_left ( + ) 0 t.msgs_sent
-let total_bytes t = Array.fold_left ( + ) 0 t.bytes_sent
+let sum = Array.fold_left ( + ) 0
+let total_msgs t = sum (Array.map sum t.link_msgs)
+let total_bytes t = sum (Array.map sum t.link_bytes)
 
-let max_bytes_per_party t = Array.fold_left max 0 t.bytes_sent
+let max_bytes_per_party t =
+  Array.fold_left (fun m row -> max m (sum row)) 0 t.link_bytes
 
 let find_kind t kind =
   let idx = ref (-1) in
@@ -199,15 +256,17 @@ let kinds t =
   collect (t.kind_count - 1) []
   |> List.sort (fun (ka, _, _) (kb, _, _) -> String.compare ka kb)
 
+let link_msgs t = Array.map Array.copy t.link_msgs
+let link_bytes t = Array.map Array.copy t.link_bytes
+
+let rounds t =
+  Hashtbl.fold (fun _ r acc -> r :: acc) t.by_round []
+  |> List.sort (fun a b -> Int.compare a.r_round b.r_round)
+
 let finalized_blocks t = t.finalized_blocks
 let finalizations t = List.rev t.finalization_log
 let latencies t = List.rev t.latencies
-let max_round t = t.max_round
-
-let round_entry_time t round = Hashtbl.find_opt t.round_entry_by_round round
-let proposal_time t round = Hashtbl.find_opt t.proposal_by_round round
-let notarization_time t round = Hashtbl.find_opt t.notarization_by_round round
-let finalization_time t round = Hashtbl.find_opt t.finalization_by_round round
+let dissemination t = t.dissemination
 
 let mean = function
   | [] -> nan
@@ -232,9 +291,9 @@ let percentile_of_sorted p a =
 
 let percentile p l = percentile_of_sorted p (sorted_samples l)
 
-(* The run's latency distribution, sorted once and memoized;
-   [record_latency] invalidates the view, so repeated percentile queries
-   over a finished (or quiescent) run are O(1) after the first. *)
+(* The run's latency distribution, sorted once and memoized; each new
+   latency invalidates the view, so repeated percentile queries over a
+   finished (or quiescent) run are O(1) after the first. *)
 let latency_percentile t p =
   let a =
     match t.latencies_sorted with

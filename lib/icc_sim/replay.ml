@@ -1,7 +1,9 @@
 (* Offline trace analysis: read a [--trace] JSONL dump back into typed
-   events ({!Trace.of_json}) and aggregate what the online consumers
-   compute incrementally — plus the matrices and causal views that are too
-   expensive to maintain during a run.
+   events ({!Trace.of_json}) and fold them through the same {!Metrics}
+   tally the online sink runs, so `icc analyze` agrees with the `icc run`
+   that wrote the trace by construction.  Only the causal view
+   ([critical_path]) walks the events itself: it selects one round's
+   events rather than tallying them.
 
    This module is pure aggregation; the [icc analyze] report printer lives
    in Icc_experiments.Analyze. *)
@@ -73,6 +75,13 @@ let parties entries =
     entries;
   !n
 
+(* The one tally: every entry through {!Metrics.observe}, sized by
+   [parties].  The views below are projections of it. *)
+let fold entries =
+  let m = Metrics.create (parties entries) in
+  Array.iter (fun e -> Metrics.observe m ~time:e.time e.event) entries;
+  m
+
 type bandwidth = {
   bw_n : int;
   bw_msgs : int array array; (* [src][dst] transmissions, indices 1..n *)
@@ -84,155 +93,36 @@ type bandwidth = {
   bw_total_bytes : int;
 }
 
-(* Broadcast convention (pinned by test/test_monitor.ml): a [Net_send] with
-   [dst = 0] models [copies] unicast transmissions from [src] — one to each
-   of the [copies] lowest-numbered parties other than [src].  The network
-   layer always emits broadcasts with [copies = n - 1], so this attributes
-   exactly one copy to every other party; the round-robin rule keeps the
-   row/column totals right even for foreign traces with partial fanout. *)
-let bandwidth entries =
-  let n = parties entries in
-  let msgs = Array.make_matrix (n + 1) (n + 1) 0 in
-  let bytes = Array.make_matrix (n + 1) (n + 1) 0 in
-  let by_kind_msgs = Hashtbl.create 16 and by_kind_bytes = Hashtbl.create 16 in
-  let bump tbl key v =
-    Hashtbl.replace tbl key (v + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-  in
-  let record ~src ~dst ~size =
-    if src >= 0 && src <= n && dst >= 1 && dst <= n then begin
-      msgs.(src).(dst) <- msgs.(src).(dst) + 1;
-      bytes.(src).(dst) <- bytes.(src).(dst) + size
-    end
-  in
-  Array.iter
-    (fun e ->
-      match e.event with
-      | Trace.Net_send { src; dst; kind; size; copies } ->
-          if dst = 0 then begin
-            (* copies transmissions, spread over the other parties *)
-            let sent = ref 0 and d = ref 1 in
-            while !sent < copies && !d <= n do
-              if !d <> src then begin
-                record ~src ~dst:!d ~size;
-                incr sent
-              end;
-              incr d
-            done;
-            bump by_kind_msgs kind copies;
-            bump by_kind_bytes kind (size * copies)
-          end
-          else begin
-            record ~src ~dst ~size;
-            bump by_kind_msgs kind copies;
-            bump by_kind_bytes kind (size * copies)
-          end
-      | Trace.Run_start _ | Trace.Run_end _ | Trace.Engine_dispatch _
-      | Trace.Net_deliver _ | Trace.Net_hold _ | Trace.Gossip_publish _
-      | Trace.Gossip_request _ | Trace.Gossip_acquire _ | Trace.Rbc_fragment _
-      | Trace.Rbc_echo _ | Trace.Rbc_reconstruct _ | Trace.Rbc_inconsistent _
-      | Trace.Round_entry _ | Trace.Propose _ | Trace.Notarize _
-      | Trace.Finalize _ | Trace.Beacon_share _ | Trace.Commit _
-      | Trace.Block_decided _ | Trace.Protocol_error _ | Trace.Monitor_violation _ | Trace.Monitor_stall _
-      | Trace.Monitor_clear _ | Trace.Fault_drop _ | Trace.Fault_duplicate _
-      | Trace.Fault_reorder _ | Trace.Fault_link_down _ | Trace.Fault_crash _
-      | Trace.Fault_recover _ | Trace.Adv_corrupt _ | Trace.Adv_equivocate _
-      | Trace.Adv_withhold _ | Trace.Adv_censor _ | Trace.Adv_delay _
-      | Trace.Adv_straggle _ | Trace.Resync_summary _ | Trace.Resync_request _
-      | Trace.Resync_reply _ | Trace.Prof_span _ | Trace.Prof_counter _ -> ())
-    entries;
-  let row_sum m i = Array.fold_left ( + ) 0 m.(i) in
-  let col_sum m j =
-    let s = ref 0 in
-    for i = 0 to n do
-      s := !s + m.(i).(j)
-    done;
-    !s
-  in
-  let by_kind =
-    Hashtbl.fold
-      (fun kind m acc ->
-        (kind, m, Option.value ~default:0 (Hashtbl.find_opt by_kind_bytes kind))
-        :: acc)
-      by_kind_msgs []
-    |> List.sort (fun (ka, _, _) (kb, _, _) -> String.compare ka kb)
-  in
+let bandwidth_of m =
+  let n = Metrics.n m and bytes = Metrics.link_bytes m in
+  let by_kind = Metrics.kinds m in
   {
     bw_n = n;
-    bw_msgs = msgs;
+    bw_msgs = Metrics.link_msgs m;
     bw_bytes = bytes;
-    bw_sent_bytes = Array.init (n + 1) (fun i -> row_sum bytes i);
-    bw_recv_bytes = Array.init (n + 1) (fun j -> col_sum bytes j);
+    bw_sent_bytes = Array.map (Array.fold_left ( + ) 0) bytes;
+    bw_recv_bytes =
+      Array.init (n + 1) (fun j ->
+          Array.fold_left (fun acc row -> acc + row.(j)) 0 bytes);
     bw_by_kind = by_kind;
     bw_total_msgs = List.fold_left (fun a (_, m, _) -> a + m) 0 by_kind;
     bw_total_bytes = List.fold_left (fun a (_, _, b) -> a + b) 0 by_kind;
   }
 
+let bandwidth entries = bandwidth_of (fold entries)
+
 (* --- per-round pipeline ------------------------------------------------ *)
 
-type round_row = {
+type round_row = Metrics.round_row = private {
   r_round : int;
-  r_entry : float option; (* first Round_entry *)
-  r_propose : float option;
-  r_notarize : float option;
-  r_finalize : float option;
-  r_decided : float option;
+  mutable r_entry : float option; (* first Round_entry *)
+  mutable r_propose : float option;
+  mutable r_notarize : float option;
+  mutable r_finalize : float option;
+  mutable r_decided : float option;
 }
 
-let rounds entries =
-  let tbl : (int, round_row ref) Hashtbl.t = Hashtbl.create 64 in
-  let row round =
-    match Hashtbl.find_opt tbl round with
-    | Some r -> r
-    | None ->
-        let r =
-          ref
-            {
-              r_round = round;
-              r_entry = None;
-              r_propose = None;
-              r_notarize = None;
-              r_finalize = None;
-              r_decided = None;
-            }
-        in
-        Hashtbl.add tbl round r;
-        r
-  in
-  let first field time = match field with None -> Some time | some -> some in
-  Array.iter
-    (fun e ->
-      match e.event with
-      | Trace.Round_entry { round; _ } ->
-          let r = row round in
-          r := { !r with r_entry = first !r.r_entry e.time }
-      | Trace.Propose { round; _ } ->
-          let r = row round in
-          r := { !r with r_propose = first !r.r_propose e.time }
-      | Trace.Notarize { round; _ } ->
-          let r = row round in
-          r := { !r with r_notarize = first !r.r_notarize e.time }
-      | Trace.Finalize { round; _ } ->
-          let r = row round in
-          r := { !r with r_finalize = first !r.r_finalize e.time }
-      | Trace.Block_decided { round; _ } ->
-          let r = row round in
-          r := { !r with r_decided = first !r.r_decided e.time }
-      | Trace.Run_start _ | Trace.Run_end _ | Trace.Engine_dispatch _
-      | Trace.Net_send _ | Trace.Net_deliver _ | Trace.Net_hold _
-      | Trace.Gossip_publish _ | Trace.Gossip_request _ | Trace.Gossip_acquire _
-      | Trace.Rbc_fragment _ | Trace.Rbc_echo _ | Trace.Rbc_reconstruct _
-      | Trace.Rbc_inconsistent _ | Trace.Beacon_share _ | Trace.Commit _
-      | Trace.Protocol_error _ | Trace.Monitor_violation _ | Trace.Monitor_stall _ | Trace.Monitor_clear _
-      | Trace.Fault_drop _ | Trace.Fault_duplicate _ | Trace.Fault_reorder _
-      | Trace.Fault_link_down _ | Trace.Fault_crash _ | Trace.Fault_recover _ | Trace.Adv_corrupt _ | Trace.Adv_equivocate _
-      | Trace.Adv_withhold _ | Trace.Adv_censor _ | Trace.Adv_delay _
-      | Trace.Adv_straggle _
-      | Trace.Resync_summary _ | Trace.Resync_request _ | Trace.Resync_reply _
-      | Trace.Prof_span _ | Trace.Prof_counter _ ->
-          ())
-    entries;
-  Hashtbl.fold (fun _ r acc -> !r :: acc) tbl []
-  |> List.sort (fun a b -> Int.compare a.r_round b.r_round)
+let rounds entries = Metrics.rounds (fold entries)
 
 (* --- dissemination amplification --------------------------------------- *)
 
@@ -250,61 +140,28 @@ type amplification = {
   amp_rbc_inconsistent : int;
 }
 
-let amplification entries =
-  let decided = ref 0
-  and publish = ref 0
-  and request = ref 0
-  and acquire = ref 0
-  and fragments = ref 0
-  and echoes = ref 0
-  and reconstructs = ref 0
-  and inconsistent = ref 0
-  and msgs = ref 0
-  and bytes = ref 0 in
-  Array.iter
-    (fun e ->
-      match e.event with
-      | Trace.Block_decided _ -> incr decided
-      | Trace.Gossip_publish _ -> incr publish
-      | Trace.Gossip_request _ -> incr request
-      | Trace.Gossip_acquire _ -> incr acquire
-      | Trace.Rbc_fragment _ -> incr fragments
-      | Trace.Rbc_echo _ -> incr echoes
-      | Trace.Rbc_reconstruct _ -> incr reconstructs
-      | Trace.Rbc_inconsistent _ -> incr inconsistent
-      | Trace.Net_send { size; copies; _ } ->
-          msgs := !msgs + copies;
-          bytes := !bytes + (size * copies)
-      | Trace.Run_start _ | Trace.Run_end _ | Trace.Engine_dispatch _
-      | Trace.Net_deliver _ | Trace.Net_hold _ | Trace.Round_entry _
-      | Trace.Propose _ | Trace.Notarize _ | Trace.Finalize _
-      | Trace.Beacon_share _ | Trace.Commit _ | Trace.Protocol_error _ | Trace.Monitor_violation _
-      | Trace.Monitor_stall _ | Trace.Monitor_clear _ | Trace.Fault_drop _
-      | Trace.Fault_duplicate _ | Trace.Fault_reorder _ | Trace.Fault_link_down _
-      | Trace.Fault_crash _ | Trace.Fault_recover _ | Trace.Adv_corrupt _ | Trace.Adv_equivocate _
-      | Trace.Adv_withhold _ | Trace.Adv_censor _ | Trace.Adv_delay _
-      | Trace.Adv_straggle _ | Trace.Resync_summary _
-      | Trace.Resync_request _ | Trace.Resync_reply _ | Trace.Prof_span _
-      | Trace.Prof_counter _ -> ())
-    entries;
-  let per_block v =
-    if !decided = 0 then nan else float_of_int v /. float_of_int !decided
+let amplification_of m =
+  let decided = Metrics.finalized_blocks m and d = Metrics.dissemination m in
+  let msgs, bytes =
+    List.fold_left (fun (am, ab) (_, m, b) -> (am + m, ab + b)) (0, 0)
+      (Metrics.kinds m)
   in
+  let ratio a b = if b = 0 then nan else float_of_int a /. float_of_int b in
   {
-    amp_decided = !decided;
-    amp_msgs_per_block = per_block !msgs;
-    amp_bytes_per_block = per_block !bytes;
-    amp_gossip_publish = !publish;
-    amp_gossip_request = !request;
-    amp_gossip_acquire = !acquire;
-    amp_acquire_per_publish =
-      (if !publish = 0 then nan
-       else float_of_int !acquire /. float_of_int !publish);
-    amp_rbc_fragments = !fragments;
-    amp_rbc_echoes = !echoes;
-    amp_rbc_reconstructs = !reconstructs;
-    amp_rbc_inconsistent = !inconsistent;
+    amp_decided = decided;
+    amp_msgs_per_block = ratio msgs decided;
+    amp_bytes_per_block = ratio bytes decided;
+    amp_gossip_publish = d.gossip_publish;
+    amp_gossip_request = d.gossip_request;
+    amp_gossip_acquire = d.gossip_acquire;
+    amp_acquire_per_publish = ratio d.gossip_acquire d.gossip_publish;
+    amp_rbc_fragments = d.rbc_fragments;
+    amp_rbc_echoes = d.rbc_echoes;
+    amp_rbc_reconstructs = d.rbc_reconstructs;
+    amp_rbc_inconsistent = d.rbc_inconsistent;
   }
+
+let amplification entries = amplification_of (fold entries)
 
 (* --- causal critical path ---------------------------------------------- *)
 

@@ -1,7 +1,8 @@
 (** Offline trace analysis: parse a [--trace] JSONL dump back into typed
-    events and aggregate per-round pipelines, bandwidth matrices,
-    dissemination amplification and causal critical paths.  Pure
-    aggregation — the [icc analyze] printer lives in
+    events, fold them through {!Metrics.observe} — the same tally the
+    online sink runs — and project per-round pipelines, bandwidth matrices
+    and dissemination amplification from it; plus causal critical paths.
+    Pure aggregation — the [icc analyze] printer lives in
     [Icc_experiments.Analyze]. *)
 
 type entry = {
@@ -26,16 +27,18 @@ val monitor : ?config:Monitor.config -> entry array -> Monitor.t
 val parties : entry array -> int
 (** [n] from [Run_start], widened by any party id seen in traffic. *)
 
+val fold : entry array -> Metrics.t
+(** A {!Metrics.t} sized with {!parties}, with every entry observed in
+    file order.  {!bandwidth}, {!rounds} and {!amplification} are
+    projections of it. *)
+
 (** {1 Bandwidth} *)
 
 type bandwidth = {
   bw_n : int;
   bw_msgs : int array array;
-      (** Transmissions, indexed [src][dst] over 1..n.  A broadcast
-          ([Net_send] with [dst = 0]) counts as [copies] transmissions:
-          one to each of the [copies] lowest-numbered parties other than
-          [src] (the network always emits [copies = n - 1], i.e. one per
-          other party). *)
+      (** Transmissions, indexed [src][dst] over 1..n ({!Metrics.link_msgs},
+          with its broadcast convention). *)
   bw_bytes : int array array;
   bw_sent_bytes : int array;  (** Row totals per src. *)
   bw_recv_bytes : int array;  (** Column totals per dst. *)
@@ -45,19 +48,21 @@ type bandwidth = {
 }
 
 val bandwidth : entry array -> bandwidth
+val bandwidth_of : Metrics.t -> bandwidth
 
 (** {1 Per-round pipeline} *)
 
-type round_row = {
+type round_row = Metrics.round_row = private {
   r_round : int;
-  r_entry : float option;  (** First [Round_entry]. *)
-  r_propose : float option;
-  r_notarize : float option;
-  r_finalize : float option;
-  r_decided : float option;
+  mutable r_entry : float option;  (** First [Round_entry]. *)
+  mutable r_propose : float option;
+  mutable r_notarize : float option;
+  mutable r_finalize : float option;
+  mutable r_decided : float option;
 }
 
-val rounds : entry array -> round_row list  (** Ascending by round. *)
+val rounds : entry array -> round_row list
+(** [Metrics.rounds (fold entries)]: ascending by round. *)
 
 (** {1 Dissemination amplification} *)
 
@@ -76,6 +81,7 @@ type amplification = {
 }
 
 val amplification : entry array -> amplification
+val amplification_of : Metrics.t -> amplification
 
 (** {1 Causal critical path} *)
 

@@ -235,18 +235,27 @@ let test_context_attribution () =
 
 let test_latency_percentile_invalidation () =
   let m = Icc_sim.Metrics.create 4 in
+  (* one decided round per latency: proposed at 0, decided at [dt] *)
+  let round = ref 0 in
+  let latency dt =
+    incr round;
+    let round = !round in
+    Icc_sim.Metrics.observe m ~time:0. (Icc_sim.Trace.Propose { party = 1; round });
+    Icc_sim.Metrics.observe m ~time:dt
+      (Icc_sim.Trace.Block_decided { round; block = "ab" })
+  in
   Alcotest.(check bool) "empty distribution is nan" true
     (Float.is_nan (Icc_sim.Metrics.latency_percentile m 50.));
-  Icc_sim.Metrics.record_latency m 3.0;
-  Icc_sim.Metrics.record_latency m 1.0;
-  Icc_sim.Metrics.record_latency m 2.0;
+  latency 3.0;
+  latency 1.0;
+  latency 2.0;
   Alcotest.(check (float 0.)) "p50 of {1,2,3}" 2.0
     (Icc_sim.Metrics.latency_percentile m 50.);
   Alcotest.(check (float 0.)) "p100 of {1,2,3}" 3.0
     (Icc_sim.Metrics.latency_percentile m 100.);
-  (* the second query hit the memoized view; recording must invalidate it *)
-  Icc_sim.Metrics.record_latency m 10.0;
-  Icc_sim.Metrics.record_latency m 11.0;
+  (* the second query hit the memoized view; a new latency must invalidate it *)
+  latency 10.0;
+  latency 11.0;
   Alcotest.(check (float 0.)) "p100 sees the new maximum" 11.0
     (Icc_sim.Metrics.latency_percentile m 100.);
   Alcotest.(check (float 0.)) "p50 re-sorted over 5 samples" 3.0

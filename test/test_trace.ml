@@ -127,27 +127,51 @@ let test_metrics_via_trace () =
   Alcotest.(check int) "blk bytes" 300 (Icc_sim.Metrics.bytes_of_kind m "blk");
   Alcotest.(check int) "share bytes" 50 (Icc_sim.Metrics.bytes_of_kind m "share");
   Alcotest.(check int) "finalized" 1 (Icc_sim.Metrics.finalized_blocks m);
-  Alcotest.(check (option (float 1e-9))) "entry" (Some 0.2)
-    (Icc_sim.Metrics.round_entry_time m 1);
-  Alcotest.(check (option (float 1e-9))) "propose" (Some 0.3)
-    (Icc_sim.Metrics.proposal_time m 1);
-  Alcotest.(check (option (float 1e-9))) "notarize" (Some 0.4)
-    (Icc_sim.Metrics.notarization_time m 1);
-  Alcotest.(check (option (float 1e-9))) "finalize" (Some 0.9)
-    (Icc_sim.Metrics.finalization_time m 1);
+  (match Icc_sim.Metrics.rounds m with
+  | [ r ] ->
+      Alcotest.(check int) "round" 1 r.r_round;
+      Alcotest.(check (option (float 1e-9))) "entry" (Some 0.2) r.r_entry;
+      Alcotest.(check (option (float 1e-9))) "propose" (Some 0.3) r.r_propose;
+      Alcotest.(check (option (float 1e-9))) "notarize" (Some 0.4)
+        r.r_notarize;
+      Alcotest.(check (option (float 1e-9))) "decided" (Some 0.9) r.r_decided
+  | l -> Alcotest.failf "expected one round row, got %d" (List.length l));
   (* decide latency measured from the round's first proposal *)
   Alcotest.(check (list (float 1e-9))) "latency" [ 0.6 ]
-    (Icc_sim.Metrics.latencies m);
-  Alcotest.(check int) "max round" 1 (Icc_sim.Metrics.max_round m)
+    (Icc_sim.Metrics.latencies m)
 
+(* Each column keeps its round's first event; [Finalize] and the
+   gossip/RBC counts are detail-level, so only a direct [observe] (an
+   offline fold) fills them, never the core-level bus sink. *)
 let test_metrics_first_event_wins () =
   let tr = Icc_sim.Trace.create () in
   let m = Icc_sim.Metrics.create 4 in
   Icc_sim.Metrics.attach m tr;
   Icc_sim.Trace.emit tr ~time:0.2 (Icc_sim.Trace.Propose { party = 1; round = 3 });
   Icc_sim.Trace.emit tr ~time:0.5 (Icc_sim.Trace.Propose { party = 2; round = 3 });
+  Icc_sim.Trace.emit tr ~time:0.6
+    (Icc_sim.Trace.Finalize { party = 1; round = 3; block = "ab" });
+  Icc_sim.Trace.emit tr ~time:0.6 (ev_detail ());
+  let row m =
+    match Icc_sim.Metrics.rounds m with
+    | [ r ] -> r
+    | l -> Alcotest.failf "expected one round row, got %d" (List.length l)
+  in
   Alcotest.(check (option (float 1e-9))) "first proposal kept" (Some 0.2)
-    (Icc_sim.Metrics.proposal_time m 3)
+    (row m).r_propose;
+  Alcotest.(check (option (float 1e-9))) "bus sink: no finalize" None
+    (row m).r_finalize;
+  Alcotest.(check int) "bus sink: no gossip count" 0
+    (Icc_sim.Metrics.dissemination m).gossip_publish;
+  Icc_sim.Metrics.observe m ~time:0.7
+    (Icc_sim.Trace.Finalize { party = 2; round = 3; block = "ab" });
+  Icc_sim.Metrics.observe m ~time:0.8 (ev_detail ());
+  Icc_sim.Metrics.observe m ~time:0.9
+    (Icc_sim.Trace.Finalize { party = 3; round = 3; block = "ab" });
+  Alcotest.(check (option (float 1e-9))) "observe: first finalize" (Some 0.7)
+    (row m).r_finalize;
+  Alcotest.(check int) "observe: gossip counted" 1
+    (Icc_sim.Metrics.dissemination m).gossip_publish
 
 let test_percentile_edge_cases () =
   let nan_ok x = Alcotest.(check bool) "nan" true (Float.is_nan x) in
@@ -428,6 +452,74 @@ let test_run_event_coverage () =
       "notarize"; "finalize"; "beacon-share"; "commit"; "block-decided";
     ]
 
+(* ------------------------------------------- online/offline agreement *)
+
+(* `icc analyze` agrees with the `icc run` that wrote the trace: each
+   golden n=16 run feeds one online Metrics and a JSONL buffer, and the
+   buffer, parsed back and folded by Replay.fold, must tally the same.
+   JSON times carry six decimals, so milestone times agree to 1e-6 and
+   latencies (a difference of two times) to 2e-6. *)
+let check_agreement name run =
+  let tr = Icc_sim.Trace.create () in
+  let online = Icc_sim.Metrics.create 16 in
+  Icc_sim.Metrics.attach online tr;
+  let buf = Buffer.create (1 lsl 20) in
+  Icc_sim.Trace.subscribe tr (fun ~time ev ->
+      Buffer.add_string buf (Icc_sim.Trace.to_json ~time ev);
+      Buffer.add_char buf '\n');
+  run tr;
+  let load =
+    Icc_sim.Replay.parse_lines
+      (String.split_on_char '\n' (Buffer.contents buf))
+  in
+  Alcotest.(check (list (pair int string))) (name ^ ": parses") []
+    load.Icc_sim.Replay.errors;
+  let offline = Icc_sim.Replay.fold load.Icc_sim.Replay.entries in
+  let module M = Icc_sim.Metrics in
+  let same_int what f =
+    Alcotest.(check int) (name ^ ": " ^ what) (f online) (f offline)
+  in
+  Alcotest.(check (list (triple string int int))) (name ^ ": per-kind rows")
+    (M.kinds online) (M.kinds offline);
+  same_int "total msgs" M.total_msgs;
+  same_int "total bytes" M.total_bytes;
+  same_int "finalized blocks" M.finalized_blocks;
+  let sent m = (Icc_sim.Replay.bandwidth_of m).Icc_sim.Replay.bw_sent_bytes in
+  Alcotest.(check (array int)) (name ^ ": bytes sent per party") (sent online)
+    (sent offline);
+  let decided m = List.map fst (M.finalizations m) in
+  Alcotest.(check (list int)) (name ^ ": decided rounds") (decided online)
+    (decided offline);
+  let time = Alcotest.(option (float 1e-6)) in
+  let rows_on = M.rounds online and rows_off = M.rounds offline in
+  Alcotest.(check (list int)) (name ^ ": rounds")
+    (List.map (fun (r : M.round_row) -> r.r_round) rows_on)
+    (List.map (fun (r : M.round_row) -> r.r_round) rows_off);
+  List.iter2
+    (fun (a : M.round_row) (b : M.round_row) ->
+      let col what f =
+        Alcotest.check time
+          (Printf.sprintf "%s: round %d %s" name a.r_round what)
+          (f a) (f b)
+      in
+      col "entry" (fun r -> r.M.r_entry);
+      col "propose" (fun r -> r.M.r_propose);
+      col "notarize" (fun r -> r.M.r_notarize);
+      col "decided" (fun r -> r.M.r_decided))
+    rows_on rows_off;
+  Alcotest.(check (list (float 2e-6))) (name ^ ": latencies")
+    (M.latencies online) (M.latencies offline)
+
+let test_online_offline_agreement () =
+  check_agreement "icc0" (fun tr -> Test_streams.golden16 tr);
+  check_agreement "icc1" (fun tr ->
+      Test_streams.golden16 ~run:(Icc_gossip.Icc1.run ?fanout:None) tr);
+  check_agreement "icc0 wan" (fun tr ->
+      Test_streams.golden16
+        ~delay:(Icc_core.Runner.Wan { rtt_lo = 0.006; rtt_hi = 0.110 })
+        tr);
+  check_agreement "icc0 nemesis" Test_streams.golden16_nemesis
+
 let suite =
   [
     Alcotest.test_case "no sink: inactive, emit is no-op" `Quick
@@ -460,4 +552,6 @@ let suite =
     Alcotest.test_case "icc2 traced = untraced" `Quick test_determinism_icc2;
     Alcotest.test_case "icc1 trace covers all layers" `Quick
       test_run_event_coverage;
+    Alcotest.test_case "analyze agrees with run on the golden n=16 traces"
+      `Quick test_online_offline_agreement;
   ]
