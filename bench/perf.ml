@@ -1,12 +1,18 @@
 (* `bench perf` — before/after measurement for the hot-path optimisations.
 
-   Runs each protocol variant (ICC0 direct, ICC1 gossip, ICC2 erasure RBC)
-   twice on the identical scenario and seed: once with every optimisation
-   toggled OFF (generic double-and-add field multiplication, no fixed-base
-   tables, no block-digest memoisation, no pool caches) and once with the
-   defaults ON.  Both runs dump their trace to an in-memory JSONL buffer;
-   the buffers must be byte-identical — the optimisations may only change
-   speed, never behaviour.
+   One table, [toggles], names every speed toggle: generic double-and-add
+   field multiplication vs the fast one, fixed-base tables, block-digest
+   memoisation.  Each protocol variant (ICC0 direct, ICC1 gossip, ICC2
+   erasure RBC) runs twice on the identical scenario and seed: once with
+   every toggle OFF and once with the defaults ON.  Both runs dump their
+   trace to an in-memory JSONL buffer; the buffers must be byte-identical —
+   the optimisations may only change speed, never behaviour.
+
+   The one-toggle-off ablation then gives each toggle's marginal cost:
+   all-on and each toggle alone off, one row each.  A row's traced warm-up
+   run must reproduce the all-on trace, or the run fails like a
+   before/after mismatch; its interleaved untraced reps give the median
+   wall-clock, which is informational.
 
    Emits BENCH_perf.json (schema in EXPERIMENTS.md) through
    {!Icc_obs.Json} and, with `--check ref.json`, fails if any scenario's
@@ -16,8 +22,8 @@
    crypto counters differs from the reference at all: the counters are
    deterministic for a fixed config, so they are gated exactly.  The
    reference is parsed before anything runs; an unreadable one exits 1 at
-   once.  The gate covers the before/after scenarios only; the sweep rows
-   are informational.
+   once.  The gate covers the before/after scenarios only; the ablation
+   and sweep rows are informational.
 
    A committee-size sweep rides along: optimised-only ICC0/ICC1 runs at
    n in {16, 50, 100}, reporting wall-clock, message totals and the
@@ -57,14 +63,19 @@ let has_flag flag = Array.exists (String.equal flag) Sys.argv
 
 (* --- measurement ----------------------------------------------------- *)
 
-(* Every toggle the tentpole introduced, flipped together.  Beacon-share
-   verification at admission is a correctness fix, not an optimisation, so
-   it has no toggle and runs in both configurations. *)
-let set_optimizations on =
-  Icc_crypto.Fp.set_fast_mul on;
-  Icc_crypto.Group.set_fixed_base on;
-  Icc_core.Block.set_memoization on;
-  Icc_core.Pool.set_caching on
+(* The speed toggles, by name.  Each may only change speed, never a
+   trace: the before/after legs flip them all together, the ablation one
+   at a time.  Beacon-share verification at admission is a correctness
+   fix, not an optimisation, so it has no toggle and runs in every
+   configuration. *)
+let toggles =
+  [
+    ("fast_mul", Icc_crypto.Fp.set_fast_mul);
+    ("fixed_base", Icc_crypto.Group.set_fixed_base);
+    ("memoization", Icc_core.Block.set_memoization);
+  ]
+
+let set_all on = List.iter (fun (_, set) -> set on) toggles
 
 let delay_s = 0.02
 
@@ -106,9 +117,9 @@ let profiled_phases run_fn scenario =
 
 let measure ~quick ~seed ~n name run_fn =
   let scenario = perf_scenario ~quick ~seed ~n in
-  set_optimizations false;
+  set_all false;
   let before_s, trace_before, ops_before = traced_run run_fn scenario in
-  set_optimizations true;
+  set_all true;
   let after_s, trace_after, ops_after = traced_run run_fn scenario in
   let phases = profiled_phases run_fn scenario in
   {
@@ -122,6 +133,65 @@ let measure ~quick ~seed ~n name run_fn =
     ops_after;
     phases;
   }
+
+(* --- one-toggle-off ablation ------------------------------------------ *)
+
+type ablation_row = {
+  ab_name : string;
+  ab_off : string; (* the toggle switched off, or "none" *)
+  ab_wall_s : float; (* median over the reps *)
+  ab_slowdown : float; (* ab_wall_s over the all-on row's *)
+  ab_trace_identical : bool; (* the warm-up's trace equals the all-on one *)
+}
+
+let ablation_reps ~quick = if quick then 1 else 3
+
+let median = Icc_sim.Metrics.percentile 50.
+
+(* Each configuration — all on, then each toggle alone off — first runs
+   once traced: a warm-up whose trace must equal the all-on one.  Then each
+   rep times every configuration once, untraced, so host drift falls on
+   every row alike and trace serialisation does not dilute a toggle's
+   cost. *)
+let ablation ~quick ~seed ~n name run_fn =
+  let scenario = perf_scenario ~quick ~seed ~n in
+  let offs = "none" :: List.map fst toggles in
+  let configure off =
+    List.iter (fun (k, set) -> set (not (String.equal k off))) toggles
+  in
+  let trace_of off =
+    configure off;
+    let _, trace, _ = traced_run run_fn scenario in
+    trace
+  in
+  let reference = trace_of "none" in
+  let identical =
+    true
+    :: List.map (fun (k, _) -> String.equal (trace_of k) reference) toggles
+  in
+  let walls = Array.make (List.length offs) [] in
+  for _ = 1 to ablation_reps ~quick do
+    List.iteri
+      (fun i off ->
+        configure off;
+        let t0 = Unix.gettimeofday () in
+        ignore (run_fn scenario);
+        walls.(i) <- (Unix.gettimeofday () -. t0) :: walls.(i))
+      offs
+  done;
+  set_all true;
+  let all_on = median walls.(0) in
+  List.mapi
+    (fun i (off, same) ->
+      let wall = median walls.(i) in
+      {
+        ab_name = name;
+        ab_off = off;
+        ab_wall_s = wall;
+        ab_slowdown = (if all_on > 0. then wall /. all_on else nan);
+        ab_trace_identical = same;
+      })
+    (List.combine offs identical)
 
 (* --- committee-size sweep --------------------------------------------- *)
 
@@ -156,7 +226,7 @@ let sweep_row ~quick ~seed name run_fn n =
 
 let run_sweep ~quick ~seed =
   let ns = if quick then [ 16; 32 ] else [ 16; 50; 100 ] in
-  set_optimizations true;
+  set_all true;
   List.concat_map
     (fun n ->
       [
@@ -196,6 +266,26 @@ let sweep_json s =
       ("us_per_msg", J.Float s.sw_us_per_msg);
     ]
 
+let ablation_json ~quick rows =
+  J.Object
+    [
+      ("warmup", J.Int 1);
+      ("reps", J.Int (ablation_reps ~quick));
+      ( "rows",
+        J.Array
+          (List.map
+             (fun r ->
+               J.Object
+                 [
+                   ("name", J.String r.ab_name);
+                   ("off", J.String r.ab_off);
+                   ("wall_s", J.Float r.ab_wall_s);
+                   ("slowdown", J.Float r.ab_slowdown);
+                   ("trace_identical", J.Bool r.ab_trace_identical);
+                 ])
+             rows) );
+    ]
+
 let config_json ~quick ~seed ~rounds ~n =
   J.Object
     [
@@ -206,13 +296,14 @@ let config_json ~quick ~seed ~rounds ~n =
       ("quick", J.Bool quick);
     ]
 
-let results_json ~config results sweep =
+let results_json ~config results ablation sweep =
   let tb = List.fold_left (fun a r -> a +. r.before_s) 0. results in
   let ta = List.fold_left (fun a r -> a +. r.after_s) 0. results in
   J.Object
     [
       ("config", config);
       ("scenarios", J.Array (List.map scenario_json results));
+      ("ablation", ablation);
       ("sweep", J.Array (List.map sweep_json sweep));
       ( "total",
         J.Object
@@ -353,6 +444,16 @@ let print_table results =
       end)
     results
 
+let print_ablation rows =
+  Printf.printf "%-6s %-12s %10s %9s %7s\n" "proto" "off" "wall (s)"
+    "x all-on" "trace=";
+  List.iter
+    (fun r ->
+      Printf.printf "%-6s %-12s %10.3f %8.2fx %7s\n" r.ab_name r.ab_off
+        r.ab_wall_s r.ab_slowdown
+        (if r.ab_trace_identical then "yes" else "NO"))
+    rows
+
 let print_sweep sweep =
   Printf.printf "%-6s %5s %10s %10s %7s %10s\n" "proto" "n" "wall (s)"
     "messages" "rounds" "us/msg";
@@ -389,22 +490,33 @@ let main () =
     "== bench perf: hot-path before/after (n=%d, seed %d, %d rounds%s) ==\n" n
     seed rounds
     (if quick then ", quick" else "");
-  let results =
-    List.map
-      (fun (name, run_fn) -> measure ~quick ~seed ~n name run_fn)
-      [
-        ("ICC0", Icc_core.Runner.run);
-        ("ICC1", fun s -> Icc_gossip.Icc1.run s);
-        ("ICC2", fun s -> Icc_rbc.Icc2.run s);
-      ]
+  let protocols =
+    [
+      ("ICC0", Icc_core.Runner.run);
+      ("ICC1", fun s -> Icc_gossip.Icc1.run s);
+      ("ICC2", fun s -> Icc_rbc.Icc2.run s);
+    ]
   in
-  set_optimizations true;
+  let results =
+    List.map (fun (name, run_fn) -> measure ~quick ~seed ~n name run_fn) protocols
+  in
   print_table results;
+  Printf.printf
+    "== one-toggle-off ablation (1 warm-up, median of %d, interleaved) ==\n"
+    (ablation_reps ~quick);
+  let ablation_rows =
+    List.concat_map
+      (fun (name, run_fn) -> ablation ~quick ~seed ~n name run_fn)
+      protocols
+  in
+  print_ablation ablation_rows;
   Printf.printf "== committee-size sweep (optimised, seed %d) ==\n" seed;
   let sweep = run_sweep ~quick ~seed in
   print_sweep sweep;
   let config = config_json ~quick ~seed ~rounds ~n in
-  let json = results_json ~config results sweep in
+  let json =
+    results_json ~config results (ablation_json ~quick ablation_rows) sweep
+  in
   let oc =
     try open_out out
     with Sys_error msg ->
@@ -420,10 +532,18 @@ let main () =
   let traces_ok = List.for_all (fun r -> r.trace_identical) results in
   if not traces_ok then
     prerr_endline "FAIL: optimisations changed the trace (not byte-identical)";
+  let ablation_broken =
+    List.filter (fun r -> not r.ab_trace_identical) ablation_rows
+  in
+  List.iter
+    (fun r ->
+      Printf.eprintf "FAIL: %s with %s off changed the trace\n" r.ab_name
+        r.ab_off)
+    ablation_broken;
   let check_ok =
     match reference with
     | None -> true
     | Some (ref_path, reference) ->
         check_against ~config ~ref_path reference results
   in
-  if not (traces_ok && check_ok) then exit 1
+  if not (traces_ok && ablation_broken = [] && check_ok) then exit 1

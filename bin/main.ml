@@ -397,23 +397,9 @@ let run_cmd =
         (String.concat ", "
            (List.map (fun (name, v) -> Printf.sprintf "%s %d" name v) ops));
     print_monitor_report r.Icc_core.Runner.monitor;
-    (* One-line verdict from the global Check oracles (and the online
-       monitor when attached). *)
-    let mark ok = if ok then "\xe2\x9c\x93" else "\xe2\x9c\x97" in
-    let all_ok =
-      r.Icc_core.Runner.p1_ok && r.Icc_core.Runner.p2_ok
-      && r.Icc_core.Runner.prefix_ok
-      && monitor_ok r.Icc_core.Runner.monitor
-    in
-    Printf.printf "safety: %s (P1 %s P2 %s prefix %s%s)\n"
-      (if all_ok then "ok" else "VIOLATION")
-      (mark r.Icc_core.Runner.p1_ok)
-      (mark r.Icc_core.Runner.p2_ok)
-      (mark r.Icc_core.Runner.prefix_ok)
-      (match r.Icc_core.Runner.monitor with
-      | None -> ""
-      | Some m -> " monitor " ^ mark (Icc_sim.Monitor.ok m));
-    if not all_ok then exit 1
+    let ok, line = Icc_core.Runner.verdict r in
+    print_endline line;
+    if not ok then exit 1
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one ICC simulation.")
@@ -631,6 +617,7 @@ let profile_cmd =
       | `Icc2 -> "icc2"
     in
     let { Icc_core.Runner.n; seed; duration; _ } = setup.scenario in
+    let safe, verdict = Icc_core.Runner.verdict r in
     if json then
       print_endline
         (Icc_obs.Json.to_string
@@ -642,6 +629,8 @@ let profile_cmd =
                  ("duration", Float duration);
                  ("wall_s", Float wall);
                  ("rounds_decided", Int r.Icc_core.Runner.rounds_decided);
+                 ( "safety",
+                   Object [ ("ok", Bool safe); ("verdict", String verdict) ] );
                ]
               @ Icc_obs.Profile.to_json report)))
     else begin
@@ -652,8 +641,11 @@ let profile_cmd =
       print_string (Icc_obs.Profile.render ~top report);
       Option.iter
         (Printf.printf "\nfolded stacks written to %s\n")
-        folded
-    end
+        folded;
+      print_monitor_report r.Icc_core.Runner.monitor;
+      print_endline verdict
+    end;
+    if not safe then exit 1
   in
   Cmd.v
     (Cmd.info "profile"

@@ -22,14 +22,9 @@
    [pruned_below .. newest admitted round] — outgrows the capacity, so with
    pruning enabled memory is proportional to the window, not the run.
 
-   The per-round epoch caches survive, re-keyed to slots: each slot carries
-   an epoch counter bumped on every admission or promotion touching its
-   round, and the classification views ([valid_blocks], [notarized_blocks],
-   [round_completion], the finalization scan) are cached against it.  A
-   cache hit returns the value the uncached scan would recompute from
-   unchanged state, so caching can never alter results — only skip rescans.
-   [set_caching false] disables the caches so the benchmark harness can
-   measure before/after. *)
+   The classification views ([valid_blocks], [notarized_blocks],
+   [round_completion], the finalization scan) read the bits the cascade
+   keeps current, scanning their slot's few block entries on each call. *)
 
 type key = Types.round * Icc_crypto.Sha256.t
 
@@ -94,11 +89,6 @@ type slot = {
   mutable s_blocks : entry list; (* block admission order, newest first *)
   mutable s_beacon : beacon_entry option array; (* by signer; [||] until used *)
   mutable s_beacon_list : beacon_entry list; (* admission order, newest first *)
-  mutable s_epoch : int;
-  mutable s_valid_cache : (int * Block.t list) option;
-  mutable s_notarized_cache : (int * Block.t list) option;
-  mutable s_completion_cache : (int * completion option) option;
-  mutable s_fin_cache : (int * finalization_step option) option;
 }
 
 type t = {
@@ -109,11 +99,6 @@ type t = {
   mutable pruned_below : Types.round;
 }
 
-(* §3.5 toggle. *)
-let caching = ref true
-let set_caching on = caching := on
-let caching_enabled () = !caching
-
 let fresh_slot () =
   {
     s_round = -1;
@@ -121,11 +106,6 @@ let fresh_slot () =
     s_blocks = [];
     s_beacon = [||];
     s_beacon_list = [];
-    s_epoch = 0;
-    s_valid_cache = None;
-    s_notarized_cache = None;
-    s_completion_cache = None;
-    s_fin_cache = None;
   }
 
 let initial_capacity = 16
@@ -147,12 +127,7 @@ let clear_slot s =
   s.s_blocks <- [];
   if Array.length s.s_beacon > 0 then
     Array.fill s.s_beacon 0 (Array.length s.s_beacon) None;
-  s.s_beacon_list <- [];
-  s.s_epoch <- 0;
-  s.s_valid_cache <- None;
-  s.s_notarized_cache <- None;
-  s.s_completion_cache <- None;
-  s.s_fin_cache <- None
+  s.s_beacon_list <- []
 
 let find_slot t round =
   if round < 0 then None
@@ -199,8 +174,6 @@ let rec claim t round =
     grow t;
     claim t round
   end
-
-let bump s = s.s_epoch <- s.s_epoch + 1
 
 (* --- per-slot lookups --------------------------------------------------- *)
 
@@ -276,51 +249,22 @@ let is_finalized t ((round, h) as key) =
   (round = 0 && Icc_crypto.Sha256.equal h Block.root_hash)
   || match entry_of t key with None -> false | Some e -> e.e_finalized
 
+(* The slot's block entries, newest first; [] for a round with no slot. *)
+let slot_blocks t round =
+  match find_slot t round with None -> [] | Some s -> s.s_blocks
+
 let blocks_of_round t round =
-  match find_slot t round with
-  | None -> []
-  | Some s -> List.filter_map (fun e -> e.e_block) s.s_blocks
-
-(* Epoch-stamped per-slot caches: the recompute path is the very same
-   closure the uncached path runs, and a hit is only served while the
-   slot's state is untouched, so cached and uncached answers are always
-   identical. *)
-
-let compute_valid s =
-  List.filter_map
-    (fun e -> if e.e_valid then e.e_block else None)
-    s.s_blocks
+  List.filter_map (fun e -> e.e_block) (slot_blocks t round)
 
 let valid_blocks t round =
-  match find_slot t round with
-  | None -> []
-  | Some s ->
-      if not !caching then compute_valid s
-      else (
-        match s.s_valid_cache with
-        | Some (ep, v) when ep = s.s_epoch -> v
-        | Some _ | None ->
-            let v = compute_valid s in
-            s.s_valid_cache <- Some (s.s_epoch, v);
-            v)
-
-let compute_notarized s =
   List.filter_map
-    (fun e -> if e.e_notarized then e.e_block else None)
-    s.s_blocks
+    (fun e -> if e.e_valid then e.e_block else None)
+    (slot_blocks t round)
 
 let notarized_blocks t round =
-  match find_slot t round with
-  | None -> []
-  | Some s ->
-      if not !caching then compute_notarized s
-      else (
-        match s.s_notarized_cache with
-        | Some (ep, v) when ep = s.s_epoch -> v
-        | Some _ | None ->
-            let v = compute_notarized s in
-            s.s_notarized_cache <- Some (s.s_epoch, v);
-            v)
+  List.filter_map
+    (fun e -> if e.e_notarized then e.e_block else None)
+    (slot_blocks t round)
 
 let notarization_cert t key =
   match entry_of t key with None -> None | Some e -> e.e_notar_cert
@@ -359,7 +303,7 @@ let max_round t = t.max_round
 
 (* --- promotion cascade ------------------------------------------------ *)
 
-let rec promote_entry t ~round s e =
+let rec promote_entry t ~round e =
   match e.e_block with
   | None -> ()
   | Some b ->
@@ -368,37 +312,25 @@ let rec promote_entry t ~round s e =
         && Option.is_some e.e_auth
         && is_notarized t (round - 1, b.Block.parent_hash)
         && t.payload_valid b
-      then begin
-        e.e_valid <- true;
-        bump s
-      end;
+      then e.e_valid <- true;
       if e.e_valid then begin
         let newly_notarized =
           (not e.e_notarized) && Option.is_some e.e_notar_cert
         in
-        if newly_notarized then begin
-          e.e_notarized <- true;
-          bump s
-        end;
-        if (not e.e_finalized) && Option.is_some e.e_final_cert then begin
+        if newly_notarized then e.e_notarized <- true;
+        if (not e.e_finalized) && Option.is_some e.e_final_cert then
           e.e_finalized <- true;
-          bump s
-        end;
         if newly_notarized then begin
           (* Children all live in round + 1 (validity pins a child to the
              round right above its parent), in that slot's block order. *)
           let h = Block.hash b in
-          match find_slot t (round + 1) with
-          | None -> ()
-          | Some s' ->
-              List.iter
-                (fun ce ->
-                  match ce.e_block with
-                  | Some cb when Icc_crypto.Sha256.equal cb.Block.parent_hash h
-                    ->
-                      promote_entry t ~round:(round + 1) s' ce
-                  | _ -> ())
-                s'.s_blocks
+          List.iter
+            (fun ce ->
+              match ce.e_block with
+              | Some cb when Icc_crypto.Sha256.equal cb.Block.parent_hash h ->
+                  promote_entry t ~round:(round + 1) ce
+              | _ -> ())
+            (slot_blocks t (round + 1))
         end
       end
 
@@ -422,8 +354,7 @@ let add_block t (b : Block.t) =
       e.e_block <- Some b;
       s.s_blocks <- e :: s.s_blocks;
       if round > t.max_round then t.max_round <- round;
-      bump s;
-      promote_entry t ~round s e;
+      promote_entry t ~round e;
       true
     end
 
@@ -446,8 +377,7 @@ let add_authenticator t ~round ~proposer ~block_hash signature =
           let s = claim t round in
           let e = find_or_create_entry s block_hash in
           e.e_auth <- Some signature;
-          bump s;
-          promote_entry t ~round s e;
+          promote_entry t ~round e;
           true
         end
         else false
@@ -536,8 +466,7 @@ let add_cert t ~kind (c : Types.cert) =
           (match kind with
           | `Notarization -> e.e_notar_cert <- Some c
           | `Finalization -> e.e_final_cert <- Some c);
-          bump s;
-          promote_entry t ~round s e;
+          promote_entry t ~round e;
           true
         end
         else false
@@ -591,7 +520,6 @@ let add_share t ~kind (s : Types.share_msg) =
             ss
       in
       ss_add ss ~proposer:s.s_proposer signer share;
-      bump slot;
       true
     end
     else false
@@ -763,7 +691,7 @@ let beacon_share_msgs t ~round =
    subsumes them, and only for blocks we hold (the share text needs the
    proposer, which only the block names). *)
 let retransmit_set t ~round =
-  let blocks = match find_slot t round with None -> [] | Some s -> s.s_blocks in
+  let blocks = slot_blocks t round in
   let proposals =
     List.filter_map
       (fun e ->
@@ -833,7 +761,8 @@ let retransmit_set t ~round =
 
 let quorum t = t.system.Icc_crypto.Keygen.n - t.system.Icc_crypto.Keygen.t
 
-let compute_round_completion t s =
+let round_completion t round =
+  let blocks = slot_blocks t round in
   let notarized =
     List.find_map
       (fun e ->
@@ -842,7 +771,7 @@ let compute_round_completion t s =
           | Some b, Some c -> Some (Already_notarized (b, c))
           | _ -> None
         else None)
-      s.s_blocks
+      blocks
   in
   match notarized with
   | Some _ as r -> r
@@ -866,23 +795,10 @@ let compute_round_completion t s =
                 Some (Combinable (b, shares))
             | None -> None
           else None)
-        s.s_blocks
+        blocks
 
-let round_completion t round =
-  match find_slot t round with
-  | None -> None
-  | Some s ->
-      if not !caching then compute_round_completion t s
-      else (
-        match s.s_completion_cache with
-        | Some (ep, v) when ep = s.s_epoch -> v
-        | Some _ | None ->
-            let v = compute_round_completion t s in
-            s.s_completion_cache <- Some (s.s_epoch, v);
-            v)
-
-(* One round's contribution to the Fig. 2 scan, cacheable per round. *)
-let compute_fin_hit t s =
+(* One round's contribution to the Fig. 2 scan. *)
+let fin_hit t round =
   List.find_map
     (fun e ->
       if not e.e_valid then None
@@ -903,20 +819,7 @@ let compute_fin_hit t s =
             Some (Final_combinable (b, shares))
         | None -> None
       else None)
-    s.s_blocks
-
-let fin_hit t round =
-  match find_slot t round with
-  | None -> None
-  | Some s ->
-      if not !caching then compute_fin_hit t s
-      else (
-        match s.s_fin_cache with
-        | Some (ep, v) when ep = s.s_epoch -> v
-        | Some _ | None ->
-            let v = compute_fin_hit t s in
-            s.s_fin_cache <- Some (s.s_epoch, v);
-            v)
+    (slot_blocks t round)
 
 (* Finalization subprotocol (Fig. 2): the smallest round above [kmax] that
    can be finished, either via a finalization certificate on a valid block

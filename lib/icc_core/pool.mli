@@ -150,13 +150,3 @@ type finalization_step =
 
 val finalization_step : t -> kmax:Types.round -> finalization_step option
 (** The smallest finishable round above [kmax]. *)
-
-(** {1 Benchmark toggles} *)
-
-val set_caching : bool -> unit
-(** Toggle the per-round epoch caches behind {!valid_blocks},
-    {!notarized_blocks}, {!round_completion} and {!finalization_step} (on
-    by default).  Only affects speed, never results; exposed so the
-    benchmark harness can measure before/after. *)
-
-val caching_enabled : unit -> bool

@@ -565,3 +565,18 @@ let run scenario =
     commands_committed = !committed_cmds;
     mean_command_latency = Icc_sim.Metrics.mean !cmd_latencies;
   }
+
+(* The run's one-line verdict: the global Check oracles, plus the online
+   monitor when one was attached. *)
+let verdict r =
+  let mark ok = if ok then "\xe2\x9c\x93" else "\xe2\x9c\x97" in
+  let monitor_ok =
+    match r.monitor with None -> true | Some m -> Icc_sim.Monitor.ok m
+  in
+  let ok = r.p1_ok && r.p2_ok && r.prefix_ok && monitor_ok in
+  ( ok,
+    Printf.sprintf "safety: %s (P1 %s P2 %s prefix %s%s)"
+      (if ok then "ok" else "VIOLATION")
+      (mark r.p1_ok) (mark r.p2_ok) (mark r.prefix_ok)
+      (match r.monitor with None -> "" | Some _ -> " monitor " ^ mark monitor_ok)
+  )

@@ -141,3 +141,10 @@ val run : scenario -> result
 (** Raises [Invalid_argument] before the simulation starts when [behaviors],
     [kill_at] or a [nemesis]/[adversary] directive names a party outside
     1..[n] (see {!Icc_sim.Transport.links}). *)
+
+val verdict : result -> bool * string
+(** [(ok, line)]: [ok] is P1 ∧ P2 ∧ prefix ∧ the attached monitor's
+    verdict, and [line] is the one-line
+    ["safety: ok|VIOLATION (P1 ✓ P2 ✓ prefix ✓ monitor ✓)"] report that
+    [icc run] and [icc profile] print (no [monitor] mark when none was
+    attached). *)

@@ -295,6 +295,49 @@ let test_no_stall_without_partition () =
   Alcotest.(check int) "quiet watchdog" 0
     (List.length (Icc_sim.Monitor.stalls m))
 
+(* --------------------------------------------------------- run verdict *)
+
+(* [Runner.verdict] is the one reporter behind `icc run` and `icc profile`.
+   The seed-2 run is `icc run -n 4 -d 10 --seed 2 --corrupt-adaptive 2
+   --monitor`: two adaptively corrupted leaders exceed t = 1 at n = 4, and
+   conflicting notarizations follow. *)
+let verdict_scenario ?adversary ~seed () =
+  {
+    (Icc_core.Runner.default_scenario ~n:4 ~seed) with
+    Icc_core.Runner.duration = 10.;
+    adversary;
+    monitor = Some (Icc_sim.Monitor.default_config ~delta:1.0 ());
+  }
+
+let test_verdict_overshoot () =
+  let adversary =
+    [
+      Icc_sim.Adversary.adaptive ~rank:0 ~max_corrupt:2
+        (Icc_sim.Adversary.Equivocate { noisy = true });
+    ]
+  in
+  let ok, line =
+    Icc_core.Runner.verdict
+      (Icc_core.Runner.run (verdict_scenario ~adversary ~seed:2 ()))
+  in
+  Alcotest.(check bool) "overshoot is not ok" false ok;
+  Alcotest.(check string) "reported as a violation" "safety: VIOLATION"
+    (String.sub line 0 (String.length "safety: VIOLATION"));
+  Alcotest.(check string) "marks P2 and the monitor"
+    "safety: VIOLATION (P1 \xe2\x9c\x93 P2 \xe2\x9c\x97 prefix \xe2\x9c\x93 \
+     monitor \xe2\x9c\x97)"
+    line
+
+let test_verdict_clean () =
+  let ok, line =
+    Icc_core.Runner.verdict (Icc_core.Runner.run (verdict_scenario ~seed:2 ()))
+  in
+  Alcotest.(check bool) "clean run is ok" true ok;
+  Alcotest.(check string) "clean verdict line"
+    "safety: ok (P1 \xe2\x9c\x93 P2 \xe2\x9c\x93 prefix \xe2\x9c\x93 \
+     monitor \xe2\x9c\x93)"
+    line
+
 (* Baseline harnesses attach the same monitor. *)
 let test_baseline_monitored () =
   let scenario =
@@ -342,6 +385,10 @@ let suite =
       test_stall_flagged_and_cleared;
     Alcotest.test_case "watchdog quiet without a partition" `Quick
       test_no_stall_without_partition;
+    Alcotest.test_case "verdict: adaptive overshoot is a violation" `Quick
+      test_verdict_overshoot;
+    Alcotest.test_case "verdict: clean monitored run is ok" `Quick
+      test_verdict_clean;
     Alcotest.test_case "baseline harness attaches the monitor" `Quick
       test_baseline_monitored;
   ]

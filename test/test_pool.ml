@@ -317,13 +317,14 @@ let test_prune_keeps_all_tables_bounded () =
   Alcotest.(check bool) "below-horizon block rejected" false
     (Icc_core.Pool.add_block pool stale)
 
-(* --- large-n slot ring stays bounded, caches stay fresh ----------------
+(* --- large-n slot ring stays bounded, views stay fresh -----------------
 
    Regression for the slot-ring pool at committee sizes in the hundreds:
    the ring and every per-slot structure must stay bounded by the retained
-   round window (never by run length or by n²), and the per-slot epoch
-   caches must be invalidated by admissions — a stale cache would freeze a
-   round's valid/notarized views the moment they were first queried. *)
+   round window (never by run length or by n²), and a round's
+   valid/notarized views must reflect every admission made after they were
+   first queried.  (The name dates from the per-slot view caches the pool
+   no longer keeps.) *)
 let test_large_n_bounded_and_caches_invalidated () =
   let n = 200 in
   let big = Kit.make ~n ~t:66 () in
