@@ -10,7 +10,8 @@
 
      dune exec bench/main.exe            full run (~minutes)
      dune exec bench/main.exe -- --quick reduced sweeps
-     dune exec bench/main.exe -- perf    hot-path before/after (see Perf) *)
+     dune exec bench/main.exe -- perf    hot-path before/after (see Perf)
+     dune exec bench/main.exe -- micro   part 1 only *)
 
 open Bechamel
 open Toolkit
@@ -29,6 +30,39 @@ let kilobyte = String.init 1024 (fun i -> Char.chr (i land 0xff))
 let bench_sha256 =
   Test.make ~name:"sha256-1KiB" (Staged.stage (fun () ->
       ignore (Icc_crypto.Sha256.digest_string kilobyte)))
+
+(* The two kernels under every signature check (DESIGN.md §3.5): field
+   multiplication modulo p and q, generic and table-backed exponentiation,
+   and a one-block digest the size of a Schnorr challenge. *)
+let fp_a = Icc_crypto.Group.p - 12_345_678_901
+let fp_b = 987_654_321_987_654_321
+
+let bench_fp_mul_p =
+  Test.make ~name:"fp-mul-p" (Staged.stage (fun () ->
+      ignore (Icc_crypto.Fp.mul fp_a fp_b Icc_crypto.Group.p)))
+
+let bench_fp_mul_q =
+  Test.make ~name:"fp-mul-q" (Staged.stage (fun () ->
+      ignore (Icc_crypto.Fp.mul (fp_a / 2) fp_b Icc_crypto.Group.q)))
+
+let pow_base =
+  Icc_crypto.Group.hash_to_group (Icc_crypto.Sha256.digest_string "bench base")
+
+let pow_exp = Icc_crypto.Group.random_scalar rand_bits
+
+let bench_group_pow =
+  Test.make ~name:"group-pow" (Staged.stage (fun () ->
+      ignore (Icc_crypto.Group.pow pow_base pow_exp)))
+
+let bench_group_pow_cached =
+  Test.make ~name:"group-pow-cached" (Staged.stage (fun () ->
+      ignore (Icc_crypto.Group.base_pow pow_exp)))
+
+let challenge_53 = String.init 53 (fun i -> Char.chr (i * 31 mod 251))
+
+let bench_sha256_53 =
+  Test.make ~name:"sha256-53B" (Staged.stage (fun () ->
+      ignore (Icc_crypto.Sha256.digest_string challenge_53)))
 
 (* Signature rows sign what the protocol signs: a notarization text on a
    real 32-byte block digest (36 bytes, one SHA-256 block per challenge). *)
@@ -123,6 +157,11 @@ let bench_icc0_rounds =
 let micro_tests =
   Test.make_grouped ~name:"icc" ~fmt:"%s/%s"
     [
+      bench_fp_mul_p;
+      bench_fp_mul_q;
+      bench_group_pow;
+      bench_group_pow_cached;
+      bench_sha256_53;
       bench_sha256;
       bench_schnorr_sign;
       bench_schnorr_verify;
@@ -256,6 +295,10 @@ let exhibit name f =
 let () =
   if Array.exists (String.equal "perf") Sys.argv then begin
     Perf.main ();
+    exit 0
+  end;
+  if Array.exists (String.equal "micro") Sys.argv then begin
+    run_micro ();
     exit 0
   end
 

@@ -3,10 +3,12 @@
    One table, [toggles], names every speed toggle: generic double-and-add
    field multiplication vs the fast one, fixed-base tables, block-digest
    memoisation.  Each protocol variant (ICC0 direct, ICC1 gossip, ICC2
-   erasure RBC) runs twice on the identical scenario and seed: once with
-   every toggle OFF and once with the defaults ON.  Both runs dump their
-   trace to an in-memory JSONL buffer; the buffers must be byte-identical —
-   the optimisations may only change speed, never behaviour.
+   erasure RBC) runs on the identical scenario and seed with every toggle
+   OFF and with the defaults ON.  A traced run of each dumps its trace to
+   an in-memory JSONL buffer and snapshots the op counters; the buffers
+   must be byte-identical — the optimisations may only change speed, never
+   behaviour.  [before_s]/[after_s] time a separate untraced run of each,
+   so trace serialisation does not dilute the protocol's own cost.
 
    The one-toggle-off ablation then gives each toggle's marginal cost:
    all-on and each toggle alone off, one row each.  A row's traced warm-up
@@ -44,7 +46,7 @@ type scenario_result = {
   ops_after : (string * int) list;
   phases : (string * int) list;
       (* span name -> self-microseconds, from a separate profiled run (the
-         profiler never runs during the timed before/after passes, so its
+         profiler never runs during the timed before/after runs, so its
          overhead cannot pollute the regression gate) *)
 }
 
@@ -91,6 +93,7 @@ let perf_scenario ~quick ~seed ~n =
 let count_lines s =
   String.fold_left (fun acc c -> if c = '\n' then acc + 1 else acc) 0 s
 
+(* The trace and the op counters of one run; not timed. *)
 let traced_run run_fn scenario =
   let tr = Icc_sim.Trace.create () in
   let buf = Buffer.create (1 lsl 20) in
@@ -98,14 +101,18 @@ let traced_run run_fn scenario =
       Buffer.add_string buf (Icc_sim.Trace.to_json ~time ev);
       Buffer.add_char buf '\n');
   Icc_crypto.Counters.reset ();
-  let t0 = Unix.gettimeofday () in
   let _ = run_fn { scenario with Icc_core.Runner.trace = Some tr } in
-  let dt = Unix.gettimeofday () -. t0 in
-  (dt, Buffer.contents buf, Icc_crypto.Counters.snapshot ())
+  (Buffer.contents buf, Icc_crypto.Counters.snapshot ())
+
+(* Wall-clock seconds of one untraced, unprofiled run, and its result. *)
+let timed_run run_fn scenario =
+  let t0 = Unix.gettimeofday () in
+  let res = run_fn scenario in
+  (Unix.gettimeofday () -. t0, res)
 
 (* Per-phase attribution from one extra optimised run with the
-   self-profiler on.  Kept apart from [traced_run] so the timed passes pay
-   zero profiling overhead. *)
+   self-profiler on.  Kept apart from the timed runs so they pay zero
+   profiling overhead. *)
 let profiled_phases run_fn scenario =
   Icc_obs.Profile.reset ();
   Icc_obs.Profile.set_enabled true;
@@ -118,9 +125,11 @@ let profiled_phases run_fn scenario =
 let measure ~quick ~seed ~n name run_fn =
   let scenario = perf_scenario ~quick ~seed ~n in
   set_all false;
-  let before_s, trace_before, ops_before = traced_run run_fn scenario in
+  let trace_before, ops_before = traced_run run_fn scenario in
+  let before_s, _ = timed_run run_fn scenario in
   set_all true;
-  let after_s, trace_after, ops_after = traced_run run_fn scenario in
+  let trace_after, ops_after = traced_run run_fn scenario in
+  let after_s, _ = timed_run run_fn scenario in
   let phases = profiled_phases run_fn scenario in
   {
     name;
@@ -161,8 +170,7 @@ let ablation ~quick ~seed ~n name run_fn =
   in
   let trace_of off =
     configure off;
-    let _, trace, _ = traced_run run_fn scenario in
-    trace
+    fst (traced_run run_fn scenario)
   in
   let reference = trace_of "none" in
   let identical =
@@ -174,9 +182,7 @@ let ablation ~quick ~seed ~n name run_fn =
     List.iteri
       (fun i off ->
         configure off;
-        let t0 = Unix.gettimeofday () in
-        ignore (run_fn scenario);
-        walls.(i) <- (Unix.gettimeofday () -. t0) :: walls.(i))
+        walls.(i) <- fst (timed_run run_fn scenario) :: walls.(i))
       offs
   done;
   set_all true;
@@ -210,10 +216,7 @@ type sweep_result = {
    a superlinear slot-ring/engine/metrics structure shows up here as
    us/msg climbing with n. *)
 let sweep_row ~quick ~seed name run_fn n =
-  let scenario = perf_scenario ~quick ~seed ~n in
-  let t0 = Unix.gettimeofday () in
-  let res = run_fn scenario in
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall, res = timed_run run_fn (perf_scenario ~quick ~seed ~n) in
   let msgs = Icc_sim.Metrics.total_msgs res.Icc_core.Runner.metrics in
   {
     sw_name = name;

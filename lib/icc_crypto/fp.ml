@@ -37,43 +37,58 @@ let mul_generic a b m =
   in
   if a = 0 || b = 0 then 0 else go 0 a b
 
-(* Fast path: 31-bit-split schoolbook multiplication.
+(* Fast path: a pseudo-Mersenne fold, for moduli 2^59 < m <= 2^61 with
+   d = 2^61 mod m < 2^16.  Both protocol moduli qualify: d is 2373 for
+   p = 2^61 - 2373 and 2374 for q = (p - 1)/2.  Every other modulus takes
+   [mul_generic].
 
-   Write a = a1*2^31 + a0 and b = b1*2^31 + b0.  Then
+   The 122-bit product is built as H*2^61 + L from 31-bit halves
+   a = a1*2^31 + a0, b = b1*2^31 + b0 (a1, b1 < 2^30; a0, b0 < 2^31):
 
-     a*b = (a1*b1)*2^62 + (a1*b0 + a0*b1)*2^31 + a0*b0
+     a*b = (a1*b1)*2^62 + mid*2^31 + a0*b0,   mid = a1*b0 + a0*b1 < 2^62
 
-   Each partial product fits a 63-bit native int: a1, b1 < 2^30 and
-   a0, b0 < 2^31, so a1*b1 < 2^60, a1*b0 + a0*b1 < 2^62, a0*b0 < 2^62.
-   The 2^31 factors are folded in with [shift31], which needs
-   d61 = 2^61 mod m to be < 2^29 so that (x >> 30) * d61 stays below
-   2^61 for any x < 2^62.  Both protocol moduli qualify (d61 is 2373
-   for p and 2374 for q); moduli that don't fall back to the generic
-   double-and-add. *)
+   Since 2^61 = d (mod m), a*b = H*d + L.  H < m, so H*d can reach 2^77;
+   it is split once more at bit 31 of H (t = (H >> 31)*d < 2^46) and
+   folded a second time, leaving x = c*d + (u land mask61) with
+   c < 2^16 + 3, hence x < 2^61 + 2^33 <= 4m + 2^33 < 5m: at most four
+   subtractions of m (one for p, two for q).
+
+   OCaml's max_int is 2^62 - 1.  Two intermediates can pass it: [lo]
+   (< 2^61 + 2^62) and [u] (< 2^62 + 2^47).  Both stay below 2^63, so
+   their 63-bit patterns are exact unsigned values, and both reach only
+   [lsr] and [land].  Every other intermediate is below 2^62.  The
+   function allocates nothing. *)
 let mask30 = (1 lsl 30) - 1
 let mask31 = (1 lsl 31) - 1
+let mask61 = (1 lsl 61) - 1
 
-let mul_fast a b m d61 =
-  (* x * 2^31 mod m, exact for any x < 2^62 given d61 < 2^29:
-     x*2^31 = (x >> 30)*2^61 + (x land mask30)*2^31, and both summands
-     stay below 2^61 so their sum never wraps. *)
-  let shift31 x = (((x lsr 30) * d61) + ((x land mask30) lsl 31)) mod m in
+let rec below m x = if x < m then x else below m (x - m)
+
+let mul_fold a b m d =
   let a1 = a lsr 31 and a0 = a land mask31 in
   let b1 = b lsr 31 and b0 = b land mask31 in
-  let hi = a1 * b1 in
   let mid = (a1 * b0) + (a0 * b1) in
-  let lo = (a0 * b0) mod m in
-  add (add (shift31 (shift31 hi)) (shift31 mid) m) lo m
+  let lo = ((mid land mask30) lsl 31) + (a0 * b0) in
+  let hi = ((a1 * b1) lsl 1) + (mid lsr 30) + (lo lsr 61) in
+  let t = (hi lsr 31) * d in
+  let u =
+    (lo land mask61) + ((hi land mask31) * d) + ((t land mask30) lsl 31)
+  in
+  below m ((u land mask61) + (((u lsr 61) + (t lsr 30)) * d))
 
 (* §3.5 toggle. *)
 let fast_mul = ref true
 let set_fast_mul on = fast_mul := on
 let fast_mul_enabled () = !fast_mul
 
+(* For m > 2^59, 2^61 = k*m + d with k <= 3, so d needs at most two
+   subtractions, not a division.  A modulus above 2^61 leaves d < 0. *)
 let mul a b m =
-  if !fast_mul then
-    let d61 = (1 lsl 61) mod m in
-    if d61 < 1 lsl 29 then mul_fast a b m d61 else mul_generic a b m
+  if !fast_mul && m > 1 lsl 59 then
+    let d = (1 lsl 61) - m in
+    let d = if d >= m then d - m else d in
+    let d = if d >= m then d - m else d in
+    if d >= 0 && d < 1 lsl 16 then mul_fold a b m d else mul_generic a b m
   else mul_generic a b m
 
 let pow base e m =

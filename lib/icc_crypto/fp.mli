@@ -16,10 +16,11 @@ val sub : int -> int -> int -> int
 val neg : int -> int -> int
 
 val mul : int -> int -> int -> int
-(** Modular product.  Uses a 31-bit-split fast path when enabled (the
-    default) and the modulus admits it; otherwise falls back to the
-    reference double-and-add.  Both compute the identical canonical
-    result. *)
+(** Modular product.  Uses a division-free pseudo-Mersenne fold when
+    enabled (the default) and the modulus admits it (2^59 < m <= 2^61 with
+    2^61 mod m < 2^16, which covers both protocol moduli); otherwise falls
+    back to the reference double-and-add.  Both compute the identical
+    canonical result. *)
 
 val mul_generic : int -> int -> int -> int
 (** Reference double-and-add product; always available, used by property

@@ -27,51 +27,83 @@ let mask = 0xffff_ffff
 (* Rotations: for a 32-bit [x], [x lor (x lsl 32)] holds two copies of x
    (the top bit of the upper copy falls off the 63-bit int), so shifting it
    right by any n in 1..31 and masking to 32 bits rotates x right by n. *)
+let[@inline] big_sigma0 a =
+  let aa = a lor (a lsl 32) in
+  ((aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22)) land mask
 
-(* Compress the 64-byte block at [off] in [msg] into state [h], using [w]
-   as the message schedule. *)
-let process_block h w msg off =
+let[@inline] big_sigma1 e =
+  let ee = e lor (e lsl 32) in
+  ((ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25)) land mask
+
+(* Module-level scratch: the state [h], the message schedule [w] and the
+   padded tail.  The runtime is single-domain (DESIGN.md §3.9) and a
+   digest calls nothing that could hash in turn, so one copy serves every
+   digest, and the only allocation per digest is its 32-byte result. *)
+let h = Array.make 8 0
+let w = Array.make 64 0
+let tail = Bytes.create 128
+
+(* One round's T1 and T2 (FIPS 180-4 §6.2.2 step 3), unmasked: each is a
+   sum of a few 32-bit words, far below 2^62. *)
+let[@inline] t1 e f g hh i =
+  hh + big_sigma1 e + (g lxor (e land (f lxor g))) + Array.unsafe_get k i
+  + Array.unsafe_get w i
+
+let[@inline] t2 a b c = big_sigma0 a + ((a land (b lor c)) lor (b land c))
+
+(* Rounds [i .. 63], eight per call.  Round r's new a and e land in the
+   variables that held h and d, so the names rotate by one per round and
+   are back in place after eight: no round moves the other six words.
+   [i] is a multiple of 8 below 64, so [unsafe_get] in [t1] stays in
+   bounds of [k] and [w].  Unchecked reads here and in the schedule made a
+   one-block digest 3-5% faster than checked ones. *)
+let rec rounds i a b c d e f g hh =
+  if i = 64 then begin
+    h.(0) <- (h.(0) + a) land mask;
+    h.(1) <- (h.(1) + b) land mask;
+    h.(2) <- (h.(2) + c) land mask;
+    h.(3) <- (h.(3) + d) land mask;
+    h.(4) <- (h.(4) + e) land mask;
+    h.(5) <- (h.(5) + f) land mask;
+    h.(6) <- (h.(6) + g) land mask;
+    h.(7) <- (h.(7) + hh) land mask
+  end
+  else
+    let t = t1 e f g hh i in
+    let d = (d + t) land mask and hh = (t + t2 a b c) land mask in
+    let t = t1 d e f g (i + 1) in
+    let c = (c + t) land mask and g = (t + t2 hh a b) land mask in
+    let t = t1 c d e f (i + 2) in
+    let b = (b + t) land mask and f = (t + t2 g hh a) land mask in
+    let t = t1 b c d e (i + 3) in
+    let a = (a + t) land mask and e = (t + t2 f g hh) land mask in
+    let t = t1 a b c d (i + 4) in
+    let hh = (hh + t) land mask and d = (t + t2 e f g) land mask in
+    let t = t1 hh a b c (i + 5) in
+    let g = (g + t) land mask and c = (t + t2 d e f) land mask in
+    let t = t1 g hh a b (i + 6) in
+    let f = (f + t) land mask and b = (t + t2 c d e) land mask in
+    let t = t1 f g hh a (i + 7) in
+    let e = (e + t) land mask and a = (t + t2 b c d) land mask in
+    rounds (i + 8) a b c d e f g hh
+
+(* Compress the 64-byte block at [off] in [msg] into [h]. *)
+let process_block msg off =
   for i = 0 to 15 do
     let p = off + (4 * i) in
-    w.(i) <-
-      (Char.code (Bytes.get msg p) lsl 24)
-      lor (Char.code (Bytes.get msg (p + 1)) lsl 16)
-      lor (Char.code (Bytes.get msg (p + 2)) lsl 8)
-      lor Char.code (Bytes.get msg (p + 3))
+    w.(i) <- Int32.to_int (Bytes.get_int32_be msg p) land mask
   done;
+  (* i - 16 .. i are within 0 .. 63 for every i of the loop. *)
   for i = 16 to 63 do
-    let x = w.(i - 15) and y = w.(i - 2) in
+    let x = Array.unsafe_get w (i - 15) and y = Array.unsafe_get w (i - 2) in
     let xx = x lor (x lsl 32) and yy = y lor (y lsl 32) in
     let s0 = ((xx lsr 7) lxor (xx lsr 18)) land mask lxor (x lsr 3)
     and s1 = ((yy lsr 17) lxor (yy lsr 19)) land mask lxor (y lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1)
+       land mask)
   done;
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for i = 0 to 63 do
-    let ee = !e lor (!e lsl 32) and aa = !a lor (!a lsl 32) in
-    let s1 = ((ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25)) land mask in
-    let ch = !g lxor (!e land (!f lxor !g)) in
-    let temp1 = !hh + s1 + ch + k.(i) + w.(i) in
-    let s0 = ((aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22)) land mask in
-    let maj = (!a land (!b lor !c)) lor (!b land !c) in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + temp1) land mask;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (temp1 + s0 + maj) land mask
-  done;
-  h.(0) <- (h.(0) + !a) land mask;
-  h.(1) <- (h.(1) + !b) land mask;
-  h.(2) <- (h.(2) + !c) land mask;
-  h.(3) <- (h.(3) + !d) land mask;
-  h.(4) <- (h.(4) + !e) land mask;
-  h.(5) <- (h.(5) + !f) land mask;
-  h.(6) <- (h.(6) + !g) land mask;
-  h.(7) <- (h.(7) + !hh) land mask
+  rounds 0 h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7)
 
 (* Full blocks are hashed in place; only the tail is copied, into one or
    two padded blocks: rest ++ 0x80 ++ zeros ++ 8-byte big-endian bit
@@ -79,31 +111,29 @@ let process_block h w msg off =
 let digest_bytes (input : Bytes.t) : t =
   Counters.bump Counters.sha256_digests;
   let len = Bytes.length input in
-  let h =
-    [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
-       0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
-  in
-  let w = Array.make 64 0 in
+  h.(0) <- 0x6a09e667;
+  h.(1) <- 0xbb67ae85;
+  h.(2) <- 0x3c6ef372;
+  h.(3) <- 0xa54ff53a;
+  h.(4) <- 0x510e527f;
+  h.(5) <- 0x9b05688c;
+  h.(6) <- 0x1f83d9ab;
+  h.(7) <- 0x5be0cd19;
   let full = len / 64 * 64 in
   for b = 0 to (len / 64) - 1 do
-    process_block h w input (b * 64)
+    process_block input (b * 64)
   done;
   let rest = len - full in
   let tail_len = if rest < 56 then 64 else 128 in
-  let tail = Bytes.make tail_len '\000' in
   Bytes.blit input full tail 0 rest;
   Bytes.set tail rest '\x80';
-  let bitlen = len * 8 in
-  for j = 0 to 7 do
-    Bytes.set tail (tail_len - 1 - j) (Char.chr ((bitlen lsr (8 * j)) land 0xff))
-  done;
-  process_block h w tail 0;
-  if tail_len = 128 then process_block h w tail 64;
+  Bytes.fill tail (rest + 1) (tail_len - rest - 1) '\000';
+  Bytes.set_int64_be tail (tail_len - 8) (Int64.of_int (len * 8));
+  process_block tail 0;
+  if tail_len = 128 then process_block tail 64;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    for j = 0 to 3 do
-      Bytes.set out ((4 * i) + j) (Char.chr ((h.(i) lsr (8 * (3 - j))) land 0xff))
-    done
+    Bytes.set_int32_be out (4 * i) (Int32.of_int h.(i))
   done;
   Bytes.unsafe_to_string out
 

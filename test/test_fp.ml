@@ -2,8 +2,10 @@
 
 let m = Icc_crypto.Group.p
 
-let arb_residue =
+let arb_residue_of m =
   QCheck.map (fun x -> Icc_crypto.Fp.reduce (abs x) m) QCheck.int
+
+let arb_residue = arb_residue_of m
 
 let test_reduce () =
   Alcotest.(check int) "positive" 5 (Icc_crypto.Fp.reduce 5 7);
@@ -112,6 +114,52 @@ let test_fast_mul_toggle () =
   checks ();
   Icc_crypto.Fp.set_fast_mul true
 
+(* The fold serves both protocol moduli; on random residues it must agree
+   with the reference path. *)
+let prop_fold_matches_generic =
+  let open Icc_crypto in
+  QCheck.Test.make ~name:"fast mul = generic mul (Group.p and Group.q)"
+    ~count:1000
+    (QCheck.pair
+       (QCheck.pair (arb_residue_of Group.p) (arb_residue_of Group.p))
+       (QCheck.pair (arb_residue_of Group.q) (arb_residue_of Group.q)))
+    (fun ((a, b), (c, d)) ->
+      Fp.mul a b Group.p = Fp.mul_generic a b Group.p
+      && Fp.mul c d Group.q = Fp.mul_generic c d Group.q)
+
+(* Operands at the edges of the 31-bit split and of the final
+   subtractions, every pair, on both moduli. *)
+let test_fold_edges () =
+  let open Icc_crypto in
+  List.iter
+    (fun m ->
+      let edges =
+        [ 0; 1; m - 1; m - 2; (1 lsl 30) - 1; (1 lsl 31) - 1; 1 lsl 31; m / 2 ]
+      in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              Alcotest.(check int)
+                (Printf.sprintf "mul %d %d mod %d" a b m)
+                (Fp.mul_generic a b m) (Fp.mul a b m))
+            edges)
+        edges)
+    [ Group.p; Group.q ]
+
+(* The fast path allocates nothing: no closure, no boxed intermediate. *)
+let test_fold_allocates_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let x = ref 5 in
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      x := Icc_crypto.Group.mul !x !x
+    done;
+    let words = Gc.minor_words () -. before in
+    ignore (Sys.opaque_identity !x);
+    Alcotest.(check (float 0.)) "minor words over 10k Group.mul" 0. words
+  end
+
 let prop_sub_add_roundtrip =
   QCheck.Test.make ~name:"fp sub/add roundtrip" ~count:200
     (QCheck.pair arb_residue arb_residue) (fun (a, b) ->
@@ -132,4 +180,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sub_add_roundtrip;
     QCheck_alcotest.to_alcotest prop_fast_mul_matches_generic;
     Alcotest.test_case "fast mul toggle" `Quick test_fast_mul_toggle;
+    QCheck_alcotest.to_alcotest prop_fold_matches_generic;
+    Alcotest.test_case "fast mul edge operands" `Quick test_fold_edges;
+    Alcotest.test_case "fast mul allocates nothing" `Quick
+      test_fold_allocates_nothing;
   ]

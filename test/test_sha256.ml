@@ -36,6 +36,50 @@ let test_boundary_lengths () =
     (Icc_crypto.Sha256.to_hex
        (Icc_crypto.Sha256.digest_string (String.concat "" digests)))
 
+(* [String.init n] of the byte pattern (i*31) mod 251: no two adjacent
+   words alike, so a misplaced schedule word or state word shows. *)
+let pattern n = String.init n (fun i -> Char.chr (i * 31 mod 251))
+
+let test_pattern_lengths () =
+  (* Lengths 0..300 cover up to four full blocks hashed in place before
+     the padded tail, all through the one module-level scratch.  Pinned:
+     SHA-256 of the concatenated hex digests, as computed by Python's
+     hashlib. *)
+  let digests =
+    List.init 301 (fun i ->
+        Icc_crypto.Sha256.to_hex (Icc_crypto.Sha256.digest_string (pattern i)))
+  in
+  Alcotest.(check string)
+    "pinned" "c602283fac6ddb44741aa4abae9d3d09c2d161b9908474e60db7cb91e61dd77c"
+    (Icc_crypto.Sha256.to_hex
+       (Icc_crypto.Sha256.digest_string (String.concat "" digests)))
+
+let test_scratch_reuse () =
+  (* A long input leaves the scratch state, schedule and tail dirty; the
+     next, short digest must still be the fresh-process one (Python's
+     hashlib). *)
+  check_vector "long" (pattern 1000)
+    "f3f55c45264850b8475533289ff43ab81fa1eb3bf781267db645e1ce0c193379";
+  check_vector "short after long" "abc"
+    "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad";
+  check_vector "one block after short" (pattern 53)
+    "255b6d1b1db9e8d1c6958ce0025612ddf30ef80a8d6d3ade69352b6b93e55e18"
+
+let test_one_block_allocation () =
+  (* A one-block digest allocates its 32-byte result (a header and five
+     words) and nothing else. *)
+  if Sys.backend_type = Sys.Native then begin
+    let input = Bytes.of_string (pattern 53) in
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (Icc_crypto.Sha256.digest_bytes input))
+    done;
+    let per_digest = (Gc.minor_words () -. before) /. 1000. in
+    Alcotest.(check bool)
+      (Printf.sprintf "%.2f minor words per digest <= 6" per_digest)
+      true (per_digest <= 6.)
+  end
+
 let test_bytes_and_string_agree () =
   let s = "internet computer consensus" in
   Alcotest.(check string)
@@ -85,6 +129,9 @@ let suite =
     Alcotest.test_case "NIST vectors" `Quick test_nist_vectors;
     Alcotest.test_case "million 'a'" `Slow test_million_a;
     Alcotest.test_case "padding boundaries" `Quick test_boundary_lengths;
+    Alcotest.test_case "pattern lengths 0..300" `Quick test_pattern_lengths;
+    Alcotest.test_case "scratch reuse" `Quick test_scratch_reuse;
+    Alcotest.test_case "one-block allocation" `Quick test_one_block_allocation;
     Alcotest.test_case "bytes/string agree" `Quick test_bytes_and_string_agree;
     Alcotest.test_case "to_int61" `Quick test_to_int61;
     QCheck_alcotest.to_alcotest prop_deterministic;
