@@ -1,7 +1,8 @@
 (* The benchmark harness.
 
    Part 1 — Bechamel micro-benchmarks, one Test.make per substrate
-   operation (crypto, erasure coding, one full simulated round).
+   operation (crypto, erasure coding, the engine queue, one full simulated
+   round).
 
    Part 2 — exhibit regeneration: every table and figure-class claim of the
    paper's evaluation, E1 (Table 1) through E8, printed in the same
@@ -140,6 +141,29 @@ let bench_merkle_verify =
   Test.make ~name:"merkle-verify-13" (Staged.stage (fun () ->
       ignore (Icc_crypto.Merkle.verify ~root:merkle_root ~leaf:"leaf-7" merkle_proof)))
 
+(* The engine's two queue shapes (DESIGN.md §3.6): 1000 events at distinct
+   times, as WAN deliveries land, and 1000 at one time, as a fixed-delay
+   broadcast burst lands.  One engine serves every run, so a row is
+   schedule plus dispatch in steady state. *)
+let engine = Icc_sim.Engine.create ()
+
+let distinct_delays =
+  Array.init 1000 (fun i -> 0.001 *. float_of_int (((i * 7919) mod 1000) + 1))
+
+let bench_engine_distinct =
+  Test.make ~name:"engine-distinct-1k" (Staged.stage (fun () ->
+      Array.iter
+        (fun delay -> Icc_sim.Engine.schedule engine ~delay ignore)
+        distinct_delays;
+      Icc_sim.Engine.run engine))
+
+let bench_engine_burst =
+  Test.make ~name:"engine-burst-1k" (Staged.stage (fun () ->
+      for _ = 1 to 1000 do
+        Icc_sim.Engine.schedule engine ~delay:0.05 ignore
+      done;
+      Icc_sim.Engine.run engine))
+
 let bench_icc0_rounds =
   (* one full simulated five-round ICC0 consensus among 4 parties,
      including key generation — the end-to-end cost of the protocol *)
@@ -173,6 +197,8 @@ let micro_tests =
       bench_rs_decode;
       bench_merkle_prove;
       bench_merkle_verify;
+      bench_engine_distinct;
+      bench_engine_burst;
       bench_icc0_rounds;
     ]
 

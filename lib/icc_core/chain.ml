@@ -28,9 +28,3 @@ let segment pool (b : Block.t) ~from_round =
       | None -> invalid_arg "Chain.segment: missing ancestor"
   in
   go [] b
-
-let command_ids pool (b : Block.t) =
-  List.concat_map
-    (fun (blk : Block.t) ->
-      List.map (fun c -> c.Types.cmd_id) blk.Block.payload.Types.commands)
-    (to_root pool b)

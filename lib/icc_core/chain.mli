@@ -10,6 +10,3 @@ val to_root : Pool.t -> Block.t -> Block.t list
 val segment : Pool.t -> Block.t -> from_round:Types.round -> Block.t list
 (** The last [round - from_round] blocks of the chain ending at the given
     block — what Fig. 2 outputs when advancing kmax. *)
-
-val command_ids : Pool.t -> Block.t -> int list
-(** All command ids on the chain from the root. *)

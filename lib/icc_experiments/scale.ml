@@ -10,7 +10,7 @@
      - wall-clock per decided round, and
      - messages per party per round, and msgs / (rounds * n^2)
 
-   A flat us/msg column across the sweep is the slot-ring/calendar-queue
+   A flat us/msg column across the sweep is the slot-ring/engine-queue
    refactor's claim: traffic grows quadratically by design, per-message
    work does not.  The normalized column tracks E2's O(n^2) bound at an
    order of magnitude larger n.

@@ -2,33 +2,54 @@
    thunks.  Handlers run strictly in (time, insertion) order; a handler may
    schedule further events at or after the current time.
 
-   Large-n scale-out: the queue is a calendar of *time buckets* — one heap
-   entry per distinct timestamp, holding a FIFO of (seq, handler) pairs —
-   instead of one heap entry per event.  A broadcast burst of n² same-time
-   deliveries then costs one O(log B) heap operation plus n² O(1) appends
-   (B = number of distinct pending times), and dispatch pops the heap only
-   once per timestamp.  Sequence numbers are assigned globally at insertion
-   and appended in order, so within a bucket the FIFO *is* seq order and
-   the dispatch order (time, then insertion seq) is byte-identical to the
-   one-entry-per-event queue.  Timestamps are bucketed by their IEEE-754
-   bit pattern (injective on the engine's non-negative clock once -0 is
-   normalized), which avoids float equality on the hot path. *)
+   The queue is one binary min-heap of *nodes* keyed by (time, seq), held
+   in parallel arrays so that pushing and popping allocate nothing: an
+   unboxed float array of times, an int array of seqs and an int array of
+   slots.  A node's events live in its slot, which stays put while the node
+   moves through the heap, so sifting writes no pointers: the slot holds
+   the node's next event inline and, behind it, a FIFO run of events
+   appended at the same time.  An event scheduled at the same time as the
+   most recently pushed node joins that node's run instead of becoming a
+   node of its own, so a fixed-delay broadcast burst of n-1 same-time
+   deliveries costs one heap node, and a WAN delivery at its own timestamp
+   costs one push and one pop.
 
-type bucket = {
-  mutable b_time : float;
-  mutable b_key : int; (* bits_of_float b_time, the calendar key *)
-  mutable b_seqs : int array; (* insertion seqs, parallel to b_fns *)
-  mutable b_fns : (unit -> unit) array;
-  mutable b_head : int; (* next index to dispatch *)
-  mutable b_len : int; (* number of filled entries *)
+   Ordering argument.  Seqs are assigned globally at insertion.  Only the
+   most recent node takes appends, so a node's events carry consecutive
+   seqs, and a node is closed for good once another node is pushed after
+   it.  Nodes that share a time therefore hold disjoint seq ranges, each
+   wholly below the next one's.  The heap orders nodes by (time, seq of
+   the node's next event); dispatching the root's next event and moving up
+   the following one of its run keeps the root minimal.  The dispatch
+   order is thus (time, seq), exactly as with one heap entry per event. *)
+
+(* The rest of a node's events after its next one, in seq order. *)
+type run = {
+  mutable r_fns : (unit -> unit) array;
+  mutable r_len : int; (* events appended *)
+  mutable r_next : int; (* next one to move up *)
 }
 
+let no_op () = ()
+
+(* All-float, so stored flat: setting a field allocates nothing. *)
+type clock = { mutable now : float; mutable last_time : float }
+
 type t = {
-  mutable now : float;
-  calendar : bucket Heap.t; (* keyed (b_time, seq of first event) *)
-  by_time : (int, bucket) Hashtbl.t; (* b_key -> live bucket *)
-  mutable free : bucket list; (* retired buckets kept for reuse *)
-  mutable free_len : int;
+  clock : clock;
+  (* The heap of nodes, ordered by (time, seq of the node's next event). *)
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable slots : int array;
+      (* [slots.(i)] holds node i's events for i < size; the rest of the
+         array lists the free slots, so it is always a permutation *)
+  mutable size : int;
+  (* Per slot, unmoved while its node travels through the heap. *)
+  mutable fns : (unit -> unit) array; (* the node's next event *)
+  mutable runs : run option array;
+      (* [None] is an immediate: unlike a young sentinel block, it lets
+         [Array.make] fill a major-heap array without a minor GC *)
+  mutable last : int; (* slot of the node taking appends, or -1 *)
   mutable seq : int;
   mutable pending : int;
   mutable processed : int;
@@ -36,15 +57,16 @@ type t = {
       (* instrumentation hook, called before each dispatched handler *)
 }
 
-let no_op () = ()
-
 let create () =
   {
-    now = 0.;
-    calendar = Heap.create ();
-    by_time = Hashtbl.create 64;
-    free = [];
-    free_len = 0;
+    clock = { now = 0.; last_time = 0. };
+    times = Array.make 64 0.;
+    seqs = Array.make 64 0;
+    slots = Array.init 64 Fun.id;
+    size = 0;
+    fns = Array.make 64 no_op;
+    runs = Array.make 64 None;
+    last = -1;
     seq = 0;
     processed = 0;
     pending = 0;
@@ -53,119 +75,151 @@ let create () =
 
 let set_observer t f = t.observer <- Some f
 
-let now t = t.now
+let now t = t.clock.now
 let pending t = t.pending
 let processed t = t.processed
 
-let fresh_bucket () =
-  {
-    b_time = 0.;
-    b_key = 0;
-    b_seqs = Array.make 8 0;
-    b_fns = Array.make 8 no_op;
-    b_head = 0;
-    b_len = 0;
-  }
+(* Node [i] goes before the node keyed (time, seq). *)
+let[@inline] before t i time seq =
+  let ti = t.times.(i) in
+  ti < time || (Float.equal ti time && t.seqs.(i) < seq)
 
-let bucket_add b ~seq fn =
-  let cap = Array.length b.b_seqs in
-  if b.b_len = cap then begin
-    let ncap = 2 * cap in
-    let ns = Array.make ncap 0 and nf = Array.make ncap no_op in
-    Array.blit b.b_seqs 0 ns 0 cap;
-    Array.blit b.b_fns 0 nf 0 cap;
-    b.b_seqs <- ns;
-    b.b_fns <- nf
+let[@inline] move t ~src ~dst =
+  t.times.(dst) <- t.times.(src);
+  t.seqs.(dst) <- t.seqs.(src);
+  t.slots.(dst) <- t.slots.(src)
+
+let grow t =
+  let cap = Array.length t.times in
+  let extend a fill =
+    let b = Array.make (2 * cap) fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.times <- extend t.times 0.;
+  t.seqs <- extend t.seqs 0;
+  t.slots <- Array.init (2 * cap) (fun i -> if i < cap then t.slots.(i) else i);
+  t.fns <- extend t.fns no_op;
+  t.runs <- extend t.runs None
+
+(* A new node in a free slot; it becomes the one taking appends. *)
+let push t time seq fn =
+  if t.size = Array.length t.times then grow t;
+  let slot = t.slots.(t.size) in
+  t.fns.(slot) <- fn;
+  let i = ref t.size in
+  t.size <- t.size + 1;
+  while
+    !i > 0
+    &&
+    let p = (!i - 1) / 2 in
+    not (before t p time seq)
+  do
+    let p = (!i - 1) / 2 in
+    move t ~src:p ~dst:!i;
+    i := p
+  done;
+  t.times.(!i) <- time;
+  t.seqs.(!i) <- seq;
+  t.slots.(!i) <- slot;
+  t.last <- slot;
+  t.clock.last_time <- time
+
+(* Remove the root, whose events have all been taken, and free its slot. *)
+let pop t =
+  let slot = t.slots.(0) in
+  t.fns.(slot) <- no_op;
+  t.runs.(slot) <- None;
+  if t.last = slot then t.last <- -1;
+  let n = t.size - 1 in
+  t.size <- n;
+  let time = t.times.(n) and seq = t.seqs.(n) and moved = t.slots.(n) in
+  let i = ref 0 and continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    if l >= n then continue := false
+    else begin
+      let c =
+        if l + 1 < n && before t (l + 1) t.times.(l) t.seqs.(l) then l + 1
+        else l
+      in
+      if before t c time seq then begin
+        move t ~src:c ~dst:!i;
+        i := c
+      end
+      else continue := false
+    end
+  done;
+  t.times.(!i) <- time;
+  t.seqs.(!i) <- seq;
+  t.slots.(!i) <- moved;
+  t.slots.(n) <- slot
+
+let append t fn =
+  let r =
+    match t.runs.(t.last) with
+    | Some r -> r
+    | None ->
+        let r = { r_fns = Array.make 8 no_op; r_len = 0; r_next = 0 } in
+        t.runs.(t.last) <- Some r;
+        r
+  in
+  let cap = Array.length r.r_fns in
+  if r.r_len = cap then begin
+    let a = Array.make (2 * cap) no_op in
+    Array.blit r.r_fns 0 a 0 cap;
+    r.r_fns <- a
   end;
-  b.b_seqs.(b.b_len) <- seq;
-  b.b_fns.(b.b_len) <- fn;
-  b.b_len <- b.b_len + 1
-
-(* Retire a drained bucket: forget its calendar key and recycle the
-   storage (burst-sized arrays are worth keeping around). *)
-let retire t b =
-  Hashtbl.remove t.by_time b.b_key;
-  Array.fill b.b_fns 0 b.b_len no_op;
-  b.b_head <- 0;
-  b.b_len <- 0;
-  if t.free_len < 64 then begin
-    t.free <- b :: t.free;
-    t.free_len <- t.free_len + 1
-  end
+  r.r_fns.(r.r_len) <- fn;
+  r.r_len <- r.r_len + 1
 
 let schedule_at t ~time action =
-  if time < t.now then
+  (* a nan time compares false both ways and would corrupt the heap *)
+  if Float.is_nan time then invalid_arg "Engine.schedule_at: time is nan";
+  if time < t.clock.now then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %.6f is in the past (now %.6f)"
-         time t.now);
-  (* +. 0. collapses -0 onto +0 so bit-pattern bucketing matches float
-     equality on the queue's time domain. *)
-  let time = time +. 0. in
-  let key = Int64.to_int (Int64.bits_of_float time) in
-  let b =
-    match Hashtbl.find_opt t.by_time key with
-    | Some b -> b
-    | None ->
-        let b =
-          match t.free with
-          | b :: rest ->
-              t.free <- rest;
-              t.free_len <- t.free_len - 1;
-              b
-          | [] -> fresh_bucket ()
-        in
-        b.b_time <- time;
-        b.b_key <- key;
-        Hashtbl.add t.by_time key b;
-        Heap.push t.calendar ~time ~seq:t.seq b;
-        b
-  in
-  bucket_add b ~seq:t.seq action;
+         time t.clock.now);
+  if t.last >= 0 && Float.equal t.clock.last_time time then append t action
+  else push t time t.seq action;
   t.seq <- t.seq + 1;
   t.pending <- t.pending + 1
 
 let schedule t ~delay action =
   if delay < 0. then invalid_arg "Engine.schedule: negative delay";
-  schedule_at t ~time:(t.now +. delay) action
+  schedule_at t ~time:(t.clock.now +. delay) action
 
 exception Stopped
 
 let stop _t = raise Stopped
 
+(* Take the root's next event: move the following event of its run up,
+   or remove the node once its run is drained. *)
+let dispatch t =
+  let time = t.times.(0) and seq = t.seqs.(0) and slot = t.slots.(0) in
+  let fn = t.fns.(slot) in
+  (match t.runs.(slot) with
+  | Some r when r.r_next < r.r_len ->
+      t.fns.(slot) <- r.r_fns.(r.r_next);
+      r.r_fns.(r.r_next) <- no_op;
+      r.r_next <- r.r_next + 1;
+      t.seqs.(0) <- seq + 1
+  | _ -> pop t);
+  t.clock.now <- time;
+  t.processed <- t.processed + 1;
+  t.pending <- t.pending - 1;
+  (match t.observer with Some f -> f ~time ~seq | None -> ());
+  Icc_obs.Profile.span "engine.dispatch" fn
+
 let run ?(until = infinity) ?(max_events = max_int) t =
   try
     let continue = ref true in
     while !continue do
-      if t.processed >= max_events then continue := false
-      else
-        match Heap.peek t.calendar with
-        | None -> continue := false
-        | Some e ->
-            let b = e.Heap.payload in
-            if b.b_head >= b.b_len then begin
-              (* Drained: only the running bucket can be empty, and nothing
-                 can be appended to it once the clock is about to move on. *)
-              ignore (Heap.pop t.calendar);
-              retire t b
-            end
-            else if b.b_time > until then begin
-              t.now <- until;
-              continue := false
-            end
-            else begin
-              let i = b.b_head in
-              b.b_head <- i + 1;
-              let seq = b.b_seqs.(i) in
-              let fn = b.b_fns.(i) in
-              b.b_fns.(i) <- no_op;
-              (* release the closure for GC *)
-              t.now <- b.b_time;
-              t.processed <- t.processed + 1;
-              t.pending <- t.pending - 1;
-              (match t.observer with
-              | Some f -> f ~time:b.b_time ~seq
-              | None -> ());
-              Icc_obs.Profile.span "engine.dispatch" fn
-            end
+      if t.processed >= max_events || t.size = 0 then continue := false
+      else if t.times.(0) > until then begin
+        t.clock.now <- until;
+        continue := false
+      end
+      else dispatch t
     done
   with Stopped -> ()

@@ -8,7 +8,8 @@ val pending : t -> int
 val processed : t -> int
 
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
-(** Raises [Invalid_argument] if [time] is before the current clock. *)
+(** Raises [Invalid_argument] if [time] is nan or before the current
+    clock. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 

@@ -66,10 +66,11 @@ let deliver_self t ~src msg =
    tracing; the nemesis (when present) is consulted exactly once per
    transmission, also independent of the hold.
 
-   Event batching happens below this layer: the engine's queue is a
-   calendar of per-timestamp buckets, so the n-1 same-release deliveries
-   of a broadcast under a fixed-delay model cost one heap entry total —
-   each call here is an O(1) bucket append, not an O(log events) push. *)
+   Event batching happens below this layer: the engine appends an event
+   due at the same time as its most recently pushed heap node to that
+   node's FIFO run, so the n-1 same-release deliveries of a broadcast
+   under a fixed-delay model cost one heap node total — each call here
+   after the first is an O(1) append, not an O(log events) push. *)
 let transmit t ~src ~dst ~size ~kind msg =
   Icc_obs.Profile.span "net.transmit" @@ fun () ->
   let now = Engine.now t.engine in

@@ -1,4 +1,4 @@
-(* Simulator substrate tests: rng, heap, engine, network, metrics. *)
+(* Simulator substrate tests: rng, engine, network, metrics. *)
 
 let test_rng_deterministic () =
   let a = Icc_sim.Rng.create 42 and b = Icc_sim.Rng.create 42 in
@@ -20,10 +20,6 @@ let test_rng_shuffle_permutes () =
   Alcotest.(check (list int)) "same multiset"
     (List.init 20 Fun.id)
     (List.sort compare (Array.to_list arr))
-
-let test_heap_orders () =
-  let h = Heap_probe.make [ (3., 0); (1., 1); (2., 2); (1., 3); (0.5, 4) ] in
-  Alcotest.(check (list int)) "pop order" [ 4; 1; 3; 2; 0 ] (Heap_probe.drain h)
 
 let test_engine_runs_in_order () =
   let e = Icc_sim.Engine.create () in
@@ -54,7 +50,10 @@ let test_engine_rejects_past () =
       Alcotest.check_raises "past"
         (Invalid_argument
            "Engine.schedule_at: time 0.500000 is in the past (now 1.000000)")
-        (fun () -> Icc_sim.Engine.schedule_at e ~time:0.5 (fun () -> ())));
+        (fun () -> Icc_sim.Engine.schedule_at e ~time:0.5 (fun () -> ()));
+      Alcotest.check_raises "nan"
+        (Invalid_argument "Engine.schedule_at: time is nan")
+        (fun () -> Icc_sim.Engine.schedule e ~delay:Float.nan (fun () -> ())));
   Icc_sim.Engine.run e
 
 let make_net ?(n = 4) ?(delay = 0.1) ?hold_until ?nemesis () =
@@ -181,12 +180,94 @@ let prop_engine_fifo_at_same_time =
       Icc_sim.Engine.run e;
       List.rev !log = List.init k Fun.id)
 
+(* Random mixes of same-time bursts, distinct times and handler-scheduled
+   [delay:0] events, run in slices cut by [until] and [max_events] stops,
+   with an outside event scheduled at each resume.  Every event ever
+   scheduled takes the next seq at a time no earlier than the clock, so
+   the whole dispatch sequence must be the stable sort of all scheduled
+   events by (time, seq). *)
+let prop_engine_order =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 1 40) (int_range 0 9))
+        (array_size (return 16) (int_range 0 3))
+        (list_size (int_range 0 6) (pair bool (int_range 0 20))))
+  in
+  let print (initial, kids, stops) =
+    QCheck.Print.(
+      triple (list int) (array int) (list (pair bool int)))
+      (initial, kids, stops)
+  in
+  QCheck.Test.make ~name:"engine order matches stable sort"
+    ~count:300 (QCheck.make ~print gen) (fun (initial, kids, stops) ->
+      let module E = Icc_sim.Engine in
+      let e = E.create () in
+      (* Codes 0-3 are delays shared by many events (0 is [delay:0]);
+         4-9 give each event a delay of its own. *)
+      let delay_of ~id code =
+        if code < 4 then 0.5 *. float_of_int code
+        else 0.37 +. (0.001 *. float_of_int id)
+      in
+      let scheduled = ref [] and log = ref [] and obs = ref [] in
+      let next = ref 0 in
+      let rec sched code =
+        let id = !next in
+        incr next;
+        let delay = delay_of ~id code in
+        scheduled := (E.now e +. delay, id) :: !scheduled;
+        E.schedule e ~delay (fun () ->
+            log := id :: !log;
+            if !next < 300 then
+              for k = 1 to kids.(id mod 16) do
+                sched (((id * 7) + k) mod 10)
+              done)
+      in
+      E.set_observer e (fun ~time ~seq -> obs := (time, seq) :: !obs);
+      List.iter sched initial;
+      let consistent () =
+        E.processed e = List.length !log
+        && E.pending e = !next - List.length !log
+      in
+      let slices_ok =
+        List.for_all
+          (fun (by_until, x) ->
+            let before = E.processed e in
+            let ok =
+              if by_until then begin
+                let until = E.now e +. (0.25 *. float_of_int x) in
+                E.run ~until e;
+                (* exactly the events due by [until] have run *)
+                E.processed e
+                = List.length (List.filter (fun (t, _) -> t <= until) !scheduled)
+              end
+              else begin
+                E.run ~max_events:(before + x) e;
+                E.processed e <= before + x
+                && (E.processed e = before + x || E.pending e = 0)
+              end
+            in
+            let ok = ok && consistent () in
+            sched (x mod 10);
+            ok)
+          stops
+      in
+      E.run e;
+      let expected =
+        List.stable_sort
+          (fun (ta, sa) (tb, sb) ->
+            match Float.compare ta tb with 0 -> Int.compare sa sb | c -> c)
+          (List.rev !scheduled)
+      in
+      slices_ok && consistent () && E.pending e = 0
+      && List.rev !log = List.map snd expected
+      && List.rev !obs = expected)
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng int bounds" `Quick test_rng_int_bounds;
     Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle_permutes;
-    Alcotest.test_case "heap order" `Quick test_heap_orders;
     Alcotest.test_case "engine order" `Quick test_engine_runs_in_order;
     Alcotest.test_case "engine until" `Quick test_engine_until;
     Alcotest.test_case "engine rejects past" `Quick test_engine_rejects_past;
@@ -199,4 +280,5 @@ let suite =
     Alcotest.test_case "wan matrix" `Quick test_wan_matrix_symmetric;
     Alcotest.test_case "metrics percentile" `Quick test_metrics_percentile;
     QCheck_alcotest.to_alcotest prop_engine_fifo_at_same_time;
+    QCheck_alcotest.to_alcotest prop_engine_order;
   ]

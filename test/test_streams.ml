@@ -125,6 +125,18 @@ let baseline run trace =
          adversary = Some [ Icc_sim.Adversary.withhold 2 ];
          trace = Some trace })
 
+(* Client load: KV commands arrive at their own times, interleaved with
+   deliveries, and payload selection and [Types.payload_digest] land in
+   every block.  Neither is exercised by the [No_load] runs above. *)
+let loaded ?(run = Icc_core.Runner.run) ~delay ~rate trace =
+  ignore
+    (run
+       { (Icc_core.Runner.default_scenario ~n:4 ~seed:11) with
+         Icc_core.Runner.duration = 3.;
+         delay;
+         workload = Icc_smr.Workload.kv_load ~rate_per_s:rate ~cmd_size:64;
+         trace = Some trace })
+
 let pinned name run expected =
   Alcotest.test_case name `Quick (fun () ->
       Alcotest.(check string) "trace sha256" expected (digest_of_run run))
@@ -151,6 +163,13 @@ let suite =
       "fa32ab3d4e621d9f40646be876f8d3914902933b51de8513d65655bba82d0c2c";
     pinned "golden n=16 icc0 nemesis" golden16_nemesis
       "890d13bf435dcc316fe2dca24de23491fa933c9032244e3457a5801f07fbfcdd";
+    pinned "icc0 wan kv load"
+      (loaded ~delay:(Wan { rtt_lo = 0.006; rtt_hi = 0.110 }) ~rate:200.)
+      "2632582c08170a9e1419a6729ad0afc79c7d28be5dab267525b0557052496aab";
+    pinned "icc1 kv load"
+      (loaded ~run:(Icc_gossip.Icc1.run ~fanout:3)
+         ~delay:(Icc_core.Runner.Uniform_delay (0.01, 0.05)) ~rate:100.)
+      "45ebd729161f12cc3212cad6fb9af3015ab9a1b89f9c8d8d9e2ef34b920c2d1f";
     pinned "pbft drop + withhold" (baseline Icc_baselines.Pbft.run)
       "e1b893857059abea8f773d6a9b73f76a51dfb307ccfe37ac049893bf19192738";
     pinned "hotstuff drop + withhold" (baseline Icc_baselines.Hotstuff.run)
