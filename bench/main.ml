@@ -141,6 +141,66 @@ let bench_merkle_verify =
   Test.make ~name:"merkle-verify-13" (Staged.stage (fun () ->
       ignore (Icc_crypto.Merkle.verify ~root:merkle_root ~leaf:"leaf-7" merkle_proof)))
 
+(* One party's side of one ICC2 RBC instance at n=16, k=6: a fresh
+   instance admits the 15 other parties' fragments of a ~1.3 KB bundle,
+   reconstructs at the sixth and checks the nine after delivery.  This
+   is the path the authenticated-node cache shortens (DESIGN.md §3.5).
+   Each run builds a new RBC, about 4 us of the row: Bechamel's
+   per-run resources hand every run of a sample the same one. *)
+let rbc_n = 16
+
+let rbc_system, rbc_keys =
+  let system, keys = Icc_crypto.Keygen.generate ~n:rbc_n ~t:5 rand_bits in
+  (system, Array.of_list keys)
+
+let rbc_ctx () =
+  let env = Icc_sim.Transport.env ~n:rbc_n () in
+  {
+    Icc_core.Runner.tr_engine = env.Icc_sim.Transport.engine;
+    tr_trace = env.Icc_sim.Transport.trace;
+    tr_n = rbc_n;
+    tr_t = 5;
+    tr_rng = Icc_sim.Rng.create 0;
+    tr_delay_model = Icc_sim.Network.Fixed 0.01;
+    tr_async_until = 0.;
+    tr_fault = None;
+    tr_adversary = None;
+    tr_is_active = (fun _ -> true);
+    tr_deliver = (fun ~dst:_ _ -> ());
+    tr_system = rbc_system;
+    tr_keys = rbc_keys;
+  }
+
+let rbc_frags =
+  let commands =
+    List.init 34 (fun i ->
+        Icc_core.Types.command ~tag:(String.make 24 'k') ~cmd_id:i
+          ~cmd_size:1024 ~submitted_at:0. ())
+  in
+  let block =
+    Icc_core.Block.create ~round:1 ~proposer:3
+      ~parent_hash:Icc_core.Block.root_hash
+      ~payload:{ Icc_core.Types.commands; filler_size = 0 }
+  in
+  let msg =
+    Icc_core.Message.Proposal
+      {
+        p_block = block;
+        p_authenticator =
+          Icc_crypto.Schnorr.sign rbc_keys.(2).Icc_crypto.Keygen.auth
+            (Icc_core.Types.authenticator_text ~round:1 ~proposer:3
+               ~block_hash:(Icc_core.Block.hash block));
+        p_parent_cert = None;
+      }
+  in
+  let frag = Icc_rbc.Rbc.fragment (Icc_rbc.Rbc.create (rbc_ctx ())) ~src:3 msg in
+  Array.init (rbc_n - 1) (fun i -> frag (i + 1))
+
+let bench_rbc_instance =
+  Test.make ~name:"rbc-instance-16" (Staged.stage (fun () ->
+      let rbc = Icc_rbc.Rbc.create (rbc_ctx ()) in
+      Array.iter (Icc_rbc.Rbc.on_frag rbc ~dst:1) rbc_frags))
+
 (* The engine's two queue shapes (DESIGN.md §3.6): 1000 events at distinct
    times, as WAN deliveries land, and 1000 at one time, as a fixed-delay
    broadcast burst lands.  One engine serves every run, so a row is
@@ -197,6 +257,7 @@ let micro_tests =
       bench_rs_decode;
       bench_merkle_prove;
       bench_merkle_verify;
+      bench_rbc_instance;
       bench_engine_distinct;
       bench_engine_burst;
       bench_icc0_rounds;

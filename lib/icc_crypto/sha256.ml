@@ -108,9 +108,10 @@ let process_block msg off =
 (* Full blocks are hashed in place; only the tail is copied, into one or
    two padded blocks: rest ++ 0x80 ++ zeros ++ 8-byte big-endian bit
    length. *)
-let digest_bytes (input : Bytes.t) : t =
+let digest_subbytes (input : Bytes.t) off len : t =
+  if off < 0 || len < 0 || off > Bytes.length input - len then
+    invalid_arg "Sha256.digest_subbytes";
   Counters.bump Counters.sha256_digests;
-  let len = Bytes.length input in
   h.(0) <- 0x6a09e667;
   h.(1) <- 0xbb67ae85;
   h.(2) <- 0x3c6ef372;
@@ -121,11 +122,11 @@ let digest_bytes (input : Bytes.t) : t =
   h.(7) <- 0x5be0cd19;
   let full = len / 64 * 64 in
   for b = 0 to (len / 64) - 1 do
-    process_block input (b * 64)
+    process_block input (off + (b * 64))
   done;
   let rest = len - full in
   let tail_len = if rest < 56 then 64 else 128 in
-  Bytes.blit input full tail 0 rest;
+  Bytes.blit input (off + full) tail 0 rest;
   Bytes.set tail rest '\x80';
   Bytes.fill tail (rest + 1) (tail_len - rest - 1) '\000';
   Bytes.set_int64_be tail (tail_len - 8) (Int64.of_int (len * 8));
@@ -137,6 +138,7 @@ let digest_bytes (input : Bytes.t) : t =
   done;
   Bytes.unsafe_to_string out
 
+let digest_bytes input = digest_subbytes input 0 (Bytes.length input)
 let digest_string s = digest_bytes (Bytes.unsafe_of_string s)
 
 let hex_digits = "0123456789abcdef"

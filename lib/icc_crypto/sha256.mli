@@ -11,6 +11,11 @@ val digest_length : int
 val digest_bytes : Bytes.t -> t
 val digest_string : string -> t
 
+val digest_subbytes : Bytes.t -> int -> int -> t
+(** [digest_subbytes b off len] is the digest of the [len] bytes of [b]
+    from [off], hashed in place; raises [Invalid_argument] on a range
+    outside [b]. *)
+
 val to_hex : t -> string
 
 val short_hex : t -> string

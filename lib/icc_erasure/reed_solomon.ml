@@ -22,16 +22,24 @@ type coded = {
 let point_of_index i = i + 1 (* fragment i evaluates the polynomial at i+1 *)
 
 (* The encoding matrix: n rows of a Vandermonde over points 1..n, transformed
-   so the first k rows are the identity (systematic form): E = V * V_k^-1. *)
+   so the first k rows are the identity (systematic form): E = V * V_k^-1.
+   It is a pure function of (k, n), so it is built once per pair and
+   shared, like [Group.Fixed_base]'s tables; no caller writes to it
+   ([Matrix.invert] copies its argument). *)
+let matrices : (int * int, Matrix.t) Hashtbl.t = Hashtbl.create 4
+
 let encoding_matrix ~k ~n =
-  let v =
-    Matrix.vandermonde
-      ~points:(Array.init n (fun i -> point_of_index i))
-      ~cols:k
-  in
-  let top = Array.sub v 0 k in
-  let top_inv = Matrix.invert top in
-  Matrix.mul v top_inv
+  match Hashtbl.find_opt matrices (k, n) with
+  | Some e -> e
+  | None ->
+      let v =
+        Matrix.vandermonde
+          ~points:(Array.init n (fun i -> point_of_index i))
+          ~cols:k
+      in
+      let e = Matrix.mul v (Matrix.invert (Array.sub v 0 k)) in
+      Hashtbl.add matrices (k, n) e;
+      e
 
 (* dst[dst_off + p] ^= c * src[src_off + p] for p < len, reading each
    product from [c]'s 256-entry row. *)
@@ -105,12 +113,3 @@ let decode ~k ~n ~data_size (available : (int * string) list) : string option =
           done
         done;
         Some (Bytes.sub_string out 0 data_size)
-
-(* Deterministic re-encoding check used by the reliable-broadcast protocol:
-   encode the reconstructed data again and compare fragments. *)
-let reencode_matches ~k ~n ~data (fragments : (int * string) list) =
-  let coded = encode ~k ~n data in
-  List.for_all
-    (fun (i, frag) ->
-      i >= 0 && i < n && String.equal coded.fragments.(i) frag)
-    fragments

@@ -16,8 +16,3 @@ val decode :
 (** [decode ~k ~n ~data_size fragments] reconstructs from any [k] distinct
     [(index, bytes)] pairs (0-based indices); [None] if fewer than [k]
     usable fragments are supplied or the system is inconsistent. *)
-
-val reencode_matches :
-  k:int -> n:int -> data:string -> (int * string) list -> bool
-(** Consistency check for reliable broadcast: re-encode [data] and verify
-    the given fragments match. *)

@@ -13,9 +13,20 @@
      2. Echo: on first receipt of its own valid fragment, each party
         forwards that fragment (with proof) to all parties.
      3. Reconstruct: holding k root-consistent fragments, a party decodes,
-        re-encodes, and compares the recomputed Merkle root to the signed
-        root; on success the bundle is delivered to the ICC round logic.
-        A mismatch marks the instance bad and nothing is delivered.
+        re-encodes, and checks that the re-encoded fragments have the
+        signed Merkle root; on success the bundle is delivered to the ICC
+        round logic.  A mismatch marks the instance bad and nothing is
+        delivered.
+
+   Each party's instance keeps a Merkle.cache of the tree nodes that
+   admitted paths have tied to the signed root.  A fragment hashes its
+   leaf and climbs only to the first known node; the reconstruct check
+   compares the fragments it holds byte for byte and hashes only the rest,
+   which completes the cache.  The fragment bytes are dropped once the
+   instance delivers (or fails the check), so a later fragment costs one
+   leaf digest and at most ceil(log2 n) 32-byte compares.  Every verdict
+   equals a full Merkle.verify per fragment and a full tree rebuild per
+   reconstruct, except on a SHA-256 collision (merkle.ml's header).
 
    Per-party cost: n fragments of ~S/(t+1) ≈ 3S/n bytes in each direction,
    i.e. O(S) bits per party once S = Ω(n λ log n) — the paper's ICC2 bound.
@@ -43,10 +54,14 @@ type frag = {
 
 type wire = Core of Icc_core.Message.t | Frag of frag
 
-type instance_key = int * int * string (* round, proposer, root hex *)
+type instance_key = int * int * Icc_crypto.Sha256.t (* round, proposer, root *)
 
 type instance = {
-  mutable fragments : (int * string) list; (* index, bytes; proof-verified *)
+  nodes : Icc_crypto.Merkle.cache; (* authenticated under the signed root *)
+  held : Bytes.t; (* one bit per fragment index admitted *)
+  mutable fragments : (int * string) list;
+      (* index, bytes of the admitted fragments, until the instance
+         delivers or goes bad: nothing reads them afterwards *)
   mutable echoed : bool;
   mutable delivered : bool;
   mutable bad : bool;
@@ -66,8 +81,8 @@ type t = {
   instances : (int * instance_key, instance) Hashtbl.t; (* keyed by party *)
   echo_budget : (int * int * int, int) Hashtbl.t;
       (* (party, round, proposer) -> instances echoed so far (max 2) *)
-  rbc_delivered : (int * int * string, unit) Hashtbl.t;
-      (* (party, round, block hash hex): blocks this party obtained through
+  rbc_delivered : (int * int * Icc_crypto.Sha256.t, unit) Hashtbl.t;
+      (* (party, round, block hash): blocks this party obtained through
          the RBC, whose totality the fragment echo already guarantees *)
   is_active : int -> bool;
   deliver_up : dst:int -> Icc_core.Message.t -> unit;
@@ -109,25 +124,41 @@ let broadcast_wire t ~src w =
   Icc_sim.Network.broadcast t.net ~src ~size:(wire_size t w)
     ~kind:(wire_kind w) w
 
-let instance_of t ~party key =
-  match Hashtbl.find_opt t.instances (party, key) with
-  | Some i -> i
-  | None ->
-      let i =
-        {
-          fragments = [];
-          echoed = false;
-          delivered = false;
-          bad = false;
-          root_sig = None;
-        }
-      in
-      Hashtbl.add t.instances (party, key) i;
-      i
+let new_instance t nodes =
+  {
+    nodes;
+    held = Bytes.make ((t.n + 7) / 8) '\000';
+    fragments = [];
+    echoed = false;
+    delivered = false;
+    bad = false;
+    root_sig = None;
+  }
 
-(* The Send step's encoding: the instance key, and a builder for fragment
-   i (party i+1's) with its inclusion proof.  Encoding, the tree and the
-   root signature are computed once, on partial application. *)
+let held inst i =
+  Char.code (Bytes.get inst.held (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let hold inst i =
+  Bytes.set inst.held (i lsr 3)
+    (Char.unsafe_chr
+       (Char.code (Bytes.get inst.held (i lsr 3)) lor (1 lsl (i land 7))))
+
+(* The party obtained this block through the RBC. *)
+let note_delivered t ~party (msg : Icc_core.Message.t) =
+  match msg with
+  | Icc_core.Message.Proposal p ->
+      Hashtbl.replace t.rbc_delivered
+        (party, p.p_block.Icc_core.Block.round, Icc_core.Block.hash p.p_block)
+        ()
+  | Icc_core.Message.Notarization_share _ | Icc_core.Message.Notarization _
+  | Icc_core.Message.Finalization_share _ | Icc_core.Message.Finalization _
+  | Icc_core.Message.Beacon_share _ | Icc_core.Message.Pool_summary _
+  | Icc_core.Message.Pool_request _ -> ()
+
+(* The Send step's encoding: the instance key, the Merkle tree, and a
+   builder for fragment i (party i+1's) with its inclusion proof.
+   Encoding, the tree and the root signature are computed once, on
+   partial application. *)
 let encode t ~src (msg : Icc_core.Message.t) =
   let data = serialize msg in
   let coded = Icc_erasure.Reed_solomon.encode ~k:t.k ~n:t.n data in
@@ -152,7 +183,8 @@ let encode t ~src (msg : Icc_core.Message.t) =
       (root_text ~round ~proposer root)
   in
   let modeled_total = Icc_core.Message.wire_size ~n:t.n msg in
-  ( (round, proposer, Icc_crypto.Sha256.to_hex root),
+  ( (round, proposer, root),
+    tree,
     fun i ->
       {
         f_round = round;
@@ -166,54 +198,55 @@ let encode t ~src (msg : Icc_core.Message.t) =
         f_sig;
       } )
 
-let fragment t ~src msg = snd (encode t ~src msg)
+let fragment t ~src msg =
+  let _, _, frag = encode t ~src msg in
+  frag
 
 (* The proposer's Send step (and self-delivery of the full bundle). *)
 let disseminate t ~src (msg : Icc_core.Message.t) =
   Icc_obs.Profile.span "rbc.disseminate" @@ fun () ->
-  let key, frag = encode t ~src msg in
-  (* Self-delivery; mark the instance so echoes can't deliver it twice. *)
-  let inst = instance_of t ~party:src key in
+  let key, tree, frag = encode t ~src msg in
+  (* Self-delivery; mark the instance so echoes can't deliver it twice.
+     The proposer knows the whole tree, so echoes cost it one leaf digest
+     each. *)
+  let inst =
+    match Hashtbl.find_opt t.instances (src, key) with
+    | Some i -> i
+    | None ->
+        let i = new_instance t (Icc_crypto.Merkle.cache_of_tree tree) in
+        Hashtbl.add t.instances (src, key) i;
+        i
+  in
   inst.delivered <- true;
-  (match msg with
-  | Icc_core.Message.Proposal p ->
-      Hashtbl.replace t.rbc_delivered
-        ( src,
-          p.p_block.Icc_core.Block.round,
-          Icc_crypto.Sha256.to_hex (Icc_core.Block.hash p.p_block) )
-        ()
-  | Icc_core.Message.Notarization_share _ | Icc_core.Message.Notarization _
-  | Icc_core.Message.Finalization_share _ | Icc_core.Message.Finalization _
-  | Icc_core.Message.Beacon_share _ | Icc_core.Message.Pool_summary _
-  | Icc_core.Message.Pool_request _ -> ());
+  inst.fragments <- [];
+  note_delivered t ~party:src msg;
   t.deliver_up ~dst:src msg;
   for dst = 1 to t.n do
     if dst <> src then send t ~src ~dst (Frag (frag (dst - 1)))
   done
 
-(* A fragment is admitted when its Merkle path is leaf [f_index]'s (else a
-   peer could relabel a genuine fragment j as i, fill slot i and block the
-   real one), the proposer's root signature verifies, and the path hashes
-   to the root.  The signature is checked once per instance: a fragment
-   whose [f_sig] equals the one the instance already verified (same round,
-   proposer and root, so the same signed text) skips the Schnorr equation;
-   the Merkle check stays per fragment. *)
-let frag_valid t (existing : instance option) (f : frag) =
+(* A fragment is admitted when the proposer's root signature verifies and
+   its Merkle path is leaf [f_index]'s (else a peer could relabel a
+   genuine fragment j as i, fill slot i and block the real one) and
+   reaches the signed root.  The signature is checked once per instance:
+   a fragment whose [f_sig] equals the one the instance already verified
+   (same round, proposer and root, so the same signed text) skips the
+   Schnorr equation.  [Merkle.admit] checks the path's shape and then
+   hashes only up to the first node the instance has authenticated. *)
+let frag_valid t (inst : instance) (f : frag) =
   let sig_known =
-    match existing with
-    | Some { root_sig = Some s; _ } -> Icc_crypto.Schnorr.equal s f.f_sig
-    | Some _ | None -> false
+    match inst.root_sig with
+    | Some s -> Icc_crypto.Schnorr.equal s f.f_sig
+    | None -> false
   in
   f.f_proposer >= 1 && f.f_proposer <= t.n
-  && (match Icc_crypto.Merkle.index_of_path ~n_leaves:t.n f.f_proof with
-     | Some i -> i = f.f_index
-     | None -> false)
   && (sig_known
      || Icc_crypto.Schnorr.verify
           t.system.Icc_crypto.Keygen.auth_pub.(f.f_proposer - 1)
           (root_text ~round:f.f_round ~proposer:f.f_proposer f.f_root)
           f.f_sig)
-  && Icc_crypto.Merkle.verify ~root:f.f_root ~leaf:f.f_bytes f.f_proof
+  && Icc_crypto.Merkle.admit inst.nodes ~index:f.f_index ~leaf:f.f_bytes
+       f.f_proof
 
 let try_reconstruct t ~party (inst : instance) (f : frag) =
   if (not inst.delivered) && (not inst.bad)
@@ -227,58 +260,57 @@ let try_reconstruct t ~party (inst : instance) (f : frag) =
     | None -> ()
     | Some data -> (
         (* Full consistency check: the reconstructed data must re-encode to
-           a fragment set with the signed Merkle root. *)
-        let coded = Icc_erasure.Reed_solomon.encode ~k:t.k ~n:t.n data in
-        let root' =
-          Icc_crypto.Merkle.root
-            (Icc_crypto.Merkle.tree coded.Icc_erasure.Reed_solomon.fragments)
+           a fragment set with the signed Merkle root.  The fragments held
+           are compared byte for byte; only the others are hashed. *)
+        let coded =
+          (Icc_erasure.Reed_solomon.encode ~k:t.k ~n:t.n data)
+            .Icc_erasure.Reed_solomon.fragments
         in
-        if not (Icc_crypto.Sha256.equal root' f.f_root) then begin
+        let consistent =
+          List.for_all (fun (i, b) -> String.equal coded.(i) b) inst.fragments
+          && Icc_crypto.Merkle.complete inst.nodes ~held:(held inst) coded
+        in
+        inst.fragments <- [];
+        let inconsistent () =
           inst.bad <- true;
           emit_detail t (fun () ->
               Icc_sim.Trace.Rbc_inconsistent
                 { party; round = f.f_round; proposer = f.f_proposer })
-        end
+        in
+        if not consistent then inconsistent ()
         else
           match deserialize data with
-          | None ->
-              inst.bad <- true;
-              emit_detail t (fun () ->
-                  Icc_sim.Trace.Rbc_inconsistent
-                    { party; round = f.f_round; proposer = f.f_proposer })
+          | None -> inconsistent ()
           | Some msg ->
               inst.delivered <- true;
               emit_detail t (fun () ->
                   Icc_sim.Trace.Rbc_reconstruct
                     { party; round = f.f_round; proposer = f.f_proposer });
-              (match msg with
-              | Icc_core.Message.Proposal p ->
-                  Hashtbl.replace t.rbc_delivered
-                    ( party,
-                      p.p_block.Icc_core.Block.round,
-                      Icc_crypto.Sha256.to_hex
-                        (Icc_core.Block.hash p.p_block) )
-                    ()
-              | Icc_core.Message.Notarization_share _
-              | Icc_core.Message.Notarization _
-              | Icc_core.Message.Finalization_share _
-              | Icc_core.Message.Finalization _
-              | Icc_core.Message.Beacon_share _
-              | Icc_core.Message.Pool_summary _
-              | Icc_core.Message.Pool_request _ -> ());
+              note_delivered t ~party msg;
               t.deliver_up ~dst:party msg)
 
+(* A duplicate index is dropped before any hashing or verification. *)
 let on_frag t ~dst (f : frag) =
   Icc_obs.Profile.span "rbc.receive" @@ fun () ->
-  let key = (f.f_round, f.f_proposer, Icc_crypto.Sha256.to_hex f.f_root) in
-  let existing = Hashtbl.find_opt t.instances (dst, key) in
-  if t.is_active dst && frag_valid t existing f then begin
+  if t.is_active dst then begin
+    let key = (dst, (f.f_round, f.f_proposer, f.f_root)) in
+    let existing = Hashtbl.find_opt t.instances key in
     let inst =
-      match existing with Some i -> i | None -> instance_of t ~party:dst key
+      match existing with
+      | Some i -> i
+      | None ->
+          new_instance t (Icc_crypto.Merkle.cache ~n_leaves:t.n ~root:f.f_root)
     in
-    inst.root_sig <- Some f.f_sig;
-    if not (List.mem_assoc f.f_index inst.fragments) then begin
-      inst.fragments <- (f.f_index, f.f_bytes) :: inst.fragments;
+    if
+      f.f_index >= 0 && f.f_index < t.n
+      && (not (held inst f.f_index))
+      && frag_valid t inst f
+    then begin
+      if Option.is_none existing then Hashtbl.add t.instances key inst;
+      inst.root_sig <- Some f.f_sig;
+      hold inst f.f_index;
+      if not (inst.delivered || inst.bad) then
+        inst.fragments <- (f.f_index, f.f_bytes) :: inst.fragments;
       emit_detail t (fun () ->
           Icc_sim.Trace.Rbc_fragment
             {
@@ -345,9 +377,7 @@ let tx_broadcast t ~src msg =
       if b.Icc_core.Block.proposer = src then disseminate t ~src msg
       else if
         Hashtbl.mem t.rbc_delivered
-          ( src,
-            b.Icc_core.Block.round,
-            Icc_crypto.Sha256.to_hex (Icc_core.Block.hash b) )
+          (src, b.Icc_core.Block.round, Icc_core.Block.hash b)
       then () (* totality already ensured by the fragment echo *)
       else broadcast_wire t ~src (Core msg)
   | Icc_core.Message.Notarization_share _ | Icc_core.Message.Notarization _

@@ -7,7 +7,10 @@
     root, and sends party i its fragment.  Echo: each party forwards its
     own valid fragment to all (at most two instances per proposer and
     round).  Reconstruct: k root-consistent fragments decode, re-encode and
-    re-check the signed root before delivery.  Per-party cost is
+    re-check the signed root before delivery.  Each party's instance keeps
+    the tree nodes already authenticated under the signed root
+    ({!Icc_crypto.Merkle.cache}), so each node is hashed about once per
+    instance.  Per-party cost is
     ~3S per block of size S; the ICC notarization share plays the usual
     "ready" role, which is where the integration saves a phase. *)
 
@@ -52,7 +55,15 @@ val fragment : t -> src:int -> Icc_core.Message.t -> int -> frag
 (** [fragment t ~src msg i] is the fragment [i] (party [i+1]'s) that
     [src]'s Send step would disseminate for the proposal [msg]. *)
 
+val root_text : round:int -> proposer:int -> Icc_crypto.Sha256.t -> string
+(** The text a proposer signs to open an instance under a Merkle root. *)
+
 val on_frag : t -> dst:int -> frag -> unit
-(** Receive a fragment at party [dst], as if off the wire: admitted when
-    its Merkle path is leaf [f_index]'s, the proposer's root signature
-    verifies (once per instance) and the path hashes to the signed root. *)
+(** Receive a fragment at party [dst], as if off the wire.  A fragment
+    whose index [dst] already holds for the instance is dropped before any
+    check.  Otherwise it is admitted when its Merkle path is leaf
+    [f_index]'s, the proposer's root signature verifies (once per
+    instance) and the path reaches the signed root, checked against the
+    instance's node cache: the verdict of a full {!Icc_crypto.Merkle.verify}
+    except on a SHA-256 collision.  After delivery this costs one leaf
+    digest and at most ceil(log2 n) digest compares. *)

@@ -96,18 +96,25 @@ let test_rs_duplicate_fragments_dont_count () =
        [ frag 0; frag 0; frag 0; frag 1 ]
     = None)
 
+(* The RBC's consistency check re-encodes what k fragments decode to: a
+   codeword's fragments re-encode to themselves, and a corrupted fragment
+   beyond the k that decode uses differs from its re-encoding. *)
 let test_rs_reencode_check () =
   let data = random_string 300 in
   let coded = Icc_erasure.Reed_solomon.encode ~k:2 ~n:6 data in
   let frag i = (i, coded.Icc_erasure.Reed_solomon.fragments.(i)) in
-  Alcotest.(check bool) "consistent" true
-    (Icc_erasure.Reed_solomon.reencode_matches ~k:2 ~n:6 ~data
-       [ frag 0; frag 3; frag 5 ]);
-  let corrupted = (3, String.map (fun c -> Char.chr (Char.code c lxor 1))
-                       coded.Icc_erasure.Reed_solomon.fragments.(3)) in
+  let reencode frags =
+    match Icc_erasure.Reed_solomon.decode ~k:2 ~n:6 ~data_size:300 frags with
+    | Some d -> (Icc_erasure.Reed_solomon.encode ~k:2 ~n:6 d).fragments
+    | None -> Alcotest.fail "two fragments decode"
+  in
+  Alcotest.(check (array string)) "consistent"
+    coded.Icc_erasure.Reed_solomon.fragments
+    (reencode [ frag 3; frag 5 ]);
+  let corrupted = String.map (fun c -> Char.chr (Char.code c lxor 1))
+                    coded.Icc_erasure.Reed_solomon.fragments.(3) in
   Alcotest.(check bool) "corruption detected" false
-    (Icc_erasure.Reed_solomon.reencode_matches ~k:2 ~n:6 ~data
-       [ frag 0; corrupted ])
+    (String.equal corrupted (reencode [ frag 0; frag 1; (3, corrupted) ]).(3))
 
 let prop_rs_roundtrip =
   QCheck.Test.make ~name:"reed-solomon roundtrip" ~count:40

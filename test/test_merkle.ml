@@ -147,6 +147,112 @@ let prop_tree_matches_reference =
                (List.init n Fun.id))
         (List.init 64 succ))
 
+(* A leaf or node digest allocates its 32-byte result (a header and five
+   words) and nothing else: the hash input goes through module scratch. *)
+let test_hash_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let leaf = String.make 215 'f' in
+    let d = Icc_crypto.Merkle.leaf_hash leaf in
+    let per_call f =
+      let before = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        ignore (Sys.opaque_identity (f ()))
+      done;
+      (Gc.minor_words () -. before) /. 1000.
+    in
+    let leaf_words = per_call (fun () -> Icc_crypto.Merkle.leaf_hash leaf)
+    and node_words = per_call (fun () -> Icc_crypto.Merkle.node_hash d d) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%.2f minor words per leaf digest <= 6" leaf_words)
+      true (leaf_words <= 6.);
+    Alcotest.(check bool)
+      (Printf.sprintf "%.2f minor words per node digest <= 6" node_words)
+      true (node_words <= 6.)
+  end
+
+(* The authenticated-node cache against the oracle it replaces: for every
+   candidate (index, leaf, proof), [admit] accepts iff [index_of_path]
+   gives that index and [verify] accepts.  Candidates are honest
+   fragments and mutants of them in a random admission order, checked on
+   a cache that starts from the root alone, again after it is completed,
+   and on one built from the whole tree.  A [complete] with one leaf
+   changed must fail and leave the verdicts as they were. *)
+let prop_cache_matches_oracle =
+  QCheck.Test.make ~name:"merkle cache admits what index_of_path + verify admit"
+    ~count:300
+    QCheck.(pair (int_range 1 40) int)
+    (fun (n, seed) ->
+      let open Icc_crypto.Merkle in
+      let rng = Random.State.make [| seed |] in
+      let ls = Array.init n (fun i -> Printf.sprintf "frag-%d-%d" seed i) in
+      let t = tree ls in
+      let root = root t in
+      let other = Icc_crypto.Sha256.digest_string (string_of_int seed) in
+      let flip s =
+        String.mapi
+          (fun j c -> if j = 0 then Char.chr (Char.code c lxor 1) else c)
+          s
+      in
+      let with_sibling p l s =
+        List.mapi (fun j (st : proof_step) -> if j = l then { st with sibling = s } else st) p
+      in
+      let paired p =
+        List.filter_map
+          (fun (j, (st : proof_step)) -> Option.map (fun s -> (j, s)) st.sibling)
+          (List.mapi (fun j st -> (j, st)) p)
+      in
+      (* a flipped leaf byte, an altered or swapped sibling, a relabelled
+         index, a truncated or extended path, a flipped direction, a
+         dropped sibling *)
+      let mutate (i, leaf, p) =
+        let step = Random.State.int rng (max 1 (List.length p)) in
+        match (Random.State.int rng 8, paired p) with
+        | 0, _ | (1 | 2), [] -> (i, flip leaf, p)
+        | 1, sibs ->
+            let l, _ = List.nth sibs (Random.State.int rng (List.length sibs)) in
+            (i, leaf, with_sibling p l (Some other))
+        | 2, sibs ->
+            (* swap two siblings, or a sibling with the one of a neighbour *)
+            let l, s = List.nth sibs (Random.State.int rng (List.length sibs)) in
+            let l', s' = List.nth sibs (Random.State.int rng (List.length sibs)) in
+            if l = l' then
+              let j = (i + 1) mod n in
+              (j, ls.(j), with_sibling (proof t j) l (Some s))
+            else (i, leaf, with_sibling (with_sibling p l (Some s')) l' (Some s))
+        | 3, _ -> ((i + 1 + Random.State.int rng n) mod n, leaf, p)
+        | 4, _ -> (i, leaf, List.filteri (fun j _ -> j < List.length p - 1) p)
+        | 5, _ -> (i, leaf, p @ [ { sibling = Some other; left = true } ])
+        | 6, _ ->
+            (i, leaf,
+             List.mapi (fun j (st : proof_step) ->
+                 if j = step then { st with left = not st.left } else st) p)
+        | _, _ -> (i, leaf, with_sibling p step None)
+      in
+      let candidates =
+        List.init (3 * n) (fun _ ->
+            let i = Random.State.int rng n in
+            let c = (i, ls.(i), proof t i) in
+            if Random.State.bool rng then mutate c else c)
+      in
+      let oracle (i, leaf, p) =
+        index_of_path ~n_leaves:n p = Some i && verify ~root ~leaf p
+      in
+      let agree c =
+        List.for_all
+          (fun ((index, leaf, p) as cand) ->
+            Bool.equal (oracle cand) (admit c ~index ~leaf p))
+          candidates
+      in
+      let c = cache ~n_leaves:n ~root in
+      let first = agree c in
+      let j = Random.State.int rng n in
+      let wrong = Array.mapi (fun i l -> if i = j then flip l else l) ls in
+      let rejected = not (complete c ~held:(fun i -> i <> j) wrong) in
+      let still = agree c in
+      let completed = complete c ~held:(fun _ -> true) ls in
+      first && rejected && still && completed && agree c
+      && agree (cache_of_tree t))
+
 let suite =
   [
     Alcotest.test_case "prove/verify sizes" `Quick test_prove_verify_all_sizes;
@@ -158,4 +264,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_index_of_path;
     QCheck_alcotest.to_alcotest prop_tree_matches_reference;
+    Alcotest.test_case "leaf/node digest allocation" `Quick test_hash_allocation;
+    QCheck_alcotest.to_alcotest prop_cache_matches_oracle;
   ]

@@ -10,10 +10,15 @@ type world = {
   rbc : Icc_rbc.Rbc.t;
   delivered : (int, Icc_core.Message.t list ref) Hashtbl.t;
   active : (int, bool) Hashtbl.t;
+  events : Icc_sim.Trace.event list ref; (* every trace event, newest first *)
 }
 
 let make_world ?(delay = 0.01) () =
-  let env = Icc_sim.Transport.env ~n:7 () in
+  let trace = Icc_sim.Trace.create () in
+  let events = ref [] in
+  Icc_sim.Trace.subscribe ~all:true trace (fun ~time:_ ev ->
+      events := ev :: !events);
+  let env = Icc_sim.Transport.env ~trace ~n:7 () in
   let engine = env.Icc_sim.Transport.engine in
   let metrics = env.Icc_sim.Transport.metrics in
   let delivered = Hashtbl.create 8 in
@@ -29,7 +34,7 @@ let make_world ?(delay = 0.01) () =
            let l = Hashtbl.find delivered dst in
            l := msg :: !l))
   in
-  { engine; metrics; rbc; delivered; active }
+  { engine; metrics; rbc; delivered; active; events }
 
 let proposal ?(filler = 9000) ~proposer () =
   let payload = { Icc_core.Types.commands = []; filler_size = filler } in
@@ -83,28 +88,104 @@ let test_non_proposer_cannot_open_instance () =
   Alcotest.(check int) "but no fragments circulate" 0
     (Icc_sim.Metrics.msgs_of_kind w.metrics "rbc-fragment")
 
+(* RBC events at [party], oldest first. *)
+let rbc_events w ~party =
+  List.filter
+    (fun (ev : Icc_sim.Trace.event) ->
+      match ev with
+      | Rbc_fragment { party = p; _ } | Rbc_echo { party = p; _ }
+      | Rbc_reconstruct { party = p; _ } | Rbc_inconsistent { party = p; _ } ->
+          p = party
+      | _ -> false)
+    (List.rev !(w.events))
+
 let test_inconsistent_fragments_rejected () =
-  (* A Byzantine proposer could sign a Merkle root over fragments that are
-     not a Reed–Solomon codeword; the RBC's defence is the re-encoding
-     check after reconstruction.  The malicious Send step cannot be forged
-     through the public transport API (it always encodes honestly), so this
-     exercises the defence primitive directly: garbage fragments decode to
-     *something*, but re-encoding that never reproduces them. *)
-  let garbage_frags =
-    List.init 7 (fun i ->
-        String.init 64 (fun j -> Char.chr ((i + (3 * j)) land 0xff)))
+  (* A Byzantine proposer encodes a valid proposal, swaps parity fragment
+     6 for garbage, and signs the Merkle root over that set, which is not
+     a Reed–Solomon codeword.  Every fragment's path reaches the signed
+     root, so all are admitted, and fragments 2, 3 and 4 decode to the
+     genuine proposal; but its re-encoding differs at 6, which party 1
+     does not hold, so the reconstruct check marks the instance bad and
+     nothing is delivered. *)
+  let w = make_world () in
+  let round = 1 and proposer = 3 in
+  let coded =
+    Icc_erasure.Reed_solomon.encode ~k:3 ~n:7
+      (Icc_rbc.Rbc.serialize (proposal ~proposer ()))
   in
-  let some_decoding =
-    Icc_erasure.Reed_solomon.decode ~k:3 ~n:7 ~data_size:192
-      (List.filteri (fun i _ -> i < 3)
-         (List.mapi (fun i f -> (i, f)) garbage_frags))
+  let bytes = Array.copy coded.Icc_erasure.Reed_solomon.fragments in
+  bytes.(6) <- String.map (fun c -> Char.chr (Char.code c lxor 0x5a)) bytes.(6);
+  let tree = Icc_crypto.Merkle.tree bytes in
+  let root = Icc_crypto.Merkle.root tree in
+  let f_sig =
+    Icc_crypto.Schnorr.sign (Kit.key kit proposer).Icc_crypto.Keygen.auth
+      (Icc_rbc.Rbc.root_text ~round ~proposer root)
   in
-  match some_decoding with
-  | None -> Alcotest.fail "k fragments always decode to something"
-  | Some data ->
-      Alcotest.(check bool) "reencode rejects" false
-        (Icc_erasure.Reed_solomon.reencode_matches ~k:3 ~n:7 ~data
-           (List.mapi (fun i f -> (i, f)) garbage_frags))
+  let frag i =
+    {
+      Icc_rbc.Rbc.f_round = round;
+      f_proposer = proposer;
+      f_root = root;
+      f_index = i;
+      f_data_size = coded.Icc_erasure.Reed_solomon.data_size;
+      f_modeled_total = 9000;
+      f_bytes = bytes.(i);
+      f_proof = Icc_crypto.Merkle.proof tree i;
+      f_sig;
+    }
+  in
+  List.iter (fun i -> Icc_rbc.Rbc.on_frag w.rbc ~dst:1 (frag i)) [ 2; 3; 4; 6 ];
+  Icc_sim.Engine.run w.engine;
+  Alcotest.(check int) "nothing delivered" 0 (count_deliveries w);
+  Alcotest.(check bool) "fragments admitted, then rbc-inconsistent" true
+    (match rbc_events w ~party:1 with
+    | [ Rbc_fragment _; Rbc_fragment _; Rbc_fragment _; Rbc_inconsistent _;
+        Rbc_fragment { index = 6; _ } ] -> true
+    | _ -> false)
+
+(* A fragment that fails the path check after delivery, when its index is
+   still free, is dropped: no rbc-fragment event, and no echo although it
+   carries party 1's own index.  The genuine one is then admitted. *)
+let test_tampered_fragment_after_delivery () =
+  let w = make_world () in
+  let msg = proposal ~proposer:3 () in
+  let frag = Icc_rbc.Rbc.fragment w.rbc ~src:3 msg in
+  List.iter (fun i -> Icc_rbc.Rbc.on_frag w.rbc ~dst:1 (frag i)) [ 2; 3; 4 ];
+  Alcotest.(check int) "party 1 delivered" 1
+    (List.length !(Hashtbl.find w.delivered 1));
+  let f0 = frag 0 in
+  let flipped =
+    String.mapi (fun j c -> if j = 0 then Char.chr (Char.code c lxor 1) else c)
+      f0.Icc_rbc.Rbc.f_bytes
+  in
+  let other = Icc_crypto.Sha256.digest_string "not a sibling" in
+  let tampered =
+    [
+      { f0 with Icc_rbc.Rbc.f_bytes = flipped };
+      {
+        f0 with
+        Icc_rbc.Rbc.f_proof =
+          List.mapi
+            (fun l (st : Icc_crypto.Merkle.proof_step) ->
+              if l = 2 then { st with sibling = Some other } else st)
+            f0.Icc_rbc.Rbc.f_proof;
+      };
+      { (frag 5) with Icc_rbc.Rbc.f_index = 0 };
+    ]
+  in
+  let before = List.length (rbc_events w ~party:1) in
+  List.iter (Icc_rbc.Rbc.on_frag w.rbc ~dst:1) tampered;
+  Alcotest.(check int) "no event, no echo" before
+    (List.length (rbc_events w ~party:1));
+  Alcotest.(check int) "nothing sent" 0
+    (Icc_sim.Metrics.msgs_of_kind w.metrics "rbc-fragment");
+  Icc_rbc.Rbc.on_frag w.rbc ~dst:1 f0;
+  Alcotest.(check bool) "the genuine fragment is taken and echoed" true
+    (match List.filteri (fun i _ -> i >= before) (rbc_events w ~party:1) with
+    | [ Rbc_fragment { index = 0; _ }; Rbc_echo _ ] -> true
+    | _ -> false);
+  Alcotest.(check int) "delivered once" 1
+    (List.length !(Hashtbl.find w.delivered 1))
 
 let test_echo_budget_bounds_equivocating_proposer () =
   (* an equivocating proposer opens many distinct instances for the same
@@ -210,6 +291,8 @@ let suite =
       test_non_proposer_cannot_open_instance;
     Alcotest.test_case "inconsistent fragments" `Quick
       test_inconsistent_fragments_rejected;
+    Alcotest.test_case "tampered fragment after delivery" `Quick
+      test_tampered_fragment_after_delivery;
     Alcotest.test_case "echo budget" `Quick
       test_echo_budget_bounds_equivocating_proposer;
     Alcotest.test_case "core pass-through" `Quick test_core_messages_pass_through;

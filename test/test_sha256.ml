@@ -124,6 +124,26 @@ let prop_hex_matches_printf =
       String.equal (Icc_crypto.Sha256.to_hex d) hex
       && String.equal (Icc_crypto.Sha256.short_hex d) (String.sub hex 0 12))
 
+(* [digest_subbytes] hashes a range in place: the same digest as the
+   range copied out, for ranges crossing block and padding boundaries. *)
+let prop_subbytes_matches_sub =
+  QCheck.Test.make ~name:"sha256 digest_subbytes = digest of the range"
+    ~count:200
+    QCheck.(triple (string_of_size (Gen.int_range 0 300)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let len = String.length s in
+      let off = if len = 0 then 0 else a mod (len + 1) in
+      let n = if len - off = 0 then 0 else b mod (len - off + 1) in
+      Icc_crypto.Sha256.(
+        equal
+          (digest_subbytes (Bytes.of_string s) off n)
+          (digest_string (String.sub s off n))))
+
+let test_subbytes_range () =
+  Alcotest.check_raises "past the end"
+    (Invalid_argument "Sha256.digest_subbytes") (fun () ->
+      ignore (Icc_crypto.Sha256.digest_subbytes (Bytes.create 10) 4 7))
+
 let suite =
   [
     Alcotest.test_case "NIST vectors" `Quick test_nist_vectors;
@@ -137,4 +157,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_deterministic;
     QCheck_alcotest.to_alcotest prop_injective_on_sample;
     QCheck_alcotest.to_alcotest prop_hex_matches_printf;
+    QCheck_alcotest.to_alcotest prop_subbytes_matches_sub;
+    Alcotest.test_case "subbytes range" `Quick test_subbytes_range;
   ]

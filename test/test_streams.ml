@@ -137,6 +137,20 @@ let loaded ?(run = Icc_core.Runner.run) ~delay ~rate trace =
          workload = Icc_smr.Workload.kv_load ~rate_per_s:rate ~cmd_size:64;
          trace = Some trace })
 
+(* ICC2 under client load on the WAN at n=7, with duplicated and reordered
+   messages: fragments arrive late, twice, and after their instance has
+   delivered, so every RBC admission path runs. *)
+let icc2_kv_dup_reorder trace =
+  ignore
+    (Icc_rbc.Icc2.run
+       { (Icc_core.Runner.default_scenario ~n:7 ~seed:11) with
+         Icc_core.Runner.duration = 3.;
+         delay = Wan { rtt_lo = 0.006; rtt_hi = 0.110 };
+         workload = Icc_smr.Workload.kv_load ~rate_per_s:300. ~cmd_size:256;
+         nemesis =
+           Some [ Icc_sim.Fault.duplicate 0.2; Icc_sim.Fault.reorder 0.2 ];
+         trace = Some trace })
+
 let pinned name run expected =
   Alcotest.test_case name `Quick (fun () ->
       Alcotest.(check string) "trace sha256" expected (digest_of_run run))
@@ -170,6 +184,8 @@ let suite =
       (loaded ~run:(Icc_gossip.Icc1.run ~fanout:3)
          ~delay:(Icc_core.Runner.Uniform_delay (0.01, 0.05)) ~rate:100.)
       "45ebd729161f12cc3212cad6fb9af3015ab9a1b89f9c8d8d9e2ef34b920c2d1f";
+    pinned "icc2 wan kv load + dup/reorder" icc2_kv_dup_reorder
+      "a53466cd9923c57f2e837e768b0a1f01c7d24e91cec310f43ab1a582210155ba";
     pinned "pbft drop + withhold" (baseline Icc_baselines.Pbft.run)
       "e1b893857059abea8f773d6a9b73f76a51dfb307ccfe37ac049893bf19192738";
     pinned "hotstuff drop + withhold" (baseline Icc_baselines.Hotstuff.run)
