@@ -201,6 +201,31 @@ let bench_rbc_instance =
       let rbc = Icc_rbc.Rbc.create (rbc_ctx ()) in
       Array.iter (Icc_rbc.Rbc.on_frag rbc ~dst:1) rbc_frags))
 
+(* One party's beacon work for one round at n=16, t=5, as [Beacon] does
+   it: the round's message point once, the party's own share, t+1 share
+   checks and the combine.  The message is the same every run, so the
+   point's fixed-base table is warm, as it is after a round's first
+   shares. *)
+let beacon_params = rbc_system.Icc_crypto.Keygen.beacon
+let beacon_msg = Icc_core.Types.beacon_text ~round:7 ~prev_sigma:"1234567"
+
+let beacon_peer_shares =
+  List.init 6 (fun i ->
+      Icc_crypto.Threshold_vuf.sign_share beacon_params
+        rbc_keys.(i + 1).Icc_crypto.Keygen.beacon_key beacon_msg)
+
+let bench_beacon_round =
+  Test.make ~name:"beacon-round-16" (Staged.stage (fun () ->
+      let point = Icc_crypto.Threshold_vuf.message_point beacon_msg in
+      ignore
+        (Icc_crypto.Threshold_vuf.sign_share_at beacon_params
+           rbc_keys.(0).Icc_crypto.Keygen.beacon_key ~point beacon_msg);
+      ignore
+        (Icc_crypto.Threshold_vuf.combine_preverified beacon_params
+           (List.filter
+              (Icc_crypto.Threshold_vuf.verify_share_at beacon_params ~point)
+              beacon_peer_shares))))
+
 (* The engine's two queue shapes (DESIGN.md §3.6): 1000 events at distinct
    times, as WAN deliveries land, and 1000 at one time, as a fixed-delay
    broadcast burst lands.  One engine serves every run, so a row is
@@ -252,6 +277,7 @@ let micro_tests =
       bench_vuf_share;
       bench_vuf_verify_share;
       bench_vuf_combine;
+      bench_beacon_round;
       bench_multisig_combine;
       bench_rs_encode;
       bench_rs_decode;

@@ -389,13 +389,13 @@ let run_cmd =
       (float_of_int
          (Icc_sim.Metrics.max_bytes_per_party r.Icc_core.Runner.metrics)
       /. 1e6);
-    (* Crypto-op totals from the registry-backed counters (satellite of
-       the observability pass: `icc run` always ends with this line). *)
-    let ops = List.filter (fun (_, v) -> v > 0) (Icc_crypto.Counters.snapshot ()) in
-    if ops <> [] then
-      Printf.printf "crypto ops          %s\n"
-        (String.concat ", "
-           (List.map (fun (name, v) -> Printf.sprintf "%s %d" name v) ops));
+    (* Crypto-op totals from the registry-backed counters, zeros included:
+       a run that verifies nothing says so. *)
+    Printf.printf "crypto ops          %s\n"
+      (String.concat ", "
+         (List.map
+            (fun (name, v) -> Printf.sprintf "%s %d" name v)
+            (Icc_crypto.Counters.snapshot ())));
     print_monitor_report r.Icc_core.Runner.monitor;
     let ok, line = Icc_core.Runner.verdict r in
     print_endline line;

@@ -6,12 +6,23 @@
    leader.  Because signatures are unique, every party derives the same
    permutation. *)
 
+(* The round whose shares the party is handling: its signed text, the
+   message point every share of it is a power of, and a verifier closed
+   over both.  Built once per round, on first demand. *)
+type current = {
+  c_round : Types.round;
+  c_msg : string;
+  c_point : Icc_crypto.Group.elt;
+  c_verify : Icc_crypto.Threshold_vuf.signature_share -> bool;
+}
+
 type t = {
   system : Icc_crypto.Keygen.system;
   my_key : Icc_crypto.Threshold_vuf.secret_share;
   sigmas : (Types.round, string) Hashtbl.t; (* round -> representation of R_k *)
   randomness : (Types.round, Icc_crypto.Sha256.t) Hashtbl.t;
   permutations : (Types.round, int array) Hashtbl.t; (* rank -> party id *)
+  mutable current : current option; (* the newest round asked for *)
 }
 
 let create system my_key =
@@ -22,6 +33,7 @@ let create system my_key =
       sigmas = Hashtbl.create 64;
       randomness = Hashtbl.create 64;
       permutations = Hashtbl.create 64;
+      current = None;
     }
   in
   Hashtbl.replace t.sigmas 0 Types.beacon_genesis;
@@ -35,12 +47,46 @@ let message_for_round t round =
     (fun prev_sigma -> Types.beacon_text ~round ~prev_sigma)
     (Hashtbl.find_opt t.sigmas (round - 1))
 
+(* [round]'s cached text, point and verifier, built when [round] is newer
+   than the cached one and R_{round-1} is known.  One slot suffices: a
+   party signs, collects and combines round r+1's shares while round r's
+   late shares trickle in, and those requests for an older round are
+   served uncached, as before, so they never evict the round in progress.
+   [None] for an older round or an unknown text. *)
+let current t round =
+  match t.current with
+  | Some c when c.c_round = round -> Some c
+  | Some c when c.c_round > round -> None
+  | Some _ | None ->
+      if round < 1 then None
+      else
+        Option.map
+          (fun msg ->
+            let params = t.system.Icc_crypto.Keygen.beacon in
+            let point = Icc_crypto.Threshold_vuf.message_point msg in
+            let c =
+              {
+                c_round = round;
+                c_msg = msg;
+                c_point = point;
+                c_verify = Icc_crypto.Threshold_vuf.verify_share_at params ~point;
+              }
+            in
+            t.current <- Some c;
+            c)
+          (message_for_round t round)
+
 let my_share t round =
-  Option.map
-    (fun msg ->
-      Icc_crypto.Threshold_vuf.sign_share t.system.Icc_crypto.Keygen.beacon
-        t.my_key msg)
-    (message_for_round t round)
+  let params = t.system.Icc_crypto.Keygen.beacon in
+  match current t round with
+  | Some c ->
+      Some
+        (Icc_crypto.Threshold_vuf.sign_share_at params t.my_key ~point:c.c_point
+           c.c_msg)
+  | None ->
+      Option.map
+        (Icc_crypto.Threshold_vuf.sign_share params t.my_key)
+        (message_for_round t round)
 
 let permutation_of_randomness ~n rand =
   let arr = Array.init n (fun i -> i + 1) in
@@ -48,17 +94,26 @@ let permutation_of_randomness ~n rand =
   Icc_sim.Rng.shuffle_in_place rng arr;
   arr
 
+(* [round]'s text and share verifier: the cached pair for the round in
+   progress, a fresh one (hashing the point on each check) for an older
+   round. *)
+let text_and_verifier t round =
+  match current t round with
+  | Some c -> Some (c.c_msg, c.c_verify)
+  | None ->
+      if round < 1 then None
+      else
+        Option.map
+          (fun msg ->
+            ( msg,
+              Icc_crypto.Threshold_vuf.verify_share
+                t.system.Icc_crypto.Keygen.beacon msg ))
+          (message_for_round t round)
+
 (* The share verifier for a round, available once R_{round-1} is known.
    Returns [None] for rounds below 1 (a Byzantine peer controls the wire
    round number) and while the previous beacon is unknown. *)
-let share_verifier t round =
-  if round < 1 then None
-  else
-    Option.map
-      (fun msg share ->
-        Icc_crypto.Threshold_vuf.verify_share t.system.Icc_crypto.Keygen.beacon
-          msg share)
-      (message_for_round t round)
+let share_verifier t round = Option.map snd (text_and_verifier t round)
 
 (* Attempt to compute R_round from the pool's shares.  The pool verifies
    shares in signer order only until it holds t+1 valid ones, each at most
@@ -71,14 +126,11 @@ let share_verifier t round =
 let try_compute t pool round =
   if known t round then true
   else
-    match message_for_round t round with
+    match text_and_verifier t round with
     | None -> false
-    | Some msg -> (
+    | Some (msg, verify) -> (
         let params = t.system.Icc_crypto.Keygen.beacon in
-        let shares =
-          Pool.verified_beacon_shares pool ~round
-            ~verify:(Icc_crypto.Threshold_vuf.verify_share params msg)
-        in
+        let shares = Pool.verified_beacon_shares pool ~round ~verify in
         if
           List.length shares
           < t.system.Icc_crypto.Keygen.t + 1

@@ -19,11 +19,19 @@ type t = {
 
 let root_hash = Icc_crypto.Sha256.digest_string "icc-root"
 
+(* "block|round|proposer|hex parent|hex payload digest".  The payload
+   digest is taken first: both use {!Types.digest_with}'s one buffer. *)
 let compute_digest ~round ~proposer ~parent_hash ~payload =
-  Icc_crypto.Sha256.digest_string
-    (Printf.sprintf "block|%d|%d|%s|%s" round proposer
-       (Icc_crypto.Sha256.to_hex parent_hash)
-       (Icc_crypto.Sha256.to_hex (Types.payload_digest payload)))
+  let payload_digest = Types.payload_digest payload in
+  Types.digest_with (fun buf ->
+      Buffer.add_string buf "block|";
+      Types.add_decimal buf round;
+      Buffer.add_char buf '|';
+      Types.add_decimal buf proposer;
+      Buffer.add_char buf '|';
+      Icc_crypto.Sha256.add_hex buf parent_hash;
+      Buffer.add_char buf '|';
+      Icc_crypto.Sha256.add_hex buf payload_digest)
 
 (* §3.5 toggle. *)
 let memoize = ref true

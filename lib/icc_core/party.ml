@@ -79,6 +79,9 @@ type t = {
   mutable resync_peer : int; (* rotation cursor for summary targets *)
   mutable resync_interval : float; (* current (backed-off) summary interval *)
   mutable resync_last_round : Types.round; (* round seen at the last tick *)
+  mutable unechoed : Message.t list;
+      (* own signed broadcasts whose self-copy has not come back yet,
+         newest first, at most [unechoed_cap] (see [broadcast]) *)
 }
 
 let create env ~id ~keys ~behavior =
@@ -109,6 +112,7 @@ let create env ~id ~keys ~behavior =
     resync_peer = id;
     resync_interval = 0.;
     resync_last_round = 0;
+    unechoed = [];
   }
 
 let output_chain p = List.rev p.output_log
@@ -121,7 +125,40 @@ let kmax p = p.kmax
 
 (* --- sending helpers --------------------------------------------------- *)
 
-let broadcast p msg = p.env.send_broadcast ~src:p.id msg
+(* A broadcast comes back to its sender as the self-copy, and the party
+   need not check a signature it made itself.  It recognises that copy by
+   physical identity with the value it produced, never by signer id or by
+   bytes: a peer's copy is another value, even when byte-equal (decoded
+   off a real wire, it always is), and is verified as any other.  So a
+   value found here was signed by this party with its own keys, whatever
+   path returned it.  Only signed values the pool would verify are kept:
+   shares, and proposals of its own block (their authenticator).  A
+   self-copy that never returns (the party was halted when it arrived, or
+   a gossip layer that already held the artifact skipped it) costs only
+   its slot until the cap drops it; a dropped value is verified as
+   before. *)
+let unechoed_cap = 16
+
+let awaits_echo p (msg : Message.t) =
+  match msg with
+  | Notarization_share _ | Finalization_share _ | Beacon_share _ -> true
+  | Proposal { p_block; _ } -> p_block.Block.proposer = p.id
+  | Notarization _ | Finalization _ | Pool_summary _ | Pool_request _ -> false
+
+let broadcast p msg =
+  if awaits_echo p msg then
+    p.unechoed <-
+      msg :: List.filteri (fun i _ -> i < unechoed_cap - 1) p.unechoed;
+  p.env.send_broadcast ~src:p.id msg
+
+(* Whether [msg] is the self-copy of an own broadcast; it is consumed. *)
+let own_echo p msg =
+  List.memq msg p.unechoed
+  && begin
+       p.unechoed <- List.filter (fun m -> m != msg) p.unechoed;
+       true
+     end
+
 let unicast p ~dst msg = p.env.send_unicast ~src:p.id ~dst msg
 
 let sign_notarization_share p ~(block : Block.t) =
@@ -203,7 +240,7 @@ let broadcast_beacon_share p ~round =
            NOT equivalent: under gossip, inject with dst = src re-publishes
            to the whole network.) *)
         ignore
-          (Pool.add_beacon_share p.pool ~round
+          (Pool.add_beacon_share p.pool ~own:true ~round
              ?verify:(Beacon.share_verifier p.beacon round)
              share)
       else begin
@@ -378,9 +415,10 @@ and condition_a p =
                 p.env.system.Icc_crypto.Keygen.notary text shares
             with
             | None ->
-                (* Shares were verified on admission, so combining at quorum
-                   cannot fail; if it somehow does, report it and skip the
-                   step instead of aborting the run. *)
+                (* Stored shares were verified on admission or are the
+                   party's own, so combining at quorum cannot fail; if it
+                   somehow does, report it and skip the step instead of
+                   aborting the run. *)
                 protocol_error p ~round:b.Block.round
                   ~what:"notarization-combine-failed";
                 None
@@ -780,6 +818,7 @@ let resync_on_request p ~pr_party ~pr_from ~pr_upto =
 
 let on_message p (msg : Message.t) =
   if not (halted p) then begin
+    let own = own_echo p msg in
     let changed =
       match msg with
       | Message.Proposal { p_block; p_authenticator; p_parent_cert } ->
@@ -790,14 +829,14 @@ let on_message p (msg : Message.t) =
           in
           let c2 = Pool.add_block p.pool p_block in
           let c3 =
-            Pool.add_authenticator p.pool ~round:p_block.Block.round
+            Pool.add_authenticator ~own p.pool ~round:p_block.Block.round
               ~proposer:p_block.Block.proposer
               ~block_hash:(Block.hash p_block) p_authenticator
           in
           c1 || c2 || c3
-      | Message.Notarization_share s -> Pool.add_notarization_share p.pool s
+      | Message.Notarization_share s -> Pool.add_notarization_share ~own p.pool s
       | Message.Notarization c -> Pool.add_notarization p.pool c
-      | Message.Finalization_share s -> Pool.add_finalization_share p.pool s
+      | Message.Finalization_share s -> Pool.add_finalization_share ~own p.pool s
       | Message.Finalization c -> Pool.add_finalization p.pool c
       | Message.Beacon_share { b_round; b_share; _ } ->
           (* The wire round number is attacker-controlled: rounds below 1
@@ -807,7 +846,7 @@ let on_message p (msg : Message.t) =
              evicted) at admission. *)
           if b_round < 1 then false
           else
-            Pool.add_beacon_share p.pool ~round:b_round
+            Pool.add_beacon_share ~own p.pool ~round:b_round
               ?verify:(Beacon.share_verifier p.beacon b_round)
               b_share
       | Message.Pool_summary { ps_party; ps_round; ps_kmax } ->

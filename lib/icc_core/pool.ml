@@ -2,9 +2,12 @@
    received, indexed so the block-classification predicates — authentic,
    valid, notarized, finalized — can be evaluated incrementally.
 
-   Every signature is verified on admission, except beacon shares, which
-   are verified lazily when the beacon is combined (only the t+1 it
-   uses); messages failing verification are dropped.  Classification is
+   A signature is verified at most once per party, and only while it can
+   still change the pool: beacon shares are verified lazily when the
+   beacon is combined (only the t+1 it uses), a notarization or
+   finalization share is skipped once its block holds the certificate of
+   its kind, and the party's own values are admitted unchecked ([?own]).
+   Messages failing verification are dropped.  Classification is
    monotone, so the pool maintains it by a promotion cascade: a block
    becomes valid when it is authentic and its parent is notarized; it
    becomes notarized/finalized when additionally a certificate is present.
@@ -216,14 +219,17 @@ let ss_mem ss signer =
   Char.code (Bytes.get ss.ss_seen (signer lsr 3)) land (1 lsl (signer land 7))
   <> 0
 
+let ss_mark ss signer =
+  Bytes.set ss.ss_seen (signer lsr 3)
+    (Char.chr
+       (Char.code (Bytes.get ss.ss_seen (signer lsr 3))
+       lor (1 lsl (signer land 7))))
+
 let ss_add ss ~proposer signer share =
   (match ss.ss_proposer with
   | Some p when p = proposer -> ()
   | Some _ | None -> ss.ss_proposer <- None);
-  Bytes.set ss.ss_seen (signer lsr 3)
-    (Char.chr
-       (Char.code (Bytes.get ss.ss_seen (signer lsr 3))
-       lor (1 lsl (signer land 7))));
+  ss_mark ss signer;
   ss.ss_items <- share :: ss.ss_items;
   ss.ss_count <- ss.ss_count + 1
 
@@ -358,7 +364,7 @@ let add_block t (b : Block.t) =
       true
     end
 
-let add_authenticator t ~round ~proposer ~block_hash signature =
+let add_authenticator ?(own = false) t ~round ~proposer ~block_hash signature =
   Icc_obs.Profile.span "pool.admit" @@ fun () ->
   if round < t.pruned_below || round < 0 then false
   else
@@ -369,10 +375,11 @@ let add_authenticator t ~round ~proposer ~block_hash signature =
         if
           proposer >= 1
           && proposer <= t.system.Icc_crypto.Keygen.n
-          && Icc_crypto.Schnorr.verify
-               t.system.Icc_crypto.Keygen.auth_pub.(proposer - 1)
-               (Types.authenticator_text ~round ~proposer ~block_hash)
-               signature
+          && (own
+             || Icc_crypto.Schnorr.verify
+                  t.system.Icc_crypto.Keygen.auth_pub.(proposer - 1)
+                  (Types.authenticator_text ~round ~proposer ~block_hash)
+                  signature)
         then begin
           let s = claim t round in
           let e = find_or_create_entry s block_hash in
@@ -474,58 +481,63 @@ let add_cert t ~kind (c : Types.cert) =
 let add_notarization t c = add_cert t ~kind:`Notarization c
 let add_finalization t c = add_cert t ~kind:`Finalization c
 
-let add_share t ~kind (s : Types.share_msg) =
+let shareset_of t e kind ~proposer =
+  match shares_of e kind with
+  | Some ss -> ss
+  | None ->
+      let ss = new_shareset t.system.Icc_crypto.Keygen.n ~proposer in
+      (match kind with
+      | `Notarization -> e.e_notar_shares <- Some ss
+      | `Finalization -> e.e_final_shares <- Some ss);
+      ss
+
+(* Once the entry holds a certificate of the share's kind, nothing reads
+   the kind's shares any more: the certificate notarizes or finalizes the
+   block as soon as it is valid, which rules out [Combinable] and
+   [Final_combinable], and [retransmit_set] re-sends the certificate
+   instead.  So a covered share is neither verified nor stored; only its
+   signer is recorded, which keeps a second copy a no-op.  It still
+   reports [true], as a valid share did before: [false] would skip the
+   party's [step] and reorder events within a timestamp. *)
+let add_share ?(own = false) t ~kind (s : Types.share_msg) =
   Icc_obs.Profile.span "pool.admit" @@ fun () ->
   let round = s.s_round in
   let share = s.s_share in
   let signer = share.signer in
+  let in_range = signer >= 1 && signer <= t.system.Icc_crypto.Keygen.n in
   if round < t.pruned_below || round < 0 then false
   else
     let existing = entry_of t (round, s.s_block_hash) in
     let already =
       match Option.bind existing (fun e -> shares_of e kind) with
       | None -> false
-      | Some ss ->
-          signer >= 1
-          && signer <= t.system.Icc_crypto.Keygen.n
-          && ss_mem ss signer
+      | Some ss -> in_range && ss_mem ss signer
     in
-    (* A share the entry's certificate already holds was verified with it
-       (and its signer range-checked), so only an unknown share pays for
-       the signed text and the Schnorr equation.  Only the certificate can
-       vouch here: a pooled share from the same signer already made
-       [already] true. *)
     if already then false
-    else if
-      (match Option.bind existing (fun e -> cert_of e kind) with
-      | Some c -> c.c_proposer = s.s_proposer && cert_holds c share
-      | None -> false)
-      || Icc_crypto.Multisig.verify_share (params_of t kind)
-           (text_of kind ~round ~proposer:s.s_proposer
-              ~block_hash:s.s_block_hash)
-           share
-    then begin
-      let slot = claim t round in
-      let e = find_or_create_entry slot s.s_block_hash in
-      let ss =
-        match shares_of e kind with
-        | Some ss -> ss
-        | None ->
-            let ss =
-              new_shareset t.system.Icc_crypto.Keygen.n ~proposer:s.s_proposer
-            in
-            (match kind with
-            | `Notarization -> e.e_notar_shares <- Some ss
-            | `Finalization -> e.e_final_shares <- Some ss);
-            ss
-      in
-      ss_add ss ~proposer:s.s_proposer signer share;
-      true
-    end
-    else false
+    else
+      match existing with
+      | Some e when Option.is_some (cert_of e kind) ->
+          if in_range then
+            ss_mark (shareset_of t e kind ~proposer:s.s_proposer) signer;
+          in_range
+      | _ ->
+          if
+            (own && in_range)
+            || Icc_crypto.Multisig.verify_share (params_of t kind)
+                 (text_of kind ~round ~proposer:s.s_proposer
+                    ~block_hash:s.s_block_hash)
+                 share
+          then begin
+            let slot = claim t round in
+            let e = find_or_create_entry slot s.s_block_hash in
+            ss_add (shareset_of t e kind ~proposer:s.s_proposer)
+              ~proposer:s.s_proposer signer share;
+            true
+          end
+          else false
 
-let add_notarization_share t s = add_share t ~kind:`Notarization s
-let add_finalization_share t s = add_share t ~kind:`Finalization s
+let add_notarization_share ?own t s = add_share ?own t ~kind:`Notarization s
+let add_finalization_share ?own t s = add_share ?own t ~kind:`Finalization s
 
 (* A share is admitted unverified: the beacon needs only the t+1 lowest
    valid signers, and {!verified_beacon_shares} checks those when it
@@ -543,7 +555,7 @@ let add_finalization_share t s = add_share t ~kind:`Finalization s
      newcomer verifies.  Without one, keep the occupant;
      {!verified_beacon_shares} evicts it if it fails, freeing the slot for
      a genuine retransmission. *)
-let add_beacon_share t ~round ?verify
+let add_beacon_share ?(own = false) t ~round ?verify
     (share : Icc_crypto.Threshold_vuf.signature_share) =
   Icc_obs.Profile.span "pool.admit" @@ fun () ->
   let signer = share.Icc_crypto.Threshold_vuf.signer in
@@ -562,7 +574,7 @@ let add_beacon_share t ~round ?verify
         let s = claim t round in
         if Array.length s.s_beacon = 0 then
           s.s_beacon <- Array.make (t.system.Icc_crypto.Keygen.n + 1) None;
-        let e = { be_share = share; be_verified = false } in
+        let e = { be_share = share; be_verified = own } in
         s.s_beacon.(signer) <- Some e;
         s.s_beacon_list <- e :: s.s_beacon_list;
         true
@@ -576,7 +588,7 @@ let add_beacon_share t ~round ?verify
           e.be_verified <- true;
           false
         end
-        else if verify share then begin
+        else if own || verify share then begin
           (* evict the spoofed occupant, in place *)
           e.be_share <- share;
           e.be_verified <- true;

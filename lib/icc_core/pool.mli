@@ -2,11 +2,14 @@
     indexed for incremental evaluation of the block-classification
     predicates {e authentic}, {e valid}, {e notarized}, {e finalized}.
 
-    Every signature is verified on admission, except beacon shares, which
-    are verified when the beacon is combined; messages failing
-    verification are dropped.  Classification is monotone and maintained by a promotion
-    cascade (a block becomes valid when authentic with a notarized parent;
-    promoting a block re-examines its children). *)
+    A signature is verified at most once per party, and only while it can
+    still change the pool: beacon shares are verified when the beacon is
+    combined, a notarization or finalization share is not verified once
+    the block holds the certificate of its kind, and the party's own
+    values ([?own]) are not verified at all.  Messages failing
+    verification are dropped.  Classification is monotone and maintained
+    by a promotion cascade (a block becomes valid when authentic with a
+    notarized parent; promoting a block re-examines its children). *)
 
 type key = Types.round * Icc_crypto.Sha256.t
 
@@ -16,23 +19,41 @@ val create : ?payload_valid:(Block.t -> bool) -> Icc_crypto.Keygen.system -> t
 (** [payload_valid] is the application-specific validity hook (default
     accepts everything). *)
 
-(** {1 Admission} — each returns [true] when the pool gained information. *)
+(** {1 Admission} — each returns [true] when the pool gained information.
+
+    [?own] (default [false]) says the value is the party's own, signed
+    with its own key and handed back by its own broadcast: its signature
+    is admitted without a check.  The caller vouches by identity with the
+    value it produced, never by signer id; a copy from a peer, even
+    byte-equal, is admitted with [own = false] and verified. *)
 
 val add_block : t -> Block.t -> bool
 
 val add_authenticator :
-  t -> round:Types.round -> proposer:Types.party_id ->
+  ?own:bool -> t -> round:Types.round -> proposer:Types.party_id ->
   block_hash:Icc_crypto.Sha256.t -> Icc_crypto.Schnorr.signature -> bool
 
 val add_notarization : t -> Types.cert -> bool
 val add_finalization : t -> Types.cert -> bool
-val add_notarization_share : t -> Types.share_msg -> bool
-val add_finalization_share : t -> Types.share_msg -> bool
-(** Shares and certificate members are verified once per party: a share
-    whose exact (signer, signature) pair the key's pooled shares or
-    certificate of the same kind already hold, under the same proposer,
-    skips the Schnorr equation (see {!known_share}).  Verdicts are those
-    of a fresh verification. *)
+val add_notarization_share : ?own:bool -> t -> Types.share_msg -> bool
+val add_finalization_share : ?own:bool -> t -> Types.share_msg -> bool
+(** A share is verified at most once per party, and only while no
+    certificate of its kind is held for its block:
+    - A repeated signer is a no-op ([false]).
+    - Once the block's entry holds a certificate of the share's kind, a
+      share from an in-range signer not seen before is neither verified
+      nor stored; its signer is recorded, so a copy stays a no-op.  The
+      admission still returns [true]: nothing reads those shares any more
+      (the certificate finishes the block as soon as it is valid, and
+      {!retransmit_set} re-sends the certificate), but [changed] is what
+      runs the party's guards, and answering [false] would move that run
+      within its timestamp.  An out-of-range signer returns [false].  So
+      {!notar_share_count} and {!final_share_count} count the shares
+      stored before the certificate.
+    - Otherwise the share is verified, unless [own]; certificate members
+      whose exact (signer, signature) pair the key's pooled shares hold,
+      under the same proposer, skip the Schnorr equation (see
+      {!known_share}).  Verdicts are those of a fresh verification. *)
 
 val known_share :
   t ->
@@ -49,6 +70,7 @@ val known_share :
     vouches for nothing. *)
 
 val add_beacon_share :
+  ?own:bool ->
   t ->
   round:Types.round ->
   ?verify:(Icc_crypto.Threshold_vuf.signature_share -> bool) ->
@@ -62,7 +84,9 @@ val add_beacon_share :
     previous beacon is known) only resolves a contested slot: when a
     different share arrives for an unverified occupant, the occupant is
     checked, and a spoofed occupant is evicted in favour of a verifying
-    newcomer (the beacon-share spoofing fix). *)
+    newcomer (the beacon-share spoofing fix).  An [own] share counts as
+    verified: it is stored marked so, and {!verified_beacon_shares} never
+    checks it. *)
 
 val verified_beacon_shares :
   t ->

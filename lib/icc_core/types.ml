@@ -30,13 +30,37 @@ let empty_payload = { commands = []; filler_size = 0 }
 let payload_size p =
   List.fold_left (fun acc c -> acc + c.cmd_size) p.filler_size p.commands
 
+(* Digest preimages are written into one scratch buffer, shared by every
+   digest here and in {!Block}, and hashed from one copy: no [Printf]
+   string per command and no [String.concat].  It starts at one byte, so
+   loading the module allocates no scratch; the first digests grow it to
+   the largest preimage. *)
+let scratch = Buffer.create 1
+
+let digest_with write =
+  Buffer.clear scratch;
+  write scratch;
+  Icc_crypto.Sha256.digest_string (Buffer.contents scratch)
+
+(* [string_of_int n], digit by digit. *)
+let rec add_decimal buf n =
+  if n < 0 then Buffer.add_string buf (string_of_int n)
+  else begin
+    if n >= 10 then add_decimal buf (n / 10);
+    Buffer.add_char buf (Char.chr (Char.code '0' + (n mod 10)))
+  end
+
+(* The filler size, then ",id:tag" per command. *)
 let payload_digest p =
-  Icc_crypto.Sha256.digest_string
-    (String.concat ","
-       (string_of_int p.filler_size
-       :: List.map
-            (fun c -> Printf.sprintf "%d:%s" c.cmd_id c.tag)
-            p.commands))
+  digest_with (fun buf ->
+      add_decimal buf p.filler_size;
+      List.iter
+        (fun c ->
+          Buffer.add_char buf ',';
+          add_decimal buf c.cmd_id;
+          Buffer.add_char buf ':';
+          Buffer.add_string buf c.tag)
+        p.commands)
 
 (* Signed-text encodings (paper §3.4): the tuples
    (authenticator|notarization|finalization, k, alpha, H(B)) as one kind

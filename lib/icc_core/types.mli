@@ -33,6 +33,16 @@ type payload = {
 val empty_payload : payload
 val payload_size : payload -> int
 val payload_digest : payload -> Icc_crypto.Sha256.t
+(** SHA-256 of the filler size followed by [",id:tag"] per command, ids
+    and sizes in decimal. *)
+
+val digest_with : (Buffer.t -> unit) -> Icc_crypto.Sha256.t
+(** [digest_with write] is the digest of what [write] appends to an empty
+    buffer.  The buffer is one scratch buffer reused by every call, so
+    [write] must not call [digest_with] (or {!payload_digest}) itself. *)
+
+val add_decimal : Buffer.t -> int -> unit
+(** Appends [string_of_int n] without building it. *)
 
 (** {1 Signed-text encodings}
 

@@ -154,6 +154,14 @@ let hex_prefix (d : t) len =
 
 let to_hex (d : t) = hex_prefix d 64
 
+let add_hex buf (d : t) =
+  String.iter
+    (fun c ->
+      let c = Char.code c in
+      Buffer.add_char buf hex_digits.[c lsr 4];
+      Buffer.add_char buf hex_digits.[c land 0xf])
+    d
+
 (* First 12 hex chars: the abbreviated digest form used on the trace bus,
    where full 64-char digests would dominate line size. *)
 let short_hex (d : t) = hex_prefix d 12

@@ -18,6 +18,9 @@ val digest_subbytes : Bytes.t -> int -> int -> t
 
 val to_hex : t -> string
 
+val add_hex : Buffer.t -> t -> unit
+(** Appends {!to_hex}'s 64 characters to a buffer. *)
+
 val short_hex : t -> string
 (** First 12 hex chars of {!to_hex} — the abbreviated digest form carried
     on the simulation trace bus. *)

@@ -65,23 +65,32 @@ let setup ~threshold_t ~n rand_bits =
 
 let message_point msg = Group.hash_to_group (Sha256.digest_string msg)
 
-let sign_share _params { owner; sk_i } msg : signature_share =
-  let base = message_point msg in
+let sign_share_at _params { owner; sk_i } ~point msg : signature_share =
   {
     signer = owner;
     (* The message point recurs for every share of the round, so it
        rides the fixed-base cache like the proof's base2 pows. *)
-    value = Group.pow_cached base sk_i;
-    proof = Dleq.prove ~base1:Group.generator ~base2:base ~exponent:sk_i ~msg_tag:msg;
+    value = Group.pow_cached point sk_i;
+    proof =
+      Dleq.prove ~base1:Group.generator ~base2:point ~exponent:sk_i ~msg_tag:msg;
   }
 
-let verify_share params msg (share : signature_share) =
+let sign_share params sk msg =
+  sign_share_at params sk ~point:(message_point msg) msg
+
+let in_range params (share : signature_share) =
   share.signer >= 1 && share.signer <= params.n
-  &&
-  let base = message_point msg in
-  Dleq.verify ~base1:Group.generator ~base2:base
-    ~a:params.verification_keys.(share.signer - 1)
-    ~b:share.value share.proof
+
+let verify_share_at params ~point (share : signature_share) =
+  in_range params share
+  && Dleq.verify ~base1:Group.generator ~base2:point
+       ~a:params.verification_keys.(share.signer - 1)
+       ~b:share.value share.proof
+
+(* The range check comes first, so an out-of-range share costs no hash. *)
+let verify_share params msg share =
+  in_range params share
+  && verify_share_at params ~point:(message_point msg) share
 
 let share_equal a b =
   Int.equal a.signer b.signer

@@ -34,6 +34,26 @@ val setup : threshold_t:int -> n:int -> (unit -> int) -> params * secret_share l
 val sign_share : params -> secret_share -> string -> signature_share
 val verify_share : params -> string -> signature_share -> bool
 
+(** {2 Point-taking entry points}
+
+    Every share of a message [m], signed or checked, starts from the same
+    message point [H2G(SHA-256 m)].  {!sign_share} and {!verify_share}
+    recompute it on each call; a caller that handles many shares of one
+    message computes it once with {!message_point} and passes it to the
+    [_at] variants, which give the same results. *)
+
+val message_point : string -> Group.elt
+(** [H2G(SHA-256 m)]: the base every share of [m] is a power of. *)
+
+val sign_share_at :
+  params -> secret_share -> point:Group.elt -> string -> signature_share
+(** [sign_share_at p sk ~point m] is [sign_share p sk m] when
+    [point = message_point m].  [m] still seeds the proof's nonce. *)
+
+val verify_share_at : params -> point:Group.elt -> signature_share -> bool
+(** [verify_share_at p ~point s] is [verify_share p m s] when
+    [point = message_point m]. *)
+
 val share_equal : signature_share -> signature_share -> bool
 (** Byte equality of two shares: signer, value and every proof field.  A
     byte-equal copy verifies exactly when the original does. *)

@@ -74,6 +74,57 @@ let test_payload_digest_binds_tags () =
        (Icc_core.Types.payload_digest (mk "a"))
        (Icc_core.Types.payload_digest (mk "b")))
 
+(* The digests as first written, with [Printf] and [String.concat]: the
+   reference the buffer-built digests must match byte for byte. *)
+let reference_payload_digest (p : Icc_core.Types.payload) =
+  Icc_crypto.Sha256.digest_string
+    (String.concat ","
+       (string_of_int p.filler_size
+       :: List.map
+            (fun (c : Icc_core.Types.command) ->
+              Printf.sprintf "%d:%s" c.cmd_id c.tag)
+            p.commands))
+
+let reference_block_digest ~round ~proposer ~parent_hash ~payload =
+  Icc_crypto.Sha256.digest_string
+    (Printf.sprintf "block|%d|%d|%s|%s" round proposer
+       (Icc_crypto.Sha256.to_hex parent_hash)
+       (Icc_crypto.Sha256.to_hex (reference_payload_digest payload)))
+
+(* Tags drawn from an alphabet heavy in the separators, empty tags
+   included; ids and sizes over the whole int range. *)
+let gen_payload =
+  let open QCheck.Gen in
+  let tag = string_size ~gen:(oneofl [ ','; ':'; '|'; 'a'; '0'; '\000' ]) (0 -- 6) in
+  let id = oneof [ small_nat; int; oneofl [ 0; max_int; min_int; -1 ] ] in
+  let command =
+    map2
+      (fun cmd_id tag ->
+        Icc_core.Types.command ~tag ~cmd_id ~cmd_size:1 ~submitted_at:0. ())
+      id tag
+  in
+  map2
+    (fun commands filler_size -> { Icc_core.Types.commands; filler_size })
+    (list_size (0 -- 8) command)
+    id
+
+let prop_digests_match_printf_reference =
+  QCheck.Test.make ~name:"payload and block digests equal the Printf reference"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(triple gen_payload (1 -- max_int) int))
+    (fun (payload, round, proposer) ->
+      let parent_hash =
+        Icc_crypto.Sha256.digest_string (string_of_int proposer)
+      in
+      Icc_crypto.Sha256.equal
+        (Icc_core.Types.payload_digest payload)
+        (reference_payload_digest payload)
+      && Icc_crypto.Sha256.equal
+           (Icc_core.Block.hash
+              (Icc_core.Block.create ~round ~proposer ~parent_hash ~payload))
+           (reference_block_digest ~round ~proposer ~parent_hash ~payload))
+
 let test_config_recommended () =
   let c = Icc_core.Config.recommended ~delta_bnd:0.5 ~epsilon:0.1 ~n:7 ~t:2 () in
   Alcotest.(check (float 1e-9)) "prop 0" 0. (c.Icc_core.Config.delta_prop 0);
@@ -115,6 +166,7 @@ let suite =
     Alcotest.test_case "round 0 rejected" `Quick test_round_zero_rejected;
     Alcotest.test_case "payload size" `Quick test_payload_size;
     Alcotest.test_case "payload digest tags" `Quick test_payload_digest_binds_tags;
+    QCheck_alcotest.to_alcotest prop_digests_match_printf_reference;
     Alcotest.test_case "config recommended" `Quick test_config_recommended;
     Alcotest.test_case "config bad t" `Quick test_config_rejects_bad_t;
     Alcotest.test_case "non-responsive" `Quick test_non_responsive_waits;

@@ -208,6 +208,74 @@ let test_message_complexity_synchronous () =
     true
     (per_round >= n2 && per_round <= 8. *. n2)
 
+(* --- a party's own signatures ------------------------------------------
+
+   A lone party hears only its own broadcasts, so everything it admits is
+   a value it signed itself: it verifies no signature at all.  Handing the
+   same bytes back as a fresh value, as a peer's copy would be, restores a
+   check for each: the party vouches by identity, never by bytes or signer
+   id. *)
+
+let solo () =
+  {
+    (Icc_core.Runner.default_scenario ~n:1 ~seed:1) with
+    Icc_core.Runner.duration = 20.;
+    workload = Icc_core.Runner.Load { rate_per_s = 2000.; cmd_size = 1024 };
+  }
+
+(* Counter deltas over one run. *)
+let counted f =
+  let snap () = Icc_crypto.Counters.snapshot () in
+  let before = snap () in
+  let r = f () in
+  let after = snap () in
+  let delta name = List.assoc name after - List.assoc name before in
+  (r, delta)
+
+let test_lone_party_verifies_nothing_it_signed () =
+  let r, delta = counted (fun () -> Icc_core.Runner.run (solo ())) in
+  check_invariants ~min_rounds:50 "solo" r;
+  Alcotest.(check bool) "it signed" true (delta "schnorr_signs" > 0);
+  Alcotest.(check int) "schnorr_verifies" 0 (delta "schnorr_verifies");
+  Alcotest.(check int) "dleq_verifies" 0 (delta "dleq_verifies")
+
+(* Every broadcast's self-copy is a byte-equal copy, never the value the
+   party produced. *)
+let copying_transport : Icc_core.Runner.transport =
+ fun ctx ->
+  let inner = Icc_core.Runner.direct_transport ctx in
+  let copy (msg : Icc_core.Message.t) : Icc_core.Message.t =
+    match msg with
+    | Proposal p -> Proposal { p with p_block = p.p_block }
+    | Notarization_share s -> Notarization_share { s with s_round = s.s_round }
+    | Finalization_share s -> Finalization_share { s with s_round = s.s_round }
+    | Beacon_share b -> Beacon_share { b with b_round = b.b_round }
+    | (Notarization _ | Finalization _ | Pool_summary _ | Pool_request _) as m
+      ->
+        m
+  in
+  {
+    inner with
+    Icc_core.Runner.tx_broadcast =
+      (fun ~src msg -> inner.Icc_core.Runner.tx_broadcast ~src (copy msg));
+  }
+
+let test_copy_of_own_value_verified () =
+  let own, own_delta = counted (fun () -> Icc_core.Runner.run (solo ())) in
+  let r, delta =
+    counted (fun () ->
+        Icc_core.Runner.run
+          { (solo ()) with Icc_core.Runner.transport = Some copying_transport })
+  in
+  check_invariants ~min_rounds:50 "solo, copied" r;
+  Alcotest.(check int) "same rounds as the uncopied run" own.rounds_decided
+    r.rounds_decided;
+  Alcotest.(check int) "same signatures made" (own_delta "schnorr_signs")
+    (delta "schnorr_signs");
+  Alcotest.(check int) "every signature verified once" (delta "schnorr_signs")
+    (delta "schnorr_verifies");
+  Alcotest.(check bool) "beacon shares verified" true (delta "dleq_verifies" > 0)
+
 let prop_safety_under_random_adversaries =
   QCheck.Test.make ~name:"icc0 safety under random adversary mixes" ~count:8
     (QCheck.int_range 0 10_000) (fun seed ->
@@ -255,5 +323,9 @@ let suite =
     Alcotest.test_case "max rounds stop" `Quick test_max_rounds_stops_early;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "message complexity" `Quick test_message_complexity_synchronous;
+    Alcotest.test_case "lone party verifies nothing it signed" `Quick
+      test_lone_party_verifies_nothing_it_signed;
+    Alcotest.test_case "copy of own value verified" `Quick
+      test_copy_of_own_value_verified;
     QCheck_alcotest.to_alcotest prop_safety_under_random_adversaries;
   ]

@@ -234,6 +234,87 @@ let test_beacon_duplicate_verifies_nothing () =
   Alcotest.(check int) "no DLEQ verify" before
     (Icc_obs.Registry.value Icc_crypto.Counters.dleq_verifies)
 
+(* --- a party's own values ------------------------------------------------
+
+   A broadcast's self-copy is the value the party produced, so [Party]
+   admits it with [~own:true] and its signature is not checked.  That
+   vouching is by identity, never by signer id: the same bytes from a peer
+   are admitted with [own = false] and verified, and a forgery naming the
+   party's id is rejected. *)
+
+let schnorr_verifies () =
+  Icc_obs.Registry.value Icc_crypto.Counters.schnorr_verifies
+
+let dleq_verifies () = Icc_obs.Registry.value Icc_crypto.Counters.dleq_verifies
+
+let test_own_values_verify_nothing () =
+  let pool = Icc_core.Pool.create kit.Kit.system in
+  let b = Kit.block ~round:1 ~proposer:1 ~parent:None () in
+  ignore (Icc_core.Pool.add_block pool b);
+  let v0 = schnorr_verifies () and d0 = dleq_verifies () in
+  Alcotest.(check bool) "own authenticator admitted" true
+    (Icc_core.Pool.add_authenticator ~own:true pool ~round:1 ~proposer:1
+       ~block_hash:(Icc_core.Block.hash b) (Kit.authenticator kit b));
+  Alcotest.(check bool) "own notarization share admitted" true
+    (Icc_core.Pool.add_notarization_share ~own:true pool
+       (Kit.notarization_share kit ~signer:1 b));
+  Alcotest.(check bool) "own finalization share admitted" true
+    (Icc_core.Pool.add_finalization_share ~own:true pool
+       (Kit.finalization_share kit ~signer:1 b));
+  Alcotest.(check bool) "own beacon share admitted" true
+    (Icc_core.Pool.add_beacon_share ~own:true pool ~round:1 ~verify:beacon_verify
+       (beacon_share 1));
+  ignore (Icc_core.Pool.add_beacon_share pool ~round:1 (beacon_share 2));
+  Alcotest.(check int) "no Schnorr verify" 0 (schnorr_verifies () - v0);
+  Alcotest.(check int) "no DLEQ verify at admission" 0 (dleq_verifies () - d0);
+  Alcotest.(check bool) "block valid" true (Icc_core.Pool.is_valid pool (key b));
+  Alcotest.(check int) "shares stored" 1
+    (Icc_core.Pool.notar_share_count pool (key b));
+  (* the beacon walk checks the peer's share, not the party's own *)
+  Alcotest.(check (list int)) "beacon shares" [ 1; 2 ]
+    (signers
+       (Icc_core.Pool.verified_beacon_shares pool ~round:1 ~verify:beacon_verify));
+  Alcotest.(check int) "one DLEQ verify, the peer's" 1 (dleq_verifies () - d0)
+
+let test_peer_copy_of_own_value_verified () =
+  let b = Kit.block ~round:1 ~proposer:1 ~parent:None () in
+  let share = Kit.notarization_share kit ~signer:1 b in
+  (* the same bytes, as a value decoded off the wire *)
+  let copy =
+    {
+      share with
+      Icc_core.Types.s_share =
+        { share.Icc_core.Types.s_share with Icc_crypto.Multisig.signer = 1 };
+    }
+  in
+  let pool = Icc_core.Pool.create kit.Kit.system in
+  let v0 = schnorr_verifies () in
+  Alcotest.(check bool) "byte-equal copy admitted" true
+    (Icc_core.Pool.add_notarization_share pool copy);
+  Alcotest.(check int) "byte-equal copy verified once" 1
+    (schnorr_verifies () - v0);
+  let g = share.Icc_core.Types.s_share.Icc_crypto.Multisig.signature in
+  let forged =
+    {
+      share with
+      Icc_core.Types.s_share =
+        {
+          share.Icc_core.Types.s_share with
+          Icc_crypto.Multisig.signature =
+            {
+              g with
+              Icc_crypto.Schnorr.response =
+                Icc_crypto.Group.scalar_add g.Icc_crypto.Schnorr.response 1;
+            };
+        };
+    }
+  in
+  let pool = Icc_core.Pool.create kit.Kit.system in
+  Alcotest.(check bool) "forgery under the party's own id rejected" false
+    (Icc_core.Pool.add_notarization_share pool forged);
+  Alcotest.(check int) "nothing stored" 0
+    (Icc_core.Pool.notar_share_count pool (key b))
+
 (* Regression: shares naming a signer outside 1..n were appended to the
    round's list without a verifier, one per distinct signer, so a peer
    could grow the pool without bound until the round was pruned. *)
@@ -402,6 +483,10 @@ let suite =
       test_spoofed_beacon_share_never_combined;
     Alcotest.test_case "beacon duplicate verifies nothing" `Quick
       test_beacon_duplicate_verifies_nothing;
+    Alcotest.test_case "own values verify nothing" `Quick
+      test_own_values_verify_nothing;
+    Alcotest.test_case "peer copy of own value verified" `Quick
+      test_peer_copy_of_own_value_verified;
     Alcotest.test_case "out-of-range beacon signers not stored" `Quick
       test_out_of_range_beacon_signers_not_stored;
     Alcotest.test_case "spoofed occupant evicted" `Quick

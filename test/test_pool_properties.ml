@@ -65,6 +65,24 @@ let classification pool blocks =
         Icc_core.Pool.notar_share_count pool key ))
     blocks
 
+(* The part of [classification] no admission order can change: every
+   classification bit, and the share count of a block that holds no
+   notarization.  Once the certificate is held a share is recorded but not
+   stored ([Pool.add_notarization_share]), so there the count says only
+   how many shares came before the certificate. *)
+let order_free pool blocks =
+  List.map2
+    (fun b (v, n, f, count) ->
+      let key = (b.Icc_core.Block.round, Icc_core.Block.hash b) in
+      ( v,
+        n,
+        f,
+        match Icc_core.Pool.notarization_cert pool key with
+        | Some _ -> None
+        | None -> Some count ))
+    blocks
+    (classification pool blocks)
+
 let prop_order_invariance =
   QCheck.Test.make ~name:"pool classification is admission-order invariant"
     ~count:60 QCheck.int (fun seed ->
@@ -74,7 +92,7 @@ let prop_order_invariance =
       let reference =
         let pool = Icc_core.Pool.create kit.Kit.system in
         List.iter (fun (Op (_, f)) -> ignore (f pool)) ops;
-        classification pool blocks
+        order_free pool blocks
       in
       (* shuffled admission *)
       let rng = Icc_sim.Rng.create seed in
@@ -82,7 +100,7 @@ let prop_order_invariance =
       Icc_sim.Rng.shuffle_in_place rng arr;
       let pool = Icc_core.Pool.create kit.Kit.system in
       Array.iter (fun (Op (_, f)) -> ignore (f pool)) arr;
-      classification pool blocks = reference)
+      order_free pool blocks = reference)
 
 let prop_duplicates_are_noops =
   QCheck.Test.make ~name:"pool duplicate admission changes nothing" ~count:30
@@ -132,12 +150,15 @@ let prop_monotone =
 (* --- verify once per party -------------------------------------------
 
    The pool answers a repeated (signer, text, signature) triple from the
-   shares and certificates it already holds.  The property below checks
-   that this memo never changes an answer: random interleavings of shares,
-   certificates and combines for one block — forged signatures, signatures
-   by the wrong signer, shares naming the wrong proposer, certificates with
-   forged members — give the same verdicts as a memo-free reference that
-   calls [Multisig.verify_share]/[verify] directly. *)
+   shares and certificates it already holds, and once it holds a
+   certificate of a kind it no longer verifies or stores that kind's
+   shares: it records the signer and reports the admission.  The property
+   below checks that neither changes an answer: random interleavings of
+   shares, certificates and combines for one block — forged signatures,
+   signatures by the wrong signer, shares naming the wrong proposer,
+   certificates with forged members — give the same verdicts as a
+   memo-free reference that calls [Multisig.verify_share]/[verify]
+   directly and applies the same certificate rule. *)
 
 module Multisig = Icc_crypto.Multisig
 
@@ -204,24 +225,30 @@ let cert_msg ~proposer multisig =
     c_multisig = multisig;
   }
 
-(* The memo-free reference: per kind, the admitted shares (newest first)
-   and certificate. *)
+(* The memo-free reference: per kind, the stored shares (newest first),
+   every signer admitted, and the certificate. *)
 type reference = {
   mutable r_shares : ([ `Notarization | `Finalization ] * Multisig.share) list;
+  mutable r_seen : ([ `Notarization | `Finalization ] * int) list;
   mutable r_certs : [ `Notarization | `Finalization ] list;
 }
 
+let empty_reference () = { r_shares = []; r_seen = []; r_certs = [] }
+
+(* A share after its kind's certificate: an in-range signer is admitted
+   without a check and not stored. *)
 let ref_add_share r kind ~proposer (sh : Multisig.share) =
-  if
-    List.exists
-      (fun (k, (x : Multisig.share)) -> k = kind && x.signer = sh.signer)
-      r.r_shares
-  then false
-  else if Multisig.verify_share (params kind) (text kind ~proposer) sh then begin
-    r.r_shares <- (kind, sh) :: r.r_shares;
+  let admit ~store =
+    if store then r.r_shares <- (kind, sh) :: r.r_shares;
+    r.r_seen <- (kind, sh.signer) :: r.r_seen;
     true
-  end
-  else false
+  in
+  if List.mem (kind, sh.signer) r.r_seen then false
+  else if List.mem kind r.r_certs then
+    sh.signer >= 1 && sh.signer <= 4 && admit ~store:false
+  else
+    Multisig.verify_share (params kind) (text kind ~proposer) sh
+    && admit ~store:true
 
 let ref_add_cert r kind ~proposer ms =
   if List.mem kind r.r_certs then false
@@ -307,7 +334,7 @@ let prop_memo_verdicts =
     QCheck.int (fun seed ->
       let rng = Icc_sim.Rng.create seed in
       let pool = Icc_core.Pool.create kit.Kit.system in
-      let r = { r_shares = []; r_certs = [] } in
+      let r = empty_reference () in
       let steps = 4 + Icc_sim.Rng.int rng 16 in
       let ok = ref true in
       for _ = 1 to steps do
@@ -328,8 +355,48 @@ let prop_memo_verdicts =
 let verifies () =
   Icc_obs.Registry.value Icc_crypto.Counters.schnorr_verifies
 
-let test_shares_then_cert_costs_nothing () =
+(* Everything [Party] and the resync layer read from the pool about
+   [memo_block]'s round. *)
+let views pool =
+  let key = memo_key in
+  ( ( Icc_core.Pool.notar_shares pool key,
+      Icc_core.Pool.notar_share_count pool key,
+      Icc_core.Pool.final_shares pool key,
+      Icc_core.Pool.final_share_count pool key ),
+    ( Icc_core.Pool.notarization_cert pool key,
+      Icc_core.Pool.finalization_cert pool key,
+      Icc_core.Pool.is_valid pool key,
+      Icc_core.Pool.is_notarized pool key,
+      Icc_core.Pool.is_finalized pool key ),
+    ( Icc_core.Pool.round_completion pool 1,
+      Icc_core.Pool.finalization_step pool ~kmax:0,
+      Icc_core.Pool.retransmit_set pool ~round:1,
+      Icc_core.Pool.table_sizes pool ) )
+
+(* A pool holding [memo_block] with its authenticator, so the block is
+   valid and the round's views and retransmit set are populated. *)
+let pool_with_block () =
   let pool = Icc_core.Pool.create kit.Kit.system in
+  ignore (Icc_core.Pool.add_block pool memo_block);
+  ignore
+    (Icc_core.Pool.add_authenticator pool ~round:1 ~proposer:1
+       ~block_hash:(Icc_core.Block.hash memo_block)
+       (Kit.authenticator kit memo_block));
+  pool
+
+(* After its kind's certificate, [sh] is admitted at no verify, is not
+   stored, and changes no view; a second copy is a no-op. *)
+let check_covered pool kind ~proposer what sh =
+  let before = views pool and v0 = verifies () in
+  Alcotest.(check bool) (what ^ ": admitted") true
+    (pool_add_share pool kind ~proposer sh);
+  Alcotest.(check int) (what ^ ": no verify") 0 (verifies () - v0);
+  Alcotest.(check bool) (what ^ ": views unchanged") true (views pool = before);
+  Alcotest.(check bool) (what ^ ": copy is a no-op") false
+    (pool_add_share pool kind ~proposer sh)
+
+let test_shares_then_cert_costs_nothing () =
+  let pool = pool_with_block () in
   List.iter
     (fun signer ->
       let sh = member `Notarization ~signer ~proposer:1 Genuine in
@@ -350,37 +417,35 @@ let test_shares_then_cert_costs_nothing () =
         (pool_add_cert pool `Notarization ~proposer:1 ms));
   Alcotest.(check int) "combine + admission verify nothing" 0
     (verifies () - before);
-  (* a share naming another proposer is still verified *)
-  let other = member `Notarization ~signer:4 ~proposer:2 Genuine in
-  let before = verifies () in
-  ignore (pool_add_share pool `Notarization ~proposer:2 other);
-  Alcotest.(check int) "new share verified once" 1 (verifies () - before)
+  (* a share naming another proposer, after the certificate *)
+  check_covered pool `Notarization ~proposer:2 "other proposer"
+    (member `Notarization ~signer:4 ~proposer:2 Genuine)
 
 let test_cert_then_shares_costs_nothing () =
-  let pool = Icc_core.Pool.create kit.Kit.system in
+  let pool = pool_with_block () in
   let cert = Kit.finalization kit memo_block [ 1; 2; 3 ] in
   let before = verifies () in
   Alcotest.(check bool) "certificate admitted" true
     (Icc_core.Pool.add_finalization pool cert);
   Alcotest.(check int) "three members verified" 3 (verifies () - before);
-  let before = verifies () in
   List.iter
     (fun signer ->
-      let sh = member `Finalization ~signer ~proposer:1 Genuine in
-      Alcotest.(check bool) "member share admitted" true
-        (pool_add_share pool `Finalization ~proposer:1 sh))
+      check_covered pool `Finalization ~proposer:1
+        (Printf.sprintf "member %d" signer)
+        (member `Finalization ~signer ~proposer:1 Genuine))
     [ 1; 2; 3 ];
-  Alcotest.(check int) "member shares verify nothing" 0 (verifies () - before);
-  let forged = member `Finalization ~signer:4 ~proposer:1 Forged in
-  Alcotest.(check bool) "non-member forgery rejected" false
-    (pool_add_share pool `Finalization ~proposer:1 forged)
+  check_covered pool `Finalization ~proposer:1 "non-member forgery"
+    (member `Finalization ~signer:4 ~proposer:1 Forged);
+  Alcotest.(check bool) "out-of-range signer rejected" false
+    (pool_add_share pool `Finalization ~proposer:1
+       { (member `Finalization ~signer:1 ~proposer:1 Genuine) with signer = 5 })
 
 (* A mixed share set (one Byzantine share names proposer -1) must not
    vouch for a proposer -1 certificate made of honest members copied from
    proposer-1 shares: the Schnorr equation over the -1 text rejects them. *)
 let test_mixed_set_vouches_for_nothing () =
   let pool = Icc_core.Pool.create kit.Kit.system in
-  let r = { r_shares = []; r_certs = [] } in
+  let r = empty_reference () in
   let add ~signer ~proposer =
     let sh = member `Notarization ~signer ~proposer Genuine in
     Alcotest.(check bool) "share verdict = reference"
