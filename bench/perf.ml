@@ -93,13 +93,16 @@ let perf_scenario ~quick ~seed ~n =
 let count_lines s =
   String.fold_left (fun acc c -> if c = '\n' then acc + 1 else acc) 0 s
 
-(* The trace and the op counters of one run; not timed. *)
+(* The trace and the op counters of one run; not timed.  The fixed-base
+   cache is cleared first, so the run's [fixed_base_tables] counts its own
+   tables, whichever scenarios ran before it in this process. *)
 let traced_run run_fn scenario =
   let tr = Icc_sim.Trace.create () in
   let buf = Buffer.create (1 lsl 20) in
   Icc_sim.Trace.subscribe tr (fun ~time ev ->
       Buffer.add_string buf (Icc_sim.Trace.to_json ~time ev);
       Buffer.add_char buf '\n');
+  Icc_crypto.Group.clear_fixed_base_cache ();
   Icc_crypto.Counters.reset ();
   let _ = run_fn { scenario with Icc_core.Runner.trace = Some tr } in
   (Buffer.contents buf, Icc_crypto.Counters.snapshot ())

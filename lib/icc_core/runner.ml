@@ -143,35 +143,6 @@ type result = {
 
 let management_filler = 120
 
-module Int_set = Set.Make (Int)
-
-(* Command ids already committed on the chain ending at [parent], memoised
-   by block hash: payload deduplication for getPayload (paper §3.3).
-   Persistent sets share structure along the chain, so the memo stays
-   linear in the number of commands. *)
-let make_dedup pool_cache =
-  let rec ids_of pool (b : Block.t) =
-    let h = Block.hash b in
-    match Hashtbl.find_opt pool_cache h with
-    | Some s -> s
-    | None ->
-        let parent_ids =
-          if b.Block.round = 1 then Int_set.empty
-          else
-            match Pool.find_block pool (b.Block.round - 1, b.Block.parent_hash) with
-            | Some p -> ids_of pool p
-            | None -> Int_set.empty
-        in
-        let s =
-          List.fold_left
-            (fun acc c -> Int_set.add c.Types.cmd_id acc)
-            parent_ids b.Block.payload.Types.commands
-        in
-        Hashtbl.replace pool_cache h s;
-        s
-  in
-  ids_of
-
 let behavior_of scenario id =
   match List.assoc_opt id scenario.behaviors with
   | Some b -> b
@@ -261,24 +232,6 @@ let run scenario =
             ~time ())
   | No_load | Fixed_block_size _ -> ());
 
-  let dedup_cache = Hashtbl.create 256 in
-  let chain_ids = make_dedup dedup_cache in
-  let get_payload ~pool ~parent ~round:_ ~proposer:_ =
-    match scenario.workload with
-    | No_load -> { Types.commands = []; filler_size = management_filler }
-    | Fixed_block_size size -> { Types.commands = []; filler_size = size }
-    | Load _ | Tagged_load _ ->
-        let included =
-          match parent with Some b -> chain_ids pool b | None -> Int_set.empty
-        in
-        let fresh =
-          List.filter
-            (fun c -> not (Int_set.mem c.Types.cmd_id included))
-            !pending
-        in
-        { Types.commands = fresh; filler_size = management_filler }
-  in
-
   (* Commit tracking: a block counts as decided when every honest party has
      output it; latency is measured from its proposal broadcast. *)
   (* Parties a nemesis script crashes without recovering are excluded from
@@ -312,13 +265,74 @@ let run scenario =
   let commit_count : (Types.round * Icc_crypto.Sha256.t, int) Hashtbl.t =
     Hashtbl.create 256
   in
+  let decided key =
+    match Hashtbl.find_opt commit_count key with
+    | Some c -> c >= n_honest
+    | None -> false
+  in
+  (* Blocks some party has output that are not decided yet.  Pruning can
+     drop such a block from a proposer's pool while a laggard still owes
+     its output, and the walk below must still see its commands. *)
+  let undecided_outputs : (Pool.key, Block.t) Hashtbl.t = Hashtbl.create 16 in
+  (* One mark byte per command id (ids are dense from 1, and every id on
+     a block was issued by [submit_command]): set for the commands of
+     [blocks], used to filter [pending], then cleared. *)
+  let marks = ref Bytes.empty in
+  let pending_without blocks =
+    if Bytes.length !marks <= !next_cmd_id then
+      marks :=
+        Bytes.make (max (!next_cmd_id + 1) (2 * Bytes.length !marks)) '\000';
+    let m = !marks in
+    let mark v =
+      List.iter (fun (b : Block.t) ->
+          List.iter
+            (fun c -> Bytes.set m c.Types.cmd_id v)
+            b.Block.payload.Types.commands)
+    in
+    mark '\001' blocks;
+    let kept =
+      List.filter (fun c -> Bytes.get m c.Types.cmd_id = '\000') !pending
+    in
+    mark '\000' blocks;
+    kept
+  in
+  (* getPayload with duplicate suppression (paper §3.3): [pending] minus
+     every command on the parent's chain.  [pending] already lacks the
+     commands of decided blocks, and a decided block's ancestors are
+     decided, so only the blocks above the parent's first decided ancestor
+     need to be walked. *)
+  let rec undecided_ancestry pool acc = function
+    | None -> acc
+    | Some (b : Block.t) ->
+        if decided (b.Block.round, Block.hash b) then acc
+        else if b.Block.round = 1 then b :: acc
+        else
+          let key = (b.Block.round - 1, b.Block.parent_hash) in
+          undecided_ancestry pool (b :: acc)
+            (match Pool.find_block pool key with
+            | None -> Hashtbl.find_opt undecided_outputs key
+            | found -> found)
+  in
+  let get_payload ~pool ~parent ~round:_ ~proposer:_ =
+    match scenario.workload with
+    | No_load -> { Types.commands = []; filler_size = management_filler }
+    | Fixed_block_size size -> { Types.commands = []; filler_size = size }
+    | Load _ | Tagged_load _ ->
+        let commands =
+          match undecided_ancestry pool [] parent with
+          | [] -> !pending
+          | blocks -> pending_without blocks
+        in
+        { Types.commands; filler_size = management_filler }
+  in
   let committed_cmds = ref 0 in
   let cmd_latencies = ref [] in
   let stop_requested = ref false in
   let on_output ~party (b : Block.t) =
+    let block_hash = Block.hash b in
+    let key = (b.Block.round, block_hash) in
+    if not (decided key) then Hashtbl.replace undecided_outputs key b;
     if party >= 1 && party <= n && is_honest.(party) then begin
-      let block_hash = Block.hash b in
-      let key = (b.Block.round, block_hash) in
       let c = 1 + Option.value ~default:0 (Hashtbl.find_opt commit_count key) in
       Hashtbl.replace commit_count key c;
       (* Per-party commit: detail-level (the monitor's prefix-consistency
@@ -333,6 +347,7 @@ let run scenario =
                block = Icc_crypto.Sha256.short_hex block_hash;
              });
       if c = n_honest then begin
+        Hashtbl.remove undecided_outputs key;
         let nowt = Icc_sim.Engine.now engine in
         (* The metrics sink records the finalization and, when the round's
            proposal time is known, the propose -> all-honest-commit
@@ -349,16 +364,8 @@ let run scenario =
             cmd_latencies := (nowt -. c.Types.submitted_at) :: !cmd_latencies)
           b.Block.payload.Types.commands;
         (* Committed commands leave the clients' pending set. *)
-        (let committed =
-           List.fold_left
-             (fun acc c -> Int_set.add c.Types.cmd_id acc)
-             Int_set.empty b.Block.payload.Types.commands
-         in
-         if not (Int_set.is_empty committed) then
-           pending :=
-             List.filter
-               (fun c -> not (Int_set.mem c.Types.cmd_id committed))
-               !pending);
+        if b.Block.payload.Types.commands <> [] then
+          pending := pending_without [ b ];
         (match scenario.max_rounds with
         | Some r when b.Block.round >= r -> stop_requested := true
         | _ -> ())

@@ -92,10 +92,10 @@ module Fixed_base = struct
      a table of its own.  This fixes the saturation starvation bug
      where a full cache silently sent every later base — e.g. post-DKG
      re-keys — to generic pow forever.  The generator's table is built
-     on the first lookup, not at module load, so its [fixed_base_tables]
-     bump lands in the first run's counters.  It never enters the
-     eviction ring, so [base_pow] can't lose its table to adversarial
-     base churn. *)
+     on the first lookup, not at module load, and again after a clear,
+     so its [fixed_base_tables] bump lands in the counters of the run
+     that uses it.  It never enters the eviction ring, so [base_pow]
+     can't lose its table to adversarial base churn. *)
   type cache = {
     tbl : (elt, table) Hashtbl.t;
     ring : elt Queue.t; (* insertion-ordered evictable residents *)
@@ -106,12 +106,18 @@ module Fixed_base = struct
   let probation_cap = 1024
   let probation_hits = 3
 
-  let cache : cache Lazy.t =
-    lazy
-      (let tbl = Hashtbl.create 64 in
-       (* Pin the generator: never enqueued on [ring]. *)
-       Hashtbl.replace tbl g (make g);
-       { tbl; ring = Queue.create (); probation = Hashtbl.create 64 })
+  let cache : cache option ref = ref None
+
+  let current () =
+    match !cache with
+    | Some c -> c
+    | None ->
+        let tbl = Hashtbl.create 64 in
+        (* Pin the generator: never enqueued on [ring]. *)
+        Hashtbl.replace tbl g (make g);
+        let c = { tbl; ring = Queue.create (); probation = Hashtbl.create 64 } in
+        cache := Some c;
+        c
 
   let evict_one c =
     (* FIFO over evictable residents; entries are unique (a base is
@@ -137,7 +143,7 @@ module Fixed_base = struct
     Some t
 
   let find (base : elt) : table option =
-    let c = Lazy.force cache in
+    let c = current () in
     match Hashtbl.find_opt c.tbl base with
     | Some t -> Some t
     | None ->
@@ -169,6 +175,7 @@ end
 let fixed_base = ref true
 let set_fixed_base on = fixed_base := on
 let fixed_base_enabled () = !fixed_base
+let clear_fixed_base_cache () = Fixed_base.cache := None
 
 let pow_cached base e =
   if !fixed_base then

@@ -41,6 +41,13 @@ val set_fixed_base : bool -> unit
 
 val fixed_base_enabled : unit -> bool
 
+val clear_fixed_base_cache : unit -> unit
+(** Drop every cached table, the generator's included; the next lookups
+    rebuild them.  Results never change.  What changes is the
+    [fixed_base_tables] counter: after a clear, a run counts the tables
+    it needs itself rather than only those no earlier run in the process
+    left behind. *)
+
 val scalar_add : scalar -> scalar -> scalar
 val scalar_sub : scalar -> scalar -> scalar
 val scalar_mul : scalar -> scalar -> scalar

@@ -75,6 +75,67 @@ let test_pruning_under_byzantine_load () =
   Alcotest.(check bool) "safety" true r.Icc_core.Runner.safety_ok;
   Alcotest.(check bool) "liveness" true (r.Icc_core.Runner.rounds_decided > 30)
 
+(* --- pruning with a laggard --------------------------------------------- *)
+
+(* Party 3 is down over [5, 20) s while the others finalize and prune, so
+   blocks leave the proposers' pools before every honest party has output
+   them.  Payload selection must still see their commands: an id repeated
+   on an honest chain is a command committed twice. *)
+let laggard ~depth =
+  Icc_core.Runner.run
+    {
+      (base ()) with
+      Icc_core.Runner.duration = 30.;
+      prune_depth = Some depth;
+      workload = Icc_core.Runner.Load { rate_per_s = 200.; cmd_size = 64 };
+      nemesis = Some (Icc_sim.Fault.crash_recover ~party:3 ~down:5. ~up:20.);
+    }
+
+let repeated_ids chain =
+  let seen = Hashtbl.create 4096 and total = ref 0 in
+  List.iter
+    (fun (b : Icc_core.Block.t) ->
+      List.iter
+        (fun c ->
+          incr total;
+          Hashtbl.replace seen c.Icc_core.Types.cmd_id ())
+        b.Icc_core.Block.payload.Icc_core.Types.commands)
+    chain;
+  !total - Hashtbl.length seen
+
+let test_pruning_with_laggard () =
+  let digest_of r =
+    Icc_crypto.Sha256.to_hex
+      (Icc_crypto.Sha256.digest_string
+         (String.concat ";"
+            (List.map
+               (fun (id, chain) ->
+                 string_of_int id ^ ":"
+                 ^ String.concat ","
+                     (List.map
+                        (fun b ->
+                          Icc_crypto.Sha256.to_hex (Icc_core.Block.hash b))
+                        chain))
+               r.Icc_core.Runner.outputs)))
+  in
+  let check_depth depth =
+    let r = laggard ~depth in
+    Alcotest.(check bool) "safety" true r.Icc_core.Runner.safety_ok;
+    Alcotest.(check bool) "commands committed" true
+      (r.Icc_core.Runner.commands_committed > 0);
+    Alcotest.(check int)
+      (Printf.sprintf "repeated ids at depth %d" depth)
+      0
+      (List.fold_left
+         (fun acc (_, chain) -> acc + repeated_ids chain)
+         0 r.Icc_core.Runner.outputs);
+    r
+  in
+  ignore (check_depth 0);
+  Alcotest.(check string) "depth-2 chains"
+    "5f4c912963b6768987e119ab6f2d7d7582e7ce0cbbb5eb1a8013b20193789a8f"
+    (digest_of (check_depth 2))
+
 (* --- adaptive delay bound ---------------------------------------------- *)
 
 let underestimated ?(adaptive = false) () =
@@ -153,6 +214,8 @@ let suite =
       test_pruned_run_matches_unpruned;
     Alcotest.test_case "pruning + byzantine" `Quick
       test_pruning_under_byzantine_load;
+    Alcotest.test_case "pruning with a laggard" `Quick
+      test_pruning_with_laggard;
     Alcotest.test_case "adaptive vs static underestimate" `Quick
       test_static_underestimate_starves_finalization;
     Alcotest.test_case "adaptive happy path" `Quick

@@ -135,6 +135,32 @@ let test_fixed_base_saturation () =
   Alcotest.(check int) "generator table pinned through churn" (fb1 + 1)
     (Registry.value Counters.pow_fixed_base)
 
+(* The table cache is process-wide, so a run's [fixed_base_tables] count
+   depends on what ran before it unless the cache is cleared first, as
+   `bench perf` does before each traced run. *)
+let test_fixed_base_clear_isolates_runs () =
+  let scenario =
+    {
+      (Icc_core.Runner.default_scenario ~n:4 ~seed:7) with
+      Icc_core.Runner.duration = 1e6;
+      max_rounds = Some 3;
+      delay = Icc_core.Runner.Fixed_delay 0.02;
+      epsilon = 0.05;
+    }
+  in
+  let tables ~clear run =
+    if clear then G.clear_fixed_base_cache ();
+    let t0 = Registry.value Counters.fixed_base_tables in
+    ignore (run scenario);
+    Registry.value Counters.fixed_base_tables - t0
+  in
+  let icc1 s = Icc_gossip.Icc1.run s in
+  let alone = tables ~clear:true icc1 in
+  Alcotest.(check bool) "ICC1 builds tables" true (alone > 0);
+  ignore (tables ~clear:true Icc_core.Runner.run);
+  Alcotest.(check int) "ICC1 after ICC0" alone (tables ~clear:true icc1);
+  Alcotest.(check int) "a warm cache hides them" 0 (tables ~clear:false icc1)
+
 let test_random_scalar_nonzero () =
   (* a stub RNG whose first draws land on scalar 0: the historical remap
      returned 1 here (doubling its mass); rejection resampling must skip
@@ -233,6 +259,8 @@ let suite =
       test_golden_run_no_zero_rederive;
     Alcotest.test_case "hash-to-group nudge classes" `Quick
       test_residue_nudge_classes;
+    Alcotest.test_case "fixed-base clear isolates runs" `Quick
+      test_fixed_base_clear_isolates_runs;
     Alcotest.test_case "fixed-base cache saturation" `Slow
       test_fixed_base_saturation;
   ]

@@ -151,6 +151,30 @@ let icc2_kv_dup_reorder trace =
            Some [ Icc_sim.Fault.duplicate 0.2; Icc_sim.Fault.reorder 0.2 ];
          trace = Some trace })
 
+(* A lone party under 2,000 KV cmd/s: no network and little verification,
+   so every block is payload selection, digest and commit tracking. *)
+let icc0_solo_kv trace =
+  ignore
+    (Icc_core.Runner.run
+       { (Icc_core.Runner.default_scenario ~n:1 ~seed:11) with
+         Icc_core.Runner.duration = 5.;
+         workload = Icc_smr.Workload.kv_load ~rate_per_s:2000. ~cmd_size:64;
+         trace = Some trace })
+
+(* KV load on the WAN at n=7 while party 3 is down over [2, 8) s: no block
+   is decided by every honest party for 6 s, so payload selection walks
+   that whole undecided stretch of the parent chain. *)
+let icc0_kv_crash_recover trace =
+  ignore
+    (Icc_core.Runner.run
+       { (Icc_core.Runner.default_scenario ~n:7 ~seed:11) with
+         Icc_core.Runner.duration = 10.;
+         delay = Wan { rtt_lo = 0.006; rtt_hi = 0.110 };
+         workload = Icc_smr.Workload.kv_load ~rate_per_s:300. ~cmd_size:64;
+         nemesis = Some (Icc_sim.Fault.crash_recover ~party:3 ~down:2. ~up:8.);
+         monitor = Some (Icc_sim.Monitor.default_config ~delta:1.0 ());
+         trace = Some trace })
+
 let pinned name run expected =
   Alcotest.test_case name `Quick (fun () ->
       Alcotest.(check string) "trace sha256" expected (digest_of_run run))
@@ -186,6 +210,10 @@ let suite =
       "45ebd729161f12cc3212cad6fb9af3015ab9a1b89f9c8d8d9e2ef34b920c2d1f";
     pinned "icc2 wan kv load + dup/reorder" icc2_kv_dup_reorder
       "a53466cd9923c57f2e837e768b0a1f01c7d24e91cec310f43ab1a582210155ba";
+    pinned "icc0 solo kv load" icc0_solo_kv
+      "b1e6eb363e9ac95f2b325ed75241be3fe81f6127966e7aded426554afb1a21c7";
+    pinned "icc0 kv load crash-recover" icc0_kv_crash_recover
+      "d1059a968038325ff94ed5f99b19ae3c58994b3d96811136553222939e1a0d9e";
     pinned "pbft drop + withhold" (baseline Icc_baselines.Pbft.run)
       "e1b893857059abea8f773d6a9b73f76a51dfb307ccfe37ac049893bf19192738";
     pinned "hotstuff drop + withhold" (baseline Icc_baselines.Hotstuff.run)
