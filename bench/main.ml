@@ -226,10 +226,11 @@ let bench_beacon_round =
               (Icc_crypto.Threshold_vuf.verify_share_at beacon_params ~point)
               beacon_peer_shares))))
 
-(* The engine's two queue shapes (DESIGN.md §3.6): 1000 events at distinct
-   times, as WAN deliveries land, and 1000 at one time, as a fixed-delay
-   broadcast burst lands.  One engine serves every run, so a row is
-   schedule plus dispatch in steady state. *)
+(* The engine's three queue shapes (DESIGN.md §3.6): 1000 events at
+   distinct times, as WAN deliveries land; the same 1000 times over 16
+   lanes, as WAN unicasts land on their links; and 1000 at one time, as a
+   fixed-delay broadcast burst lands.  One engine serves every run, so a
+   row is schedule plus dispatch in steady state. *)
 let engine = Icc_sim.Engine.create ()
 
 let distinct_delays =
@@ -240,6 +241,29 @@ let bench_engine_distinct =
       Array.iter
         (fun delay -> Icc_sim.Engine.schedule engine ~delay ignore)
         distinct_delays;
+      Icc_sim.Engine.run engine))
+
+(* Event i goes on lane i mod 16; each lane's delays are sorted, so its
+   times rise as a link's do. *)
+let lane_delays =
+  let d = Array.copy distinct_delays in
+  for k = 0 to 15 do
+    let idx = List.filter (fun i -> i mod 16 = k) (List.init 1000 Fun.id) in
+    let sorted = List.sort Float.compare (List.map (Array.get d) idx) in
+    List.iter2 (Array.set d) idx sorted
+  done;
+  d
+
+let engine_lanes = Array.init 16 (fun _ -> Icc_sim.Engine.lane engine ignore)
+
+let bench_engine_lanes =
+  Test.make ~name:"engine-lanes-1k" (Staged.stage (fun () ->
+      Array.iteri
+        (fun i delay ->
+          ignore
+            (Icc_sim.Engine.schedule_lane engine engine_lanes.(i mod 16)
+               ~time:(Icc_sim.Engine.now engine +. delay)))
+        lane_delays;
       Icc_sim.Engine.run engine))
 
 let bench_engine_burst =
@@ -285,6 +309,7 @@ let micro_tests =
       bench_merkle_verify;
       bench_rbc_instance;
       bench_engine_distinct;
+      bench_engine_lanes;
       bench_engine_burst;
       bench_icc0_rounds;
     ]

@@ -148,6 +148,9 @@ let behavior_of scenario id =
   | Some b -> b
   | None -> Party.honest
 
+(* All-float, so stored flat: adding to it allocates nothing. *)
+type float_sum = { mutable sum : float }
+
 let run scenario =
   let n = scenario.n and t = scenario.t_corrupt in
   let rng = Icc_sim.Rng.create scenario.seed in
@@ -326,7 +329,8 @@ let run scenario =
         { Types.commands; filler_size = management_filler }
   in
   let committed_cmds = ref 0 in
-  let cmd_latencies = ref [] in
+  (* summed here, divided by [committed_cmds] at the end *)
+  let cmd_latency = { sum = 0. } in
   let stop_requested = ref false in
   let on_output ~party (b : Block.t) =
     let block_hash = Block.hash b in
@@ -361,7 +365,8 @@ let run scenario =
         List.iter
           (fun c ->
             incr committed_cmds;
-            cmd_latencies := (nowt -. c.Types.submitted_at) :: !cmd_latencies)
+            cmd_latency.sum <-
+              cmd_latency.sum +. (nowt -. c.Types.submitted_at))
           b.Block.payload.Types.commands;
         (* Committed commands leave the clients' pending set. *)
         if b.Block.payload.Types.commands <> [] then
@@ -570,7 +575,9 @@ let run scenario =
     mean_latency = Icc_sim.Metrics.mean_latency metrics;
     honest = honest_ids;
     commands_committed = !committed_cmds;
-    mean_command_latency = Icc_sim.Metrics.mean !cmd_latencies;
+    mean_command_latency =
+      (if !committed_cmds = 0 then nan
+       else cmd_latency.sum /. float_of_int !committed_cmds);
   }
 
 (* The run's one-line verdict: the global Check oracles, plus the online

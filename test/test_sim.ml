@@ -180,17 +180,20 @@ let prop_engine_fifo_at_same_time =
       Icc_sim.Engine.run e;
       List.rev !log = List.init k Fun.id)
 
-(* Random mixes of same-time bursts, distinct times and handler-scheduled
-   [delay:0] events, run in slices cut by [until] and [max_events] stops,
-   with an outside event scheduled at each resume.  Every event ever
-   scheduled takes the next seq at a time no earlier than the clock, so
-   the whole dispatch sequence must be the stable sort of all scheduled
-   events by (time, seq). *)
+(* Random mixes of same-time bursts, distinct times, handler-scheduled
+   [delay:0] events and events on four lanes, run in slices cut by [until]
+   and [max_events] stops, with an outside event scheduled at each resume.
+   A lane event is due on the burst grid (now + 0, 0.5, 1 or 1.5), raised
+   to its lane's tail when that is later; a lane schedule before the tail
+   must raise and take no seq, and a lane's [fire] must see the cell its
+   event was given.  Every event ever scheduled takes the next seq at a
+   time no earlier than the clock, so the whole dispatch sequence must be
+   the stable sort of all scheduled events by (time, seq). *)
 let prop_engine_order =
   let gen =
     QCheck.Gen.(
       triple
-        (list_size (int_range 1 40) (int_range 0 9))
+        (list_size (int_range 1 40) (int_range 0 13))
         (array_size (return 16) (int_range 0 3))
         (list_size (int_range 0 6) (pair bool (int_range 0 20))))
   in
@@ -204,25 +207,55 @@ let prop_engine_order =
       let module E = Icc_sim.Engine in
       let e = E.create () in
       (* Codes 0-3 are delays shared by many events (0 is [delay:0]);
-         4-9 give each event a delay of its own. *)
+         4-9 give each event a delay of its own; 10-13 put the event on
+         lane [id mod 4] at a delay of 0.5 * (code - 10). *)
       let delay_of ~id code =
         if code < 4 then 0.5 *. float_of_int code
-        else 0.37 +. (0.001 *. float_of_int id)
+        else if code < 10 then 0.37 +. (0.001 *. float_of_int id)
+        else 0.5 *. float_of_int (code - 10)
       in
       let scheduled = ref [] and log = ref [] and obs = ref [] in
-      let next = ref 0 in
+      let next = ref 0 and raised_ok = ref true and cells_ok = ref true in
+      (* per lane, the (id, cell) of each queued event *)
+      let queues = Array.init 4 (fun _ -> Queue.create ()) in
+      let handle = ref (fun (_ : int) -> ()) in
+      let lanes =
+        Array.init 4 (fun k ->
+            E.lane e (fun () ->
+                let id, cell = Queue.pop queues.(k) in
+                cells_ok := !cells_ok && E.fired_cell e = cell;
+                !handle id))
+      in
       let rec sched code =
         let id = !next in
         incr next;
         let delay = delay_of ~id code in
-        scheduled := (E.now e +. delay, id) :: !scheduled;
-        E.schedule e ~delay (fun () ->
-            log := id :: !log;
-            if !next < 300 then
-              for k = 1 to kids.(id mod 16) do
-                sched (((id * 7) + k) mod 10)
-              done)
+        let time = E.now e +. delay in
+        if code < 10 then begin
+          scheduled := (time, id) :: !scheduled;
+          E.schedule e ~delay (fun () -> run id)
+        end
+        else begin
+          let lane = lanes.(id mod 4) in
+          let tail = E.lane_tail e lane in
+          if time < tail then
+            raised_ok :=
+              !raised_ok
+              && (match E.schedule_lane e lane ~time with
+                 | _ -> false
+                 | exception Invalid_argument _ -> true);
+          let time = Float.max time tail in
+          scheduled := (time, id) :: !scheduled;
+          Queue.push (id, E.schedule_lane e lane ~time) queues.(id mod 4)
+        end
+      and run id =
+        log := id :: !log;
+        if !next < 300 then
+          for k = 1 to kids.(id mod 16) do
+            sched (((id * 7) + k) mod 14)
+          done
       in
+      handle := run;
       E.set_observer e (fun ~time ~seq -> obs := (time, seq) :: !obs);
       List.iter sched initial;
       let consistent () =
@@ -248,7 +281,7 @@ let prop_engine_order =
               end
             in
             let ok = ok && consistent () in
-            sched (x mod 10);
+            sched (x mod 14);
             ok)
           stops
       in
@@ -259,7 +292,7 @@ let prop_engine_order =
             match Float.compare ta tb with 0 -> Int.compare sa sb | c -> c)
           (List.rev !scheduled)
       in
-      slices_ok && consistent () && E.pending e = 0
+      slices_ok && consistent () && E.pending e = 0 && !raised_ok && !cells_ok
       && List.rev !log = List.map snd expected
       && List.rev !obs = expected)
 

@@ -151,6 +151,21 @@ let icc2_kv_dup_reorder trace =
            Some [ Icc_sim.Fault.duplicate 0.2; Icc_sim.Fault.reorder 0.2 ];
          trace = Some trace })
 
+(* ICC1 under client load on the WAN at n=10, with duplicated and reordered
+   messages: the copies that keep their link's order ride the link's engine
+   lane, the duplicates and the overtaking copies are events of their own,
+   and the two interleave on the same links. *)
+let icc1_kv_dup_reorder trace =
+  ignore
+    (Icc_gossip.Icc1.run ~fanout:3
+       { (Icc_core.Runner.default_scenario ~n:10 ~seed:11) with
+         Icc_core.Runner.duration = 3.;
+         delay = Wan { rtt_lo = 0.006; rtt_hi = 0.110 };
+         workload = Icc_smr.Workload.kv_load ~rate_per_s:100. ~cmd_size:64;
+         nemesis =
+           Some [ Icc_sim.Fault.duplicate 0.2; Icc_sim.Fault.reorder 0.2 ];
+         trace = Some trace })
+
 (* A lone party under 2,000 KV cmd/s: no network and little verification,
    so every block is payload selection, digest and commit tracking. *)
 let icc0_solo_kv trace =
@@ -210,6 +225,8 @@ let suite =
       "45ebd729161f12cc3212cad6fb9af3015ab9a1b89f9c8d8d9e2ef34b920c2d1f";
     pinned "icc2 wan kv load + dup/reorder" icc2_kv_dup_reorder
       "a53466cd9923c57f2e837e768b0a1f01c7d24e91cec310f43ab1a582210155ba";
+    pinned "icc1 wan kv load + dup/reorder" icc1_kv_dup_reorder
+      "e737588c025efd6a3c39241acabca2f88fd5c4964123a2fab02227725a4eccb1";
     pinned "icc0 solo kv load" icc0_solo_kv
       "b1e6eb363e9ac95f2b325ed75241be3fe81f6127966e7aded426554afb1a21c7";
     pinned "icc0 kv load crash-recover" icc0_kv_crash_recover
