@@ -411,15 +411,15 @@ let monitor_verdict label (r : Icc_core.Runner.result) =
 let run_timelines () =
   print_endline
     "== per-round timelines (ICC0 / ICC1 / ICC2, n=7, delta=50ms) ==";
-  let r0 = Icc_core.Runner.run (timeline_scenario ~seed:42) in
-  print_timeline "ICC0 (direct)" r0.Icc_core.Runner.metrics;
-  monitor_verdict "ICC0" r0;
-  let r1 = Icc_gossip.Icc1.run (timeline_scenario ~seed:42) in
-  print_timeline "ICC1 (gossip)" r1.Icc_core.Runner.metrics;
-  monitor_verdict "ICC1" r1;
-  let r2 = Icc_rbc.Icc2.run (timeline_scenario ~seed:42) in
-  print_timeline "ICC2 (erasure RBC)" r2.Icc_core.Runner.metrics;
-  monitor_verdict "ICC2" r2
+  let module S = Icc_experiments.Scenario.Icc in
+  List.iter
+    (fun (p, dissemination) ->
+      let r = S.run p (timeline_scenario ~seed:42) in
+      print_timeline
+        (Printf.sprintf "%s (%s)" (S.label p) dissemination)
+        r.Icc_core.Runner.metrics;
+      monitor_verdict (S.label p) r)
+    [ (S.Icc0, "direct"); (S.icc1, "gossip"); (S.Icc2, "erasure RBC") ]
 
 (* ----------------------------------------------------------------- *)
 (* Part 2: exhibit regeneration                                       *)

@@ -35,6 +35,8 @@
      dune exec bench/main.exe -- perf [--quick] [--n N] [--out PATH]
                                       [--check REF] *)
 
+module Scenario = Icc_experiments.Scenario
+
 type scenario_result = {
   name : string;
   before_s : float;
@@ -235,10 +237,10 @@ let run_sweep ~quick ~seed =
   set_all true;
   List.concat_map
     (fun n ->
-      [
-        sweep_row ~quick ~seed "ICC0" Icc_core.Runner.run n;
-        sweep_row ~quick ~seed "ICC1" (fun s -> Icc_gossip.Icc1.run s) n;
-      ])
+      List.map
+        (fun p ->
+          sweep_row ~quick ~seed (Scenario.Icc.label p) (Scenario.Icc.run p) n)
+        [ Scenario.Icc.Icc0; Scenario.Icc.icc1 ])
     ns
 
 (* --- JSON emission ---------------------------------------------------- *)
@@ -497,11 +499,9 @@ let main () =
     seed rounds
     (if quick then ", quick" else "");
   let protocols =
-    [
-      ("ICC0", Icc_core.Runner.run);
-      ("ICC1", fun s -> Icc_gossip.Icc1.run s);
-      ("ICC2", fun s -> Icc_rbc.Icc2.run s);
-    ]
+    List.map
+      (fun p -> (Scenario.Icc.label p, Scenario.Icc.run p))
+      Scenario.Icc.all
   in
   let results =
     List.map (fun (name, run_fn) -> measure ~quick ~seed ~n name run_fn) protocols

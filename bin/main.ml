@@ -10,9 +10,9 @@
      keys        demonstrate key generation and the random beacon *)
 
 open Cmdliner
+module Scenario = Icc_experiments.Scenario
 
-let protocol_conv =
-  Arg.enum [ ("icc0", `Icc0); ("icc1", `Icc1); ("icc2", `Icc2) ]
+let protocol_conv names all = Arg.enum (List.map (fun p -> (names p, p)) all)
 
 (* --corrupt tags: crash/lazy are Party behaviors; the Byzantine ones
    compile to Adversary directives (the strategies live there now). *)
@@ -245,29 +245,35 @@ let adversary_script ~file ~equivocate ~withhold ~adaptive ~extra =
 
 (* ------------------------------------------------------------- scenario *)
 
+(* The size, length and delay flags `run`, `profile` and `baselines`
+   share. *)
+let n_arg = Arg.(value & opt int 7 & info [ "n" ] ~doc:"Number of parties.")
+
+let duration_arg =
+  Arg.(value & opt float 30. & info [ "duration"; "d" ]
+         ~doc:"Simulated seconds.")
+
+let delta_arg =
+  Arg.(value & opt float 0.05 & info [ "delta" ]
+         ~doc:"One-way network delay in seconds (fixed model).")
+
 (* The scenario flags `run` and `profile` share: one term yields the
-   protocol, its gossip fanout and the scenario, without a trace bus. *)
+   protocol, with its gossip fanout, and the scenario, without a trace
+   bus. *)
 type setup = {
-  protocol : [ `Icc0 | `Icc1 | `Icc2 ];
-  fanout : int;
+  protocol : Scenario.Icc.t;
   scenario : Icc_core.Runner.scenario;
 }
 
 let setup_term =
   let protocol =
-    Arg.(value & opt protocol_conv `Icc0 & info [ "protocol"; "p" ]
-           ~docv:"PROTO" ~doc:"Protocol variant: icc0, icc1 or icc2.")
+    Arg.(value
+         & opt (protocol_conv Scenario.Icc.name Scenario.Icc.all)
+             Scenario.Icc.Icc0
+         & info [ "protocol"; "p" ]
+             ~docv:"PROTO" ~doc:"Protocol variant: icc0, icc1 or icc2.")
   in
-  let n = Arg.(value & opt int 7 & info [ "n" ] ~doc:"Number of parties.") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
-  let duration =
-    Arg.(value & opt float 30. & info [ "duration"; "d" ]
-           ~doc:"Simulated seconds.")
-  in
-  let delta =
-    Arg.(value & opt float 0.05 & info [ "delta" ]
-           ~doc:"One-way network delay in seconds (fixed model).")
-  in
   let wan =
     Arg.(value & flag & info [ "wan" ]
            ~doc:"Use the paper's WAN model (RTT ~ U[6,110] ms) instead of a \
@@ -339,22 +345,18 @@ let setup_term =
             ~delta:delta_bnd;
       }
     in
-    { protocol; fanout; scenario }
+    { protocol = Scenario.Icc.with_fanout fanout protocol; scenario }
   in
   Term.(
-    const build $ protocol $ n $ seed $ duration $ delta $ wan $ epsilon
-    $ delta_bnd $ load $ block_size $ corrupt $ async_until $ fanout
+    const build $ protocol $ n_arg $ seed $ duration_arg $ delta_arg $ wan
+    $ epsilon $ delta_bnd $ load $ block_size $ corrupt $ async_until $ fanout
     $ drop_arg $ dup_arg $ reorder_arg $ flap_arg $ nemesis_file_arg
     $ crash_cycle_arg $ adversary_file_arg $ equivocate_arg $ withhold_arg
     $ corrupt_adaptive_arg $ monitor_arg $ monitor_abort_arg
     $ stall_factor_arg)
 
-let run_setup ?trace { protocol; fanout; scenario } =
-  let scenario = { scenario with Icc_core.Runner.trace } in
-  match protocol with
-  | `Icc0 -> Icc_core.Runner.run scenario
-  | `Icc1 -> Icc_gossip.Icc1.run ~fanout scenario
-  | `Icc2 -> Icc_rbc.Icc2.run scenario
+let run_setup ?trace { protocol; scenario } =
+  Scenario.Icc.run protocol { scenario with Icc_core.Runner.trace }
 
 (* ------------------------------------------------------------------ run *)
 
@@ -447,15 +449,10 @@ let exp_cmd =
 
 let baselines_cmd =
   let proto =
-    Arg.(value & opt (enum [ ("pbft", `Pbft); ("hotstuff", `Hotstuff); ("tendermint", `Tendermint) ]) `Pbft
+    Arg.(value
+         & opt (protocol_conv Scenario.Baseline.name Scenario.Baseline.all)
+             Scenario.Baseline.Pbft
          & info [ "protocol"; "p" ] ~doc:"pbft, hotstuff or tendermint.")
-  in
-  let n = Arg.(value & opt int 7 & info [ "n" ] ~doc:"Replicas.") in
-  let duration =
-    Arg.(value & opt float 30. & info [ "duration"; "d" ] ~doc:"Seconds.")
-  in
-  let delta =
-    Arg.(value & opt float 0.05 & info [ "delta" ] ~doc:"One-way delay.")
   in
   let crashed =
     Arg.(value & opt_all int [] & info [ "crash" ] ~doc:"Crashed replica id.")
@@ -489,10 +486,7 @@ let baselines_cmd =
                       ~stall_factor ~delta:1.0;
                 }
               in
-              match proto with
-              | `Pbft -> Icc_baselines.Pbft.run scenario
-              | `Hotstuff -> Icc_baselines.Hotstuff.run scenario
-              | `Tendermint -> Icc_baselines.Tendermint.run scenario))
+              Scenario.Baseline.run proto scenario))
     in
     Option.iter (Printf.printf "trace written     %s\n") trace_file;
     Printf.printf "blocks committed  %d (%.2f/s)\n"
@@ -510,7 +504,7 @@ let baselines_cmd =
   Cmd.v
     (Cmd.info "baselines" ~doc:"Run a baseline protocol (PBFT / HotStuff / Tendermint).")
     Term.(
-      const exec $ proto $ n $ duration $ delta $ crashed $ drop_arg
+      const exec $ proto $ n_arg $ duration_arg $ delta_arg $ crashed $ drop_arg
       $ adversary_file_arg $ withhold_arg $ trace_arg $ monitor_arg
       $ monitor_abort_arg $ stall_factor_arg)
 
@@ -610,12 +604,7 @@ let profile_cmd =
     | Some "-" -> print_string (Icc_obs.Registry.to_prometheus ())
     | Some path ->
         write_out "prometheus" path (Icc_obs.Registry.to_prometheus ()));
-    let proto_name =
-      match setup.protocol with
-      | `Icc0 -> "icc0"
-      | `Icc1 -> "icc1"
-      | `Icc2 -> "icc2"
-    in
+    let proto_name = Scenario.Icc.name setup.protocol in
     let { Icc_core.Runner.n; seed; duration; _ } = setup.scenario in
     let safe, verdict = Icc_core.Runner.verdict r in
     if json then

@@ -1,6 +1,7 @@
-(* Shared scenario/result shapes for the baseline protocols (PBFT, chained
-   HotStuff), mirroring Icc_core.Runner so experiment code can compare the
-   protocols on identical workloads and networks. *)
+(* Shared scenario/result shapes and the run frame of the baseline
+   protocols (PBFT, chained HotStuff, Tendermint), mirroring
+   Icc_core.Runner so experiment code can compare the protocols on
+   identical workloads and networks. *)
 
 type scenario = {
   n : int;
@@ -37,18 +38,6 @@ let default_scenario ~n ~seed =
     adversary = None;
   }
 
-(* Attach the scenario's monitor to a freshly built transport env; called
-   by each baseline right after [Transport.env], before any event flows. *)
-let attach_monitor scenario (env : Icc_sim.Transport.env) =
-  Option.map
-    (fun config -> Icc_sim.Monitor.attach ~config env.Icc_sim.Transport.trace)
-    scenario.monitor
-
-(* The scenario's id-bearing fields besides its scripts, checked against
-   1..n by {!Icc_sim.Transport.links}. *)
-let party_ids scenario =
-  [ ("crashed", scenario.crashed); ("kill_at", List.map fst scenario.kill_at) ]
-
 (* Wire-kind classifier enabling network-level share withholding for the
    baselines: they have no protocol-layer adversary hooks, so a corrupt
    replica's "shares" (votes) are suppressed as they hit the network.  The
@@ -61,12 +50,6 @@ let baseline_classify kind =
   | "prepare" | "hs-vote" | "tm-prevote" -> Some Icc_sim.Adversary.Notar
   | "commit" | "tm-precommit" -> Some Icc_sim.Adversary.Final
   | _ -> None
-
-(* Statically corrupt replicas leave the honest set, like [crashed]. *)
-let adversary_corrupt scenario =
-  match scenario.adversary with
-  | None -> []
-  | Some script -> Icc_sim.Adversary.static_corrupt script
 
 type result = {
   metrics : Icc_sim.Metrics.t;
@@ -120,10 +103,6 @@ let tracker ~n_honest ~trace =
     propose_times = Hashtbl.create 256;
   }
 
-let note_proposal tr ~digest ~time =
-  if not (Hashtbl.mem tr.propose_times digest) then
-    Hashtbl.add tr.propose_times digest time
-
 let note_execution tr ~party ~digest ~time =
   let block =
     if String.length digest > 12 then String.sub digest 0 12 else digest
@@ -144,3 +123,145 @@ let note_execution tr ~party ~digest ~time =
     | Some t0 -> tr.latencies <- (time -. t0) :: tr.latencies
     | None -> ()
   end
+
+(* The voters under [key], an empty set on first use. *)
+let votes_for tbl key =
+  match Hashtbl.find_opt tbl key with
+  | Some h -> h
+  | None ->
+      let h = Hashtbl.create 8 in
+      Hashtbl.add tbl key h;
+      h
+
+(* ------------------------------------------------------------ run frame *)
+
+type live = { mutable crashed : bool; mutable last_progress : float }
+
+let live (scenario : scenario) id =
+  { crashed = List.mem id scenario.crashed; last_progress = 0. }
+
+type 'msg frame = {
+  scenario : scenario;
+  engine : Icc_sim.Engine.t;
+  net : 'msg Icc_sim.Network.t;
+  tracker : tracker;
+  honest : int list;
+}
+
+let now t = Icc_sim.Engine.now t.engine
+
+let note_proposal t ~digest =
+  let times = t.tracker.propose_times in
+  if not (Hashtbl.mem times digest) then Hashtbl.add times digest (now t)
+
+(* Only honest replicas' executions count toward a decision. *)
+let note_executed t ~party ~digest =
+  if List.mem party t.honest then
+    note_execution t.tracker ~party ~digest ~time:(now t)
+
+type ('replica, 'msg) node = {
+  label : string;
+  replicas :
+    scenario ->
+    keys:
+      (Icc_crypto.Schnorr.secret_key * Icc_crypto.Schnorr.public_key) array ->
+    Icc_sim.Rng.t ->
+    'replica array;
+  live : 'replica -> live;
+  on_message : 'msg frame -> 'replica -> 'msg -> unit;
+  on_stall : ('msg frame -> 'replica -> unit) option;
+  kickoff : 'msg frame -> 'replica array -> unit;
+  executed : 'replica -> string list;
+}
+
+(* Same-time events keep their sequence numbers: the engine is handed the
+   handler, then the [kill_at] schedule, the stall timers, the kickoff. *)
+let run node (scenario : scenario) =
+  let n = scenario.n in
+  let rng = Icc_sim.Rng.create scenario.seed in
+  let key_rng = Icc_sim.Rng.split rng in
+  let net_rng = Icc_sim.Rng.split rng in
+  let keys =
+    Array.init n (fun _ ->
+        Icc_crypto.Schnorr.keygen (fun () -> Icc_sim.Rng.bits61 key_rng))
+  in
+  let replicas = node.replicas scenario ~keys key_rng in
+  let env = Icc_sim.Transport.env ?trace:scenario.trace ~n () in
+  let { Icc_sim.Transport.engine; metrics; trace; _ } = env in
+  let attach config = Icc_sim.Monitor.attach ~config trace in
+  let monitor = Option.map attach scenario.monitor in
+  Icc_sim.Trace.emit trace ~time:0.
+    (Icc_sim.Trace.Run_start { n; label = node.label });
+  let { Icc_sim.Transport.delay_model; fault; adversary } =
+    Icc_sim.Transport.links env ~rng ~net_rng ~classify:baseline_classify
+      ~parties:
+        [ ("crashed", scenario.crashed);
+          ("kill_at", List.map fst scenario.kill_at) ]
+      ~nemesis:scenario.nemesis ~adversary:scenario.adversary scenario.delay
+  in
+  let net =
+    Icc_sim.Network.create engine ~n ~trace ~delay_model ?fault ?adversary ()
+  in
+  (* Crashed, killed and statically corrupt replicas leave the honest set. *)
+  let corrupt =
+    Option.fold ~none:[] ~some:Icc_sim.Adversary.static_corrupt
+      scenario.adversary
+  in
+  let honest =
+    List.init n (fun i -> i + 1)
+    |> List.filter (fun id ->
+           not
+             (List.mem id scenario.crashed
+             || List.mem_assoc id scenario.kill_at
+             || List.mem id corrupt))
+  in
+  let tracker = tracker ~n_honest:(List.length honest) ~trace in
+  let frame = { scenario; engine; net; tracker; honest } in
+  (* A crashed replica drops what it receives. *)
+  Icc_sim.Network.set_handler net (fun ~dst ~src:_ msg ->
+      let r = replicas.(dst - 1) in
+      if not (node.live r).crashed then node.on_message frame r msg);
+  List.iter
+    (fun (id, time) ->
+      Icc_sim.Engine.schedule_at engine ~time (fun () ->
+          (node.live replicas.(id - 1)).crashed <- true))
+    scenario.kill_at;
+  (* The stall timer: from [timeout·(1 + 0.01·id)], every [timeout/2], a
+     live replica that has made no progress for [timeout] stalls. *)
+  Option.iter
+    (fun on_stall ->
+      let timeout = scenario.timeout in
+      let rec tick r time =
+        if time <= scenario.duration then
+          Icc_sim.Engine.schedule_at engine ~time (fun () ->
+              let live = node.live r in
+              let now = Icc_sim.Engine.now engine in
+              if (not live.crashed) && now -. live.last_progress > timeout
+              then begin
+                live.last_progress <- now;
+                on_stall frame r
+              end;
+              tick r (time +. (timeout /. 2.)))
+      in
+      Array.iteri
+        (fun i r -> tick r (timeout *. (1. +. (0.01 *. float_of_int (i + 1)))))
+        replicas)
+    node.on_stall;
+  node.kickoff frame replicas;
+  Icc_sim.Engine.run ~until:scenario.duration engine;
+  let elapsed = Icc_sim.Engine.now engine in
+  Icc_sim.Trace.emit trace ~time:elapsed
+    (Icc_sim.Trace.Run_end { label = node.label });
+  let outputs =
+    List.map (fun id -> (id, node.executed replicas.(id - 1))) honest
+  in
+  {
+    metrics;
+    monitor;
+    duration = elapsed;
+    blocks_committed = tracker.decided;
+    blocks_per_s = float_of_int tracker.decided /. elapsed;
+    mean_latency = Icc_sim.Metrics.mean tracker.latencies;
+    safety_ok = prefix_consistent outputs;
+    outputs;
+  }

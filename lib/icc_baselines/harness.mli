@@ -1,6 +1,7 @@
-(** Shared scenario/result shapes for the baseline protocols (PBFT, chained
-    HotStuff), mirroring [Icc_core.Runner] so experiments can compare the
-    protocols on identical workloads and networks. *)
+(** Shared scenario/result shapes and the run frame of the baseline
+    protocols (PBFT, chained HotStuff, Tendermint), mirroring
+    [Icc_core.Runner] so experiments can compare the protocols on
+    identical workloads and networks. *)
 
 type scenario = {
   n : int;
@@ -31,23 +32,10 @@ type scenario = {
 
 val default_scenario : n:int -> seed:int -> scenario
 
-val attach_monitor :
-  scenario -> Icc_sim.Transport.env -> Icc_sim.Monitor.t option
-(** Attach the scenario's monitor (if any) to a freshly built transport
-    env, before any event flows. *)
-
-val party_ids : scenario -> (string * int list) list
-(** [crashed] and [kill_at]'s replica ids, named for the range check of
-    {!Icc_sim.Transport.links}. *)
-
 val baseline_classify : string -> Icc_sim.Adversary.share_class option
 (** Maps baseline wire kinds to share classes (PBFT [prepare]/[commit],
     HotStuff [hs-vote], Tendermint [tm-prevote]/[tm-precommit]) so
     withhold directives apply at the network level. *)
-
-val adversary_corrupt : scenario -> int list
-(** Replicas statically corrupted by the scenario's adversary script —
-    excluded from honest-commit accounting, like [crashed]. *)
 
 type result = {
   metrics : Icc_sim.Metrics.t;
@@ -76,10 +64,69 @@ type tracker = {
 }
 
 val tracker : n_honest:int -> trace:Icc_sim.Trace.t -> tracker
-val note_proposal : tracker -> digest:string -> time:float -> unit
 val note_execution :
   tracker -> party:int -> digest:string -> time:float -> unit
 (** Record one honest execution: emits [Commit] at the replica's
     execution index (so the monitor's fork and regression checks see
     every replica), then [Block_decided] once every honest replica has
     executed [digest]. *)
+
+val votes_for : ('k, ('v, 'w) Hashtbl.t) Hashtbl.t -> 'k -> ('v, 'w) Hashtbl.t
+(** The voters under [key], an empty set on first use. *)
+
+(** {1 Run frame}
+
+    What every baseline run shares: the seeded RNG streams, the transport
+    env with its monitor, the links and the network, the honest set and
+    its commit tracker, the [kill_at] schedule, the stall timer, and the
+    result.  A baseline supplies only its {!node}. *)
+
+(** A replica's liveness, read and written by the frame's [kill_at]
+    schedule and stall timer. *)
+type live = { mutable crashed : bool; mutable last_progress : float }
+
+val live : scenario -> int -> live
+(** Replica [id]'s liveness at time 0: down iff [crashed] names it. *)
+
+(** What a baseline's handlers reach besides its own replicas. *)
+type 'msg frame = {
+  scenario : scenario;
+  engine : Icc_sim.Engine.t;
+  net : 'msg Icc_sim.Network.t;
+  tracker : tracker;
+  honest : int list;  (** Neither crashed, killed nor statically corrupt. *)
+}
+
+val now : 'msg frame -> float
+
+val note_proposal : 'msg frame -> digest:string -> unit
+(** Record [digest]'s first proposal time, where its latency starts. *)
+
+val note_executed : 'msg frame -> party:int -> digest:string -> unit
+(** {!note_execution} now, if [party] is honest. *)
+
+(** One baseline protocol. *)
+type ('replica, 'msg) node = {
+  label : string;  (** The [Run_start] / [Run_end] label. *)
+  replicas :
+    scenario ->
+    keys:
+      (Icc_crypto.Schnorr.secret_key * Icc_crypto.Schnorr.public_key) array ->
+    Icc_sim.Rng.t ->
+    'replica array;
+      (** Replicas [1..n] from their Schnorr key pairs; any further key
+          material is drawn from the given key stream. *)
+  live : 'replica -> live;
+  on_message : 'msg frame -> 'replica -> 'msg -> unit;
+      (** Called only while the replica is up. *)
+  on_stall : ('msg frame -> 'replica -> unit) option;
+      (** Fired once a live replica has made no progress for [timeout];
+          the frame has already reset its [last_progress]. *)
+  kickoff : 'msg frame -> 'replica array -> unit;
+  executed : 'replica -> string list;  (** Executed digests, oldest first. *)
+}
+
+val run : ('replica, 'msg) node -> scenario -> result
+(** Run [node] on [scenario].  The key stream is split before the network
+    stream; the engine receives the handler, then the [kill_at] schedule,
+    then the stall timers, then the kickoff. *)

@@ -61,7 +61,7 @@ type replica = {
   auth_pub : Icc_crypto.Schnorr.public_key array;
   notary : Icc_crypto.Multisig.params;
   notary_key : Icc_crypto.Multisig.secret;
-  mutable crashed : bool;
+  live : Harness.live;
   mutable view : int;
   mutable voted_view : int;
   mutable locked : qc;
@@ -73,31 +73,19 @@ type replica = {
   mutable proposed_view : int; (* last view this replica proposed in *)
   executed : (string, unit) Hashtbl.t;
   mutable executed_order : string list; (* newest first *)
-  mutable last_progress : float;
-}
-
-type t = {
-  engine : Icc_sim.Engine.t;
-  net : msg Icc_sim.Network.t;
-  replicas : replica array;
-  scenario : Harness.scenario;
-  tracker : Harness.tracker;
-  honest : int list;
 }
 
 let leader_of ~n view = ((view - 1) mod n) + 1
 let quorum r = r.n - r.t
 
-let now t = Icc_sim.Engine.now t.engine
-
 let broadcast t ~src msg =
-  Icc_sim.Network.broadcast t.net ~src
-    ~size:(msg_wire_size ~n:t.scenario.Harness.n msg)
+  Icc_sim.Network.broadcast t.Harness.net ~src
+    ~size:(msg_wire_size ~n:t.Harness.scenario.n msg)
     ~kind:(msg_kind msg) msg
 
 let unicast t ~src ~dst msg =
-  Icc_sim.Network.unicast t.net ~src ~dst
-    ~size:(msg_wire_size ~n:t.scenario.Harness.n msg)
+  Icc_sim.Network.unicast t.Harness.net ~src ~dst
+    ~size:(msg_wire_size ~n:t.Harness.scenario.n msg)
     ~kind:(msg_kind msg) msg
 
 let qc_valid r = function
@@ -119,16 +107,17 @@ let extends r ~h ~ancestor =
 
 let rec propose t r ~view =
   if
-    (not r.crashed) && leader_of ~n:r.n view = r.id && r.proposed_view < view
-    && r.view = view
+    (not r.live.crashed)
+    && leader_of ~n:r.n view = r.id
+    && r.proposed_view < view && r.view = view
   then begin
     r.proposed_view <- view;
     let node =
-      { view; parent = qc_hash r.high; size = t.scenario.Harness.block_size;
+      { view; parent = qc_hash r.high; size = t.Harness.scenario.block_size;
         proposer = r.id }
     in
     let h = hash_of node in
-    Harness.note_proposal t.tracker ~digest:h ~time:(now t);
+    Harness.note_proposal t ~digest:h;
     let sig_ = Icc_crypto.Schnorr.sign r.auth (proposal_text ~view ~hash:h) in
     broadcast t ~src:r.id (Proposal { node; justify = r.high; sig_ })
   end
@@ -140,7 +129,7 @@ and enter_view t r view =
      a stale high-QC. *)
   if view > r.view then begin
     r.view <- view;
-    r.last_progress <- now t
+    r.live.last_progress <- Harness.now t
   end
 
 and update_high t r (q : qc) =
@@ -171,9 +160,7 @@ and execute t r h =
         (fun h ->
           Hashtbl.replace r.executed h ();
           r.executed_order <- h :: r.executed_order;
-          if List.mem r.id t.honest then
-            Harness.note_execution t.tracker ~party:r.id ~digest:h
-              ~time:(now t))
+          Harness.note_executed t ~party:r.id ~digest:h)
         chain
 
 (* The chained commit rule: a proposal's justify closes a potential
@@ -202,203 +189,141 @@ and try_commit t r (justify : qc) =
       | _ -> ())
 
 and on_message t r msg =
-  if not r.crashed then
-    match msg with
-    | Proposal { node; justify; sig_ } ->
-        let h = hash_of node in
-        if
-          node.proposer = leader_of ~n:r.n node.view
-          && Icc_crypto.Schnorr.verify r.auth_pub.(node.proposer - 1)
-               (proposal_text ~view:node.view ~hash:h) sig_
-          && qc_valid r justify
-          && String.equal node.parent (qc_hash justify)
-        then begin
-          Hashtbl.replace r.nodes h node;
-          Hashtbl.replace r.justifies h justify;
-          r.last_progress <- now t;
-          update_high t r justify;
-          try_commit t r justify;
-          (* safeNode: extends the locked branch, or carries a newer QC *)
-          let safe =
-            extends r ~h ~ancestor:(qc_hash r.locked)
-            || qc_view justify > qc_view r.locked
+  match msg with
+  | Proposal { node; justify; sig_ } ->
+      let h = hash_of node in
+      if
+        node.proposer = leader_of ~n:r.n node.view
+        && Icc_crypto.Schnorr.verify r.auth_pub.(node.proposer - 1)
+             (proposal_text ~view:node.view ~hash:h) sig_
+        && qc_valid r justify
+        && String.equal node.parent (qc_hash justify)
+      then begin
+        Hashtbl.replace r.nodes h node;
+        Hashtbl.replace r.justifies h justify;
+        r.live.last_progress <- Harness.now t;
+        update_high t r justify;
+        try_commit t r justify;
+        (* safeNode: extends the locked branch, or carries a newer QC *)
+        let safe =
+          extends r ~h ~ancestor:(qc_hash r.locked)
+          || qc_view justify > qc_view r.locked
+        in
+        if node.view >= r.view && r.voted_view < node.view && safe then begin
+          r.voted_view <- node.view;
+          let share =
+            Icc_crypto.Multisig.sign_share r.notary r.notary_key
+              (vote_text ~view:node.view ~hash:h)
           in
-          if node.view >= r.view && r.voted_view < node.view && safe then begin
-            r.voted_view <- node.view;
-            let share =
-              Icc_crypto.Multisig.sign_share r.notary r.notary_key
-                (vote_text ~view:node.view ~hash:h)
-            in
-            unicast t ~src:r.id
-              ~dst:(leader_of ~n:r.n (node.view + 1))
-              (Vote { view = node.view; hash = h; share });
-            (* a voting replica moves to the next view *)
-            enter_view t r (node.view + 1)
-          end
+          unicast t ~src:r.id
+            ~dst:(leader_of ~n:r.n (node.view + 1))
+            (Vote { view = node.view; hash = h; share });
+          (* a voting replica moves to the next view *)
+          enter_view t r (node.view + 1)
         end
-    | Vote { view; hash; share } ->
+      end
+  | Vote { view; hash; share } ->
+      if
+        leader_of ~n:r.n (view + 1) = r.id
+        && Icc_crypto.Multisig.verify_share r.notary
+             (vote_text ~view ~hash) share
+      then begin
+        let key = (view, hash) in
+        let l =
+          match Hashtbl.find_opt r.votes key with
+          | Some l -> l
+          | None ->
+              let l = ref [] in
+              Hashtbl.add r.votes key l;
+              l
+        in
         if
-          leader_of ~n:r.n (view + 1) = r.id
-          && Icc_crypto.Multisig.verify_share r.notary
-               (vote_text ~view ~hash) share
+          not
+            (List.exists
+               (fun (s : Icc_crypto.Multisig.share) ->
+                 s.Icc_crypto.Multisig.signer
+                 = share.Icc_crypto.Multisig.signer)
+               !l)
         then begin
-          let key = (view, hash) in
-          let l =
-            match Hashtbl.find_opt r.votes key with
-            | Some l -> l
-            | None ->
-                let l = ref [] in
-                Hashtbl.add r.votes key l;
-                l
-          in
-          if
-            not
-              (List.exists
-                 (fun (s : Icc_crypto.Multisig.share) ->
-                   s.Icc_crypto.Multisig.signer
-                   = share.Icc_crypto.Multisig.signer)
-                 !l)
-          then begin
-            l := share :: !l;
-            if List.length !l >= quorum r then
-              match
-                Icc_crypto.Multisig.combine r.notary (vote_text ~view ~hash) !l
-              with
-              | Some agg ->
-                  update_high t r (Qc { qc_view = view; qc_hash = hash; agg })
-              | None -> ()
-          end
+          l := share :: !l;
+          if List.length !l >= quorum r then
+            match
+              Icc_crypto.Multisig.combine r.notary (vote_text ~view ~hash) !l
+            with
+            | Some agg ->
+                update_high t r (Qc { qc_view = view; qc_hash = hash; agg })
+            | None -> ()
         end
-    | New_view { view; justify; replica; sig_ } ->
-        if
-          Icc_crypto.Schnorr.verify r.auth_pub.(replica - 1)
-            (newview_text ~view ~replica) sig_
-          && qc_valid r justify
+      end
+  | New_view { view; justify; replica; sig_ } ->
+      if
+        Icc_crypto.Schnorr.verify r.auth_pub.(replica - 1)
+          (newview_text ~view ~replica) sig_
+        && qc_valid r justify
+      then begin
+        if qc_view justify > qc_view r.high then r.high <- justify;
+        let per_view = Harness.votes_for r.nv_votes view in
+        Hashtbl.replace per_view replica ();
+        if Hashtbl.length per_view >= quorum r && leader_of ~n:r.n view = r.id
         then begin
-          if qc_view justify > qc_view r.high then r.high <- justify;
-          let per_view =
-            match Hashtbl.find_opt r.nv_votes view with
-            | Some h -> h
-            | None ->
-                let h = Hashtbl.create 8 in
-                Hashtbl.add r.nv_votes view h;
-                h
-          in
-          Hashtbl.replace per_view replica ();
-          if Hashtbl.length per_view >= quorum r && leader_of ~n:r.n view = r.id
-          then begin
-            enter_view t r view;
-            propose t r ~view
-          end
+          enter_view t r view;
+          propose t r ~view
         end
+      end
 
-let run (scenario : Harness.scenario) : Harness.result =
-  let n = scenario.Harness.n in
-  let rng = Icc_sim.Rng.create scenario.Harness.seed in
-  let key_rng = Icc_sim.Rng.split rng in
-  let net_rng = Icc_sim.Rng.split rng in
-  let bits () = Icc_sim.Rng.bits61 key_rng in
-  let keys = Array.init n (fun _ -> Icc_crypto.Schnorr.keygen bits) in
-  let auth_pub = Array.map snd keys in
-  let notary, notary_secrets =
-    Icc_crypto.Multisig.setup ~threshold_h:(n - scenario.Harness.t) ~n bits
-  in
-  let env = Icc_sim.Transport.env ?trace:scenario.Harness.trace ~n () in
-  let engine = env.Icc_sim.Transport.engine in
-  let metrics = env.Icc_sim.Transport.metrics in
-  let trace = env.Icc_sim.Transport.trace in
-  let monitor = Harness.attach_monitor scenario env in
-  Icc_sim.Trace.emit trace ~time:0.
-    (Icc_sim.Trace.Run_start { n; label = "hotstuff" });
-  let { Icc_sim.Transport.delay_model; fault; adversary } =
-    Icc_sim.Transport.links env ~rng ~net_rng
-      ~classify:Harness.baseline_classify ~parties:(Harness.party_ids scenario)
-      ~nemesis:scenario.Harness.nemesis ~adversary:scenario.Harness.adversary
-      scenario.Harness.delay
-  in
-  let net =
-    Icc_sim.Network.create engine ~n ~trace ~delay_model ?fault ?adversary ()
-  in
-  let adv_corrupt = Harness.adversary_corrupt scenario in
-  let honest =
-    List.init n (fun i -> i + 1)
-    |> List.filter (fun id -> not (List.mem id scenario.Harness.crashed))
-    |> List.filter (fun id -> not (List.mem_assoc id scenario.Harness.kill_at))
-    |> List.filter (fun id -> not (List.mem id adv_corrupt))
-  in
-  let tracker = Harness.tracker ~n_honest:(List.length honest) ~trace in
-  let replicas =
-    Array.init n (fun i ->
-        {
-          id = i + 1;
-          n;
-          t = scenario.Harness.t;
-          auth = fst keys.(i);
-          auth_pub;
-          notary;
-          notary_key = List.nth notary_secrets i;
-          crashed = List.mem (i + 1) scenario.Harness.crashed;
-          view = 1;
-          voted_view = 0;
-          locked = Genesis_qc;
-          high = Genesis_qc;
-          nodes = Hashtbl.create 64;
-          justifies = Hashtbl.create 64;
-          votes = Hashtbl.create 64;
-          nv_votes = Hashtbl.create 8;
-          proposed_view = 0;
-          executed = Hashtbl.create 64;
-          executed_order = [];
-          last_progress = 0.;
-        })
-  in
-  let t = { engine; net; replicas; scenario; tracker; honest } in
-  Icc_sim.Network.set_handler net (fun ~dst ~src:_ msg ->
-      on_message t replicas.(dst - 1) msg);
-  List.iter
-    (fun (id, time) ->
-      Icc_sim.Engine.schedule_at engine ~time (fun () ->
-          replicas.(id - 1).crashed <- true))
-    scenario.Harness.kill_at;
-  (* Pacemaker: on a stalled view, advance and send New_view to its leader. *)
-  let rec watchdog id time =
-    if time <= scenario.Harness.duration then
-      Icc_sim.Engine.schedule_at engine ~time (fun () ->
-          let r = replicas.(id - 1) in
-          if
-            (not r.crashed)
-            && Icc_sim.Engine.now engine -. r.last_progress
-               > scenario.Harness.timeout
-          then begin
-            r.last_progress <- Icc_sim.Engine.now engine;
+let run =
+  Harness.run
+    {
+      Harness.label = "hotstuff";
+      replicas =
+        (fun scenario ~keys key_rng ->
+          let n = scenario.Harness.n in
+          let auth_pub = Array.map snd keys in
+          let notary, notary_secrets =
+            Icc_crypto.Multisig.setup ~threshold_h:(n - scenario.Harness.t) ~n
+              (fun () -> Icc_sim.Rng.bits61 key_rng)
+          in
+          Array.init n (fun i ->
+              {
+                id = i + 1;
+                n;
+                t = scenario.Harness.t;
+                auth = fst keys.(i);
+                auth_pub;
+                notary;
+                notary_key = List.nth notary_secrets i;
+                live = Harness.live scenario (i + 1);
+                view = 1;
+                voted_view = 0;
+                locked = Genesis_qc;
+                high = Genesis_qc;
+                nodes = Hashtbl.create 64;
+                justifies = Hashtbl.create 64;
+                votes = Hashtbl.create 64;
+                nv_votes = Hashtbl.create 8;
+                proposed_view = 0;
+                executed = Hashtbl.create 64;
+                executed_order = [];
+              }));
+      live = (fun r -> r.live);
+      on_message;
+      (* Pacemaker: on a stalled view, advance and send New_view to its
+         leader. *)
+      on_stall =
+        Some
+          (fun t r ->
             let next = r.view + 1 in
             r.view <- next;
             let sig_ =
-              Icc_crypto.Schnorr.sign r.auth (newview_text ~view:next ~replica:r.id)
+              Icc_crypto.Schnorr.sign r.auth
+                (newview_text ~view:next ~replica:r.id)
             in
             unicast t ~src:r.id ~dst:(leader_of ~n:r.n next)
-              (New_view { view = next; justify = r.high; replica = r.id; sig_ })
-          end;
-          watchdog id (time +. (scenario.Harness.timeout /. 2.)))
-  in
-  for id = 1 to n do
-    watchdog id (scenario.Harness.timeout *. (1. +. (0.01 *. float_of_int id)))
-  done;
-  propose t replicas.(leader_of ~n 1 - 1) ~view:1;
-  Icc_sim.Engine.run ~until:scenario.Harness.duration engine;
-  let elapsed = Icc_sim.Engine.now engine in
-  Icc_sim.Trace.emit trace ~time:elapsed
-    (Icc_sim.Trace.Run_end { label = "hotstuff" });
-  let outputs =
-    List.map (fun id -> (id, List.rev replicas.(id - 1).executed_order)) honest
-  in
-  {
-    Harness.metrics;
-    monitor;
-    duration = elapsed;
-    blocks_committed = tracker.Harness.decided;
-    blocks_per_s = float_of_int tracker.Harness.decided /. elapsed;
-    mean_latency = Icc_sim.Metrics.mean tracker.Harness.latencies;
-    safety_ok = Harness.prefix_consistent outputs;
-    outputs;
-  }
+              (New_view
+                 { view = next; justify = r.high; replica = r.id; sig_ }));
+      kickoff =
+        (fun t replicas ->
+          let n = Array.length replicas in
+          propose t replicas.(leader_of ~n 1 - 1) ~view:1);
+      executed = (fun r -> List.rev r.executed_order);
+    }

@@ -75,40 +75,23 @@ type entry = {
   mutable executed : bool;
 }
 
-let votes_for tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create 8 in
-      Hashtbl.add tbl key h;
-      h
-
 type replica = {
   id : int;
   n : int;
   t : int;
   auth : Icc_crypto.Schnorr.secret_key;
   auth_pub : Icc_crypto.Schnorr.public_key array;
-  mutable crashed : bool;
+  live : Harness.live;
   mutable view : int;
   mutable next_seq : int; (* leader: next sequence to assign *)
   mutable next_exec : int;
   mutable max_seq_seen : int;
   log : (int, entry) Hashtbl.t;
   vc_votes : (int, (int, (int * string * int * int) list) Hashtbl.t) Hashtbl.t;
-  mutable last_progress : float;
   mutable executed_digests : string list; (* newest first *)
 }
 
-type t = {
-  engine : Icc_sim.Engine.t;
-  net : msg Icc_sim.Network.t;
-  replicas : replica array;
-  scenario : Harness.scenario;
-  tracker : Harness.tracker;
-  honest : int list;
-}
-
+let votes_for = Harness.votes_for
 let leader_of ~n view = ((view - 1) mod n) + 1
 let quorum r = r.n - r.t (* n - t = 2t + 1 when n = 3t + 1 *)
 
@@ -131,24 +114,23 @@ let entry_of r seq =
       e
 
 let broadcast t ~src msg =
-  Icc_sim.Network.broadcast t.net ~src ~size:(msg_wire_size ~n:t.scenario.Harness.n msg)
+  Icc_sim.Network.broadcast t.Harness.net ~src
+    ~size:(msg_wire_size ~n:t.Harness.scenario.n msg)
     ~kind:(msg_kind msg) msg
-
-let now t = Icc_sim.Engine.now t.engine
 
 (* Leader: assign sequence numbers to fresh batches while the pipeline
    window allows. *)
 let rec try_propose t r =
-  if (not r.crashed) && leader_of ~n:r.n r.view = r.id then begin
+  if (not r.live.crashed) && leader_of ~n:r.n r.view = r.id then begin
     let in_flight = r.next_seq - r.next_exec in
-    if in_flight < t.scenario.Harness.pipeline_window then begin
+    if in_flight < t.Harness.scenario.pipeline_window then begin
       let batch =
-        { seq = r.next_seq; view = r.view; size = t.scenario.Harness.block_size;
+        { seq = r.next_seq; view = r.view; size = t.Harness.scenario.block_size;
           noop = false }
       in
       r.next_seq <- r.next_seq + 1;
       let digest = digest_of batch in
-      Harness.note_proposal t.tracker ~digest ~time:(now t);
+      Harness.note_proposal t ~digest;
       let sig_ =
         Icc_crypto.Schnorr.sign r.auth (pp_text ~view:r.view ~digest)
       in
@@ -168,10 +150,8 @@ and execute_ready t r =
               >= quorum r ->
         e.executed <- true;
         r.executed_digests <- e.digest :: r.executed_digests;
-        r.last_progress <- now t;
-        if List.mem r.id t.honest then
-          Harness.note_execution t.tracker ~party:r.id ~digest:e.digest
-            ~time:(now t);
+        r.live.last_progress <- Harness.now t;
+        Harness.note_executed t ~party:r.id ~digest:e.digest;
         r.next_exec <- r.next_exec + 1;
         go ()
     | _ -> ()
@@ -250,14 +230,7 @@ and start_view_change t r ~new_view =
 
 and on_view_change t r ~new_view ~replica ~max_seq ~prepared =
   if new_view >= r.view then begin
-    let per_view =
-      match Hashtbl.find_opt r.vc_votes new_view with
-      | Some h -> h
-      | None ->
-          let h = Hashtbl.create 8 in
-          Hashtbl.add r.vc_votes new_view h;
-          h
-    in
+    let per_view = votes_for r.vc_votes new_view in
     if not (Hashtbl.mem per_view replica) then begin
       Hashtbl.replace per_view replica prepared;
       if max_seq > r.max_seq_seen then r.max_seq_seen <- max_seq;
@@ -304,155 +277,88 @@ and on_view_change t r ~new_view ~replica ~max_seq ~prepared =
         in
         broadcast t ~src:r.id (New_view { new_view; batches = !batches; sig_ });
         r.next_seq <- max r.next_seq (r.max_seq_seen + 1);
-        r.last_progress <- now t;
+        r.live.last_progress <- Harness.now t;
         try_propose t r
       end
     end
   end
 
 let on_message t r msg =
-  if not r.crashed then
-    match msg with
-    | Pre_prepare { view; batch; digest; sig_ } ->
-        let src = leader_of ~n:r.n view in
-        if
-          view = r.view
-          && String.equal digest (digest_of batch)
-          && Icc_crypto.Schnorr.verify r.auth_pub.(src - 1)
-               (pp_text ~view ~digest) sig_
-        then accept_preprepare t r ~view ~batch ~digest
-    | Prepare { view; seq; digest; replica; sig_ } ->
-        if
-          Icc_crypto.Schnorr.verify r.auth_pub.(replica - 1)
-            (prepare_text ~view ~seq ~digest) sig_
-        then begin
-          let e = entry_of r seq in
-          Hashtbl.replace (votes_for e.prepares (view, digest)) replica ();
-          check_prepared t r e ~view ~seq
-        end
-    | Commit { view; seq; digest; replica; sig_ } ->
-        if
-          Icc_crypto.Schnorr.verify r.auth_pub.(replica - 1)
-            (commit_text ~view ~seq ~digest) sig_
-        then begin
-          let e = entry_of r seq in
-          Hashtbl.replace (votes_for e.commits (view, digest)) replica ();
-          execute_ready t r
-        end
-    | View_change { new_view; replica; max_seq; prepared; sig_ } ->
-        if
-          Icc_crypto.Schnorr.verify r.auth_pub.(replica - 1)
-            (vc_text ~new_view ~replica ~max_seq) sig_
-        then on_view_change t r ~new_view ~replica ~max_seq ~prepared
-    | New_view { new_view; batches; sig_ } ->
-        let src = leader_of ~n:r.n new_view in
-        if
-          new_view >= r.view
-          && Icc_crypto.Schnorr.verify r.auth_pub.(src - 1)
-               (nv_text ~new_view ~count:(List.length batches)) sig_
-        then begin
-          r.view <- new_view;
-          r.last_progress <- now t;
-          List.iter
-            (fun (batch, digest) ->
-              accept_preprepare t r ~view:new_view ~batch ~digest)
-            batches
-        end
+  match msg with
+  | Pre_prepare { view; batch; digest; sig_ } ->
+      let src = leader_of ~n:r.n view in
+      if
+        view = r.view
+        && String.equal digest (digest_of batch)
+        && Icc_crypto.Schnorr.verify r.auth_pub.(src - 1)
+             (pp_text ~view ~digest) sig_
+      then accept_preprepare t r ~view ~batch ~digest
+  | Prepare { view; seq; digest; replica; sig_ } ->
+      if
+        Icc_crypto.Schnorr.verify r.auth_pub.(replica - 1)
+          (prepare_text ~view ~seq ~digest) sig_
+      then begin
+        let e = entry_of r seq in
+        Hashtbl.replace (votes_for e.prepares (view, digest)) replica ();
+        check_prepared t r e ~view ~seq
+      end
+  | Commit { view; seq; digest; replica; sig_ } ->
+      if
+        Icc_crypto.Schnorr.verify r.auth_pub.(replica - 1)
+          (commit_text ~view ~seq ~digest) sig_
+      then begin
+        let e = entry_of r seq in
+        Hashtbl.replace (votes_for e.commits (view, digest)) replica ();
+        execute_ready t r
+      end
+  | View_change { new_view; replica; max_seq; prepared; sig_ } ->
+      if
+        Icc_crypto.Schnorr.verify r.auth_pub.(replica - 1)
+          (vc_text ~new_view ~replica ~max_seq) sig_
+      then on_view_change t r ~new_view ~replica ~max_seq ~prepared
+  | New_view { new_view; batches; sig_ } ->
+      let src = leader_of ~n:r.n new_view in
+      if
+        new_view >= r.view
+        && Icc_crypto.Schnorr.verify r.auth_pub.(src - 1)
+             (nv_text ~new_view ~count:(List.length batches)) sig_
+      then begin
+        r.view <- new_view;
+        r.live.last_progress <- Harness.now t;
+        List.iter
+          (fun (batch, digest) ->
+            accept_preprepare t r ~view:new_view ~batch ~digest)
+          batches
+      end
 
-let run (scenario : Harness.scenario) : Harness.result =
-  let n = scenario.Harness.n in
-  let rng = Icc_sim.Rng.create scenario.Harness.seed in
-  let key_rng = Icc_sim.Rng.split rng in
-  let net_rng = Icc_sim.Rng.split rng in
-  let keys = Array.init n (fun _ -> Icc_crypto.Schnorr.keygen (fun () -> Icc_sim.Rng.bits61 key_rng)) in
-  let auth_pub = Array.map snd keys in
-  let env = Icc_sim.Transport.env ?trace:scenario.Harness.trace ~n () in
-  let engine = env.Icc_sim.Transport.engine in
-  let metrics = env.Icc_sim.Transport.metrics in
-  let trace = env.Icc_sim.Transport.trace in
-  let monitor = Harness.attach_monitor scenario env in
-  Icc_sim.Trace.emit trace ~time:0.
-    (Icc_sim.Trace.Run_start { n; label = "pbft" });
-  let { Icc_sim.Transport.delay_model; fault; adversary } =
-    Icc_sim.Transport.links env ~rng ~net_rng
-      ~classify:Harness.baseline_classify ~parties:(Harness.party_ids scenario)
-      ~nemesis:scenario.Harness.nemesis ~adversary:scenario.Harness.adversary
-      scenario.Harness.delay
-  in
-  let net =
-    Icc_sim.Network.create engine ~n ~trace ~delay_model ?fault ?adversary ()
-  in
-  let adv_corrupt = Harness.adversary_corrupt scenario in
-  let honest =
-    List.init n (fun i -> i + 1)
-    |> List.filter (fun id -> not (List.mem id scenario.Harness.crashed))
-    |> List.filter (fun id -> not (List.mem_assoc id scenario.Harness.kill_at))
-    |> List.filter (fun id -> not (List.mem id adv_corrupt))
-  in
-  let tracker = Harness.tracker ~n_honest:(List.length honest) ~trace in
-  let replicas =
-    Array.init n (fun i ->
-        {
-          id = i + 1;
-          n;
-          t = scenario.Harness.t;
-          auth = fst keys.(i);
-          auth_pub;
-          crashed = List.mem (i + 1) scenario.Harness.crashed;
-          view = 1;
-          next_seq = 1;
-          next_exec = 1;
-          max_seq_seen = 0;
-          log = Hashtbl.create 64;
-          vc_votes = Hashtbl.create 8;
-          last_progress = 0.;
-          executed_digests = [];
-        })
-  in
-  let t = { engine; net; replicas; scenario; tracker; honest } in
-  Icc_sim.Network.set_handler net (fun ~dst ~src:_ msg ->
-      on_message t replicas.(dst - 1) msg);
-  List.iter
-    (fun (id, time) ->
-      Icc_sim.Engine.schedule_at engine ~time (fun () ->
-          replicas.(id - 1).crashed <- true))
-    scenario.Harness.kill_at;
-  (* Progress timers drive view changes. *)
-  let rec watchdog id time =
-    if time <= scenario.Harness.duration then
-      Icc_sim.Engine.schedule_at engine ~time (fun () ->
-          let r = replicas.(id - 1) in
-          if
-            (not r.crashed)
-            && Icc_sim.Engine.now engine -. r.last_progress
-               > scenario.Harness.timeout
-          then begin
-            r.last_progress <- Icc_sim.Engine.now engine;
-            start_view_change t r ~new_view:(r.view + 1)
-          end;
-          watchdog id (time +. (scenario.Harness.timeout /. 2.)))
-  in
-  for id = 1 to n do
-    watchdog id (scenario.Harness.timeout *. (1. +. (0.01 *. float_of_int id)))
-  done;
-  (* Kick off view 1. *)
-  Array.iter (fun r -> try_propose t r) replicas;
-  Icc_sim.Engine.run ~until:scenario.Harness.duration engine;
-  let elapsed = Icc_sim.Engine.now engine in
-  Icc_sim.Trace.emit trace ~time:elapsed
-    (Icc_sim.Trace.Run_end { label = "pbft" });
-  let outputs =
-    List.map
-      (fun id -> (id, List.rev replicas.(id - 1).executed_digests))
-      honest
-  in
-  {
-    Harness.metrics;
-    monitor;
-    duration = elapsed;
-    blocks_committed = tracker.Harness.decided;
-    blocks_per_s = float_of_int tracker.Harness.decided /. elapsed;
-    mean_latency = Icc_sim.Metrics.mean tracker.Harness.latencies;
-    safety_ok = Harness.prefix_consistent outputs;
-    outputs;
-  }
+let run =
+  Harness.run
+    {
+      Harness.label = "pbft";
+      replicas =
+        (fun scenario ~keys _ ->
+          let auth_pub = Array.map snd keys in
+          Array.init scenario.Harness.n (fun i ->
+              {
+                id = i + 1;
+                n = scenario.Harness.n;
+                t = scenario.Harness.t;
+                auth = fst keys.(i);
+                auth_pub;
+                live = Harness.live scenario (i + 1);
+                view = 1;
+                next_seq = 1;
+                next_exec = 1;
+                max_seq_seen = 0;
+                log = Hashtbl.create 64;
+                vc_votes = Hashtbl.create 8;
+                executed_digests = [];
+              }));
+      live = (fun r -> r.live);
+      on_message;
+      (* The progress timer drives view changes. *)
+      on_stall = Some (fun t r -> start_view_change t r ~new_view:(r.view + 1));
+      (* Kick off view 1. *)
+      kickoff = (fun t replicas -> Array.iter (try_propose t) replicas);
+      executed = (fun r -> List.rev r.executed_digests);
+    }

@@ -162,37 +162,24 @@ let baseline_outcome (r : Icc_baselines.Harness.result) =
     o_safe = r.Icc_baselines.Harness.safety_ok;
   }
 
+(* Each protocol as (name, is_baseline, run). *)
 let protocols =
-  [
-    ( "icc0",
-      false,
-      fun ~seed ~duration adv ->
-        icc_outcome (Icc_core.Runner.run (icc_scenario ~seed ~duration adv)) );
-    ( "icc1",
-      false,
-      fun ~seed ~duration adv ->
-        icc_outcome (Icc_gossip.Icc1.run (icc_scenario ~seed ~duration adv)) );
-    ( "icc2",
-      false,
-      fun ~seed ~duration adv ->
-        icc_outcome (Icc_rbc.Icc2.run (icc_scenario ~seed ~duration adv)) );
-    ( "pbft",
-      true,
-      fun ~seed ~duration adv ->
-        baseline_outcome
-          (Icc_baselines.Pbft.run (baseline_scenario ~seed ~duration adv)) );
-    ( "hotstuff",
-      true,
-      fun ~seed ~duration adv ->
-        baseline_outcome
-          (Icc_baselines.Hotstuff.run (baseline_scenario ~seed ~duration adv)) );
-    ( "tendermint",
-      true,
-      fun ~seed ~duration adv ->
-        baseline_outcome
-          (Icc_baselines.Tendermint.run (baseline_scenario ~seed ~duration adv))
-    );
-  ]
+  List.map
+    (fun p ->
+      ( Scenario.Icc.name p,
+        false,
+        fun ~seed ~duration adv ->
+          icc_outcome (Scenario.Icc.run p (icc_scenario ~seed ~duration adv)) ))
+    Scenario.Icc.all
+  @ List.map
+      (fun p ->
+        ( Scenario.Baseline.name p,
+          true,
+          fun ~seed ~duration adv ->
+            baseline_outcome
+              (Scenario.Baseline.run p (baseline_scenario ~seed ~duration adv))
+        ))
+      Scenario.Baseline.all
 
 let run ?(quick = false) () =
   let duration = if quick then 12. else 40. in

@@ -44,62 +44,41 @@ let baseline_scenario ~quick ~crashed ~seed =
     crashed;
   }
 
+(* E6's label for each baseline, and the replica it crashes.  PBFT's
+   leader is static (replica 1 in view 1), so to make the fault comparable
+   we crash a party that actually leads: replica 1 for PBFT (forcing a view
+   change), a rotation member for HotStuff, Tendermint and ICC0. *)
+let baselines =
+  Scenario.Baseline.
+    [
+      ("PBFT", Pbft, 1);
+      ("HotStuff", Hotstuff, 2);
+      ("Tendermint", Tendermint, 2);
+    ]
+
+let row ~condition protocol ~blocks_per_s ~latency =
+  let latency_in_delta = latency /. delta in
+  { protocol; condition; blocks_per_s; latency; latency_in_delta }
+
 let run ?(quick = false) () =
-  let fault_free =
-    let icc = Icc_core.Runner.run (icc_scenario ~quick ~behaviors:[] ~seed:3) in
-    let pbft = Icc_baselines.Pbft.run (baseline_scenario ~quick ~crashed:[] ~seed:3) in
-    let hs = Icc_baselines.Hotstuff.run (baseline_scenario ~quick ~crashed:[] ~seed:3) in
-    let tm = Icc_baselines.Tendermint.run (baseline_scenario ~quick ~crashed:[] ~seed:3) in
-    [
-      { protocol = "ICC0"; condition = "fault-free";
-        blocks_per_s = icc.Icc_core.Runner.blocks_per_s;
-        latency = icc.Icc_core.Runner.mean_latency;
-        latency_in_delta = icc.Icc_core.Runner.mean_latency /. delta };
-      { protocol = "PBFT"; condition = "fault-free";
-        blocks_per_s = pbft.Icc_baselines.Harness.blocks_per_s;
-        latency = pbft.Icc_baselines.Harness.mean_latency;
-        latency_in_delta = pbft.Icc_baselines.Harness.mean_latency /. delta };
-      { protocol = "HotStuff"; condition = "fault-free";
-        blocks_per_s = hs.Icc_baselines.Harness.blocks_per_s;
-        latency = hs.Icc_baselines.Harness.mean_latency;
-        latency_in_delta = hs.Icc_baselines.Harness.mean_latency /. delta };
-      { protocol = "Tendermint"; condition = "fault-free";
-        blocks_per_s = tm.Icc_baselines.Harness.blocks_per_s;
-        latency = tm.Icc_baselines.Harness.mean_latency;
-        latency_in_delta = tm.Icc_baselines.Harness.mean_latency /. delta };
-    ]
+  let leg ~condition ~crash ~seed =
+    let behaviors = if crash then [ (2, Icc_core.Party.crashed) ] else [] in
+    let icc = Icc_core.Runner.run (icc_scenario ~quick ~behaviors ~seed) in
+    row ~condition "ICC0" ~blocks_per_s:icc.Icc_core.Runner.blocks_per_s
+      ~latency:icc.Icc_core.Runner.mean_latency
+    :: List.map
+         (fun (label, p, id) ->
+           let crashed = if crash then [ id ] else [] in
+           let r =
+             Scenario.Baseline.run p (baseline_scenario ~quick ~crashed ~seed)
+           in
+           row ~condition label
+             ~blocks_per_s:r.Icc_baselines.Harness.blocks_per_s
+             ~latency:r.Icc_baselines.Harness.mean_latency)
+         baselines
   in
-  let crashed_leader =
-    (* PBFT's leader is static (replica 1 in view 1), so to make the fault
-       comparable we crash a party that actually leads: replica 1 for PBFT
-       (forcing a view change), a rotation member for HotStuff and ICC0. *)
-    let icc =
-      Icc_core.Runner.run
-        (icc_scenario ~quick ~behaviors:[ (2, Icc_core.Party.crashed) ] ~seed:4)
-    in
-    let pbft = Icc_baselines.Pbft.run (baseline_scenario ~quick ~crashed:[ 1 ] ~seed:4) in
-    let hs = Icc_baselines.Hotstuff.run (baseline_scenario ~quick ~crashed:[ 2 ] ~seed:4) in
-    let tm = Icc_baselines.Tendermint.run (baseline_scenario ~quick ~crashed:[ 2 ] ~seed:4) in
-    [
-      { protocol = "ICC0"; condition = "one crashed";
-        blocks_per_s = icc.Icc_core.Runner.blocks_per_s;
-        latency = icc.Icc_core.Runner.mean_latency;
-        latency_in_delta = icc.Icc_core.Runner.mean_latency /. delta };
-      { protocol = "PBFT"; condition = "one crashed";
-        blocks_per_s = pbft.Icc_baselines.Harness.blocks_per_s;
-        latency = pbft.Icc_baselines.Harness.mean_latency;
-        latency_in_delta = pbft.Icc_baselines.Harness.mean_latency /. delta };
-      { protocol = "HotStuff"; condition = "one crashed";
-        blocks_per_s = hs.Icc_baselines.Harness.blocks_per_s;
-        latency = hs.Icc_baselines.Harness.mean_latency;
-        latency_in_delta = hs.Icc_baselines.Harness.mean_latency /. delta };
-      { protocol = "Tendermint"; condition = "one crashed";
-        blocks_per_s = tm.Icc_baselines.Harness.blocks_per_s;
-        latency = tm.Icc_baselines.Harness.mean_latency;
-        latency_in_delta = tm.Icc_baselines.Harness.mean_latency /. delta };
-    ]
-  in
-  fault_free @ crashed_leader
+  leg ~condition:"fault-free" ~crash:false ~seed:3
+  @ leg ~condition:"one crashed" ~crash:true ~seed:4
 
 let print rows =
   Printf.printf

@@ -7,7 +7,7 @@
    ICC1 (gossip) at n in {100, 250, 500, 1000} with the online invariant
    monitor attached, and reports
 
-     - wall-clock per decided round, and
+     - wall-clock per decided round and per message (us/msg), and
      - messages per party per round, and msgs / (rounds * n^2)
 
    A flat us/msg column across the sweep is the slot-ring/engine-queue
@@ -23,7 +23,7 @@
    leg runs with the monitor on a private bus instead. *)
 
 type row = {
-  sc_proto : string;
+  sc_proto : Scenario.Icc.t;
   sc_n : int;
   sc_rounds : int;  (* rounds actually decided *)
   sc_wall_s : float;
@@ -41,7 +41,7 @@ type row = {
    own short profiled leg so the wall-clock rows above stay free of
    profiling overhead. *)
 type phase_row = {
-  ph_proto : string;
+  ph_proto : Scenario.Icc.t;
   ph_n : int;
   ph_total_self_s : float;
   ph_crypto_pct : float;
@@ -52,7 +52,7 @@ type phase_row = {
 }
 
 type trace_check = {
-  tc_proto : string;
+  tc_proto : Scenario.Icc.t;
   tc_n : int;
   tc_events : int;  (* parsed JSONL lines *)
   tc_rounds_seen : int;  (* per-round pipeline rows recovered offline *)
@@ -60,11 +60,6 @@ type trace_check = {
 }
 
 let delta = 0.25
-
-let run_fn = function
-  | "ICC0" -> Icc_core.Runner.run
-  | "ICC1" -> fun s -> Icc_gossip.Icc1.run s
-  | other -> invalid_arg ("Scale.run_fn: " ^ other)
 
 let scenario ~n ~rounds ~monitor ~trace =
   {
@@ -87,7 +82,7 @@ let run_one ~proto ~n ~rounds =
       "d3-banned-fn: E10 measures host wall-clock per round — the \
        measurement itself, never fed back into the simulation"])
   in
-  let r = run_fn proto sc in
+  let r = Scenario.Icc.run proto sc in
   let wall =
     (Unix.gettimeofday ()
     [@icc.allow
@@ -125,7 +120,7 @@ let trace_roundtrip ~proto ~n ~rounds =
           output_string oc (Icc_sim.Trace.to_json ~time ev);
           output_char oc '\n');
       let sc = scenario ~n ~rounds ~monitor:true ~trace:(Some tr) in
-      let _ = run_fn proto sc in
+      let _ = Scenario.Icc.run proto sc in
       close_out oc;
       let config = Icc_sim.Monitor.default_config ~delta () in
       let report = Analyze.analyze ~config file in
@@ -143,7 +138,7 @@ let phase_leg ~proto ~n ~rounds =
   let sc = scenario ~n ~rounds ~monitor:false ~trace:None in
   Icc_obs.Profile.reset ();
   Icc_obs.Profile.set_enabled true;
-  let _ = run_fn proto sc in
+  let _ = Scenario.Icc.run proto sc in
   Icc_obs.Profile.set_enabled false;
   let bucket name =
     match String.index_opt name '.' with
@@ -183,6 +178,9 @@ let phase_leg ~proto ~n ~rounds =
     ph_other_pct = pct !other;
   }
 
+(* ICC0 (direct) and ICC1 (gossip) at its default fanout. *)
+let protocols = [ Scenario.Icc.Icc0; Scenario.Icc.icc1 ]
+
 let run ?(quick = false) () =
   let plan =
     (* (n, wall-clock rounds): fewer rounds at the top end keep the full
@@ -194,7 +192,7 @@ let run ?(quick = false) () =
   let rows =
     List.concat_map
       (fun (n, rounds) ->
-        [ run_one ~proto:"ICC0" ~n ~rounds; run_one ~proto:"ICC1" ~n ~rounds ])
+        List.map (fun proto -> run_one ~proto ~n ~rounds) protocols)
       plan
   in
   let trace_ns = if quick then [ 50 ] else [ 100; 250 ] in
@@ -204,10 +202,7 @@ let run ?(quick = false) () =
         (* a detailed ICC1 dump is ~125k events per round at n = 250 —
            3 rounds keep the temp file in the hundreds of MB *)
         let rounds = if n > 100 then 3 else 5 in
-        [
-          trace_roundtrip ~proto:"ICC0" ~n ~rounds;
-          trace_roundtrip ~proto:"ICC1" ~n ~rounds;
-        ])
+        List.map (fun proto -> trace_roundtrip ~proto ~n ~rounds) protocols)
       trace_ns
   in
   let phase_ns = if quick then [ 50 ] else [ 100; 250 ] in
@@ -215,20 +210,23 @@ let run ?(quick = false) () =
     List.concat_map
       (fun n ->
         let rounds = if n > 100 then 3 else 5 in
-        [ phase_leg ~proto:"ICC0" ~n ~rounds; phase_leg ~proto:"ICC1" ~n ~rounds ])
+        List.map (fun proto -> phase_leg ~proto ~n ~rounds) protocols)
       phase_ns
   in
   (rows, checks, phases)
 
 let print (rows, checks, phases) =
   print_endline "== E10: large-n scale-out (monitor attached) ==";
-  Printf.printf "%-6s %6s %7s %10s %12s %12s %14s %10s %8s %8s\n" "proto" "n"
-    "rounds" "wall (s)" "s/round" "messages" "msgs/party/rd" "msgs/rn^2"
-    "monitor" "safety";
+  Printf.printf "%-6s %6s %7s %10s %12s %12s %8s %14s %10s %8s %8s\n" "proto"
+    "n" "rounds" "wall (s)" "s/round" "messages" "us/msg" "msgs/party/rd"
+    "msgs/rn^2" "monitor" "safety";
   List.iter
     (fun r ->
-      Printf.printf "%-6s %6d %7d %10.2f %12.4f %12d %14.1f %10.2f %8s %8s\n"
-        r.sc_proto r.sc_n r.sc_rounds r.sc_wall_s r.sc_wall_per_round r.sc_msgs
+      Printf.printf
+        "%-6s %6d %7d %10.2f %12.4f %12d %8.2f %14.1f %10.2f %8s %8s\n"
+        (Scenario.Icc.label r.sc_proto)
+        r.sc_n r.sc_rounds r.sc_wall_s r.sc_wall_per_round r.sc_msgs
+        (1e6 *. r.sc_wall_s /. float_of_int r.sc_msgs)
         r.sc_msgs_per_party_per_round r.sc_normalized_n2
         (if r.sc_monitor_ok then "ok" else "FAIL")
         (if r.sc_safety_ok then "ok" else "FAIL"))
@@ -238,7 +236,9 @@ let print (rows, checks, phases) =
     "analyze";
   List.iter
     (fun c ->
-      Printf.printf "%-6s %6d %10d %12d %8s\n" c.tc_proto c.tc_n c.tc_events
+      Printf.printf "%-6s %6d %10d %12d %8s\n"
+        (Scenario.Icc.label c.tc_proto)
+        c.tc_n c.tc_events
         c.tc_rounds_seen
         (if c.tc_analyze_ok then "ok" else "FAIL"))
     checks;
@@ -251,7 +251,8 @@ let print (rows, checks, phases) =
     (fun p ->
       Printf.printf "%-6s %6d %10.3f %7.1f%% %7.1f%% %9.1f%% %7.1f%% %7.1f%%
 "
-        p.ph_proto p.ph_n p.ph_total_self_s p.ph_crypto_pct p.ph_pool_pct
+        (Scenario.Icc.label p.ph_proto)
+        p.ph_n p.ph_total_self_s p.ph_crypto_pct p.ph_pool_pct
         p.ph_net_pct p.ph_engine_pct p.ph_other_pct)
     phases;
   print_endline

@@ -125,6 +125,21 @@ let baseline run trace =
          adversary = Some [ Icc_sim.Adversary.withhold 2 ];
          trace = Some trace })
 
+(* The baselines' crash paths: replica 2 down from the start, replica 5
+   killed at 2 s, and a monitor on the bus.  Both leave the honest set,
+   the kill is an engine event of its own, and the monitor sees every
+   commit. *)
+let baseline_crash run trace =
+  ignore
+    (run
+       { (Icc_baselines.Harness.default_scenario ~n:7 ~seed:11) with
+         Icc_baselines.Harness.duration = 4.;
+         delay = Icc_core.Runner.Uniform_delay (0.02, 0.06);
+         crashed = [ 2 ];
+         kill_at = [ (5, 2.) ];
+         monitor = Some (Icc_sim.Monitor.default_config ~delta:1.0 ());
+         trace = Some trace })
+
 (* Client load: KV commands arrive at their own times, interleaved with
    deliveries, and payload selection and [Types.payload_digest] land in
    every block.  Neither is exercised by the [No_load] runs above. *)
@@ -237,4 +252,12 @@ let suite =
       "4f1452fb7e220b453bbfa78ee9992b1227a7e0f46968824f3e89d1cc13635189";
     pinned "tendermint drop + withhold" (baseline Icc_baselines.Tendermint.run)
       "ec1369030d90bce8f49e608f5b527bda7be4f61ae45c4bf5885cd5bb78e6775e";
+    pinned "pbft crash + kill + monitor" (baseline_crash Icc_baselines.Pbft.run)
+      "d154a2faa7cbe9140da0cceddb5c9fda95ff63389c00c9e3fc74198bddc5baa8";
+    pinned "hotstuff crash + kill + monitor"
+      (baseline_crash Icc_baselines.Hotstuff.run)
+      "aa9722c33ac001b456ac56ccd6dac0395c6fde3c9d8aa31c75979e90a32f280d";
+    pinned "tendermint crash + kill + monitor"
+      (baseline_crash Icc_baselines.Tendermint.run)
+      "5b7f5375424c4ea9bde68aa00a08504c6e77a070a8a492df4951e2595e8af665";
   ]
