@@ -370,6 +370,8 @@ let run_cmd =
                    run-end; $(b,icc analyze) renders them.")
   in
   let exec setup profile trace_file =
+    (* Count only this run's operations, not module initialisation's. *)
+    Icc_obs.Registry.reset ();
     Icc_obs.Profile.set_enabled profile;
     let r =
       with_run_errors (fun () ->

@@ -24,18 +24,14 @@ type scenario = {
   adversary : Icc_sim.Adversary.script option;
       (** Byzantine strategies on the baseline's network.  Only statically
           targeted directives apply (the baselines have no protocol-layer
-          hooks): share withholding works at the wire via
-          {!baseline_classify}; censorship, stealthy delays, straggling and
+          hooks): share withholding works at the wire, on PBFT
+          [prepare]/[commit], HotStuff [hs-vote] and Tendermint
+          [tm-prevote]/[tm-precommit]; censorship, stealthy delays, straggling and
           crash windows apply as on any network; equivocation directives
           are inert. *)
 }
 
 val default_scenario : n:int -> seed:int -> scenario
-
-val baseline_classify : string -> Icc_sim.Adversary.share_class option
-(** Maps baseline wire kinds to share classes (PBFT [prepare]/[commit],
-    HotStuff [hs-vote], Tendermint [tm-prevote]/[tm-precommit]) so
-    withhold directives apply at the network level. *)
 
 type result = {
   metrics : Icc_sim.Metrics.t;
@@ -48,8 +44,6 @@ type result = {
   outputs : (int * string list) list;
       (** Per honest replica, executed digests in order. *)
 }
-
-val prefix_consistent : (int * string list) list -> bool
 
 (** Commit tracking shared by the baselines: a batch counts as decided when
     every honest replica has executed it. *)

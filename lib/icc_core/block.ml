@@ -54,14 +54,7 @@ let create ~round ~proposer ~parent_hash ~payload =
     digest = compute_digest ~round ~proposer ~parent_hash ~payload;
   }
 
-let is_child_of_root (b : t) =
-  b.round = 1 && Icc_crypto.Sha256.equal b.parent_hash root_hash
-
 (* Modeled wire size: fixed header (round, proposer, parent hash, framing)
    plus declared payload bytes. *)
 let header_wire_size = 64
 let wire_size (b : t) = header_wire_size + Types.payload_size b.payload
-
-let pp fmt (b : t) =
-  Format.fprintf fmt "B(k=%d p=%d h=%s)" b.round b.proposer
-    (String.sub (Icc_crypto.Sha256.to_hex (hash b)) 0 8)

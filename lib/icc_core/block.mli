@@ -32,11 +32,5 @@ val create :
   parent_hash:Icc_crypto.Sha256.t -> payload:Types.payload -> t
 (** Raises [Invalid_argument] for rounds below 1. *)
 
-val is_child_of_root : t -> bool
-
-val header_wire_size : int
-
 val wire_size : t -> int
 (** Modeled bytes on the wire: header plus declared payload size. *)
-
-val pp : Format.formatter -> t -> unit

@@ -40,11 +40,6 @@ type t =
           [\[pr_from, pr_upto\]], sent to a peer whose summary announced a
           higher frontier. *)
 
-val share_msg_wire_size : int
-val cert_wire_size : n:int -> int
-val beacon_share_wire_size : int
-val resync_wire_size : int
-
 val wire_size : n:int -> t -> int
 (** Modeled size in bytes for traffic accounting. *)
 

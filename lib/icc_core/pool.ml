@@ -238,9 +238,6 @@ let ss_add ss ~proposer signer share =
 let find_block t key =
   match entry_of t key with None -> None | Some e -> e.e_block
 
-let is_authentic t key =
-  match entry_of t key with None -> false | Some e -> Option.is_some e.e_auth
-
 let authenticator t key =
   match entry_of t key with None -> None | Some e -> e.e_auth
 

@@ -105,7 +105,6 @@ val verified_beacon_shares :
 (** {1 Classification queries} *)
 
 val find_block : t -> key -> Block.t option
-val is_authentic : t -> key -> bool
 val authenticator : t -> key -> Icc_crypto.Schnorr.signature option
 val is_valid : t -> key -> bool
 

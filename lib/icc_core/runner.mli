@@ -113,8 +113,6 @@ type scenario = {
 
 val default_scenario : n:int -> seed:int -> scenario
 
-val behavior_of : scenario -> int -> Party.behavior
-
 type result = {
   metrics : Icc_sim.Metrics.t;
   monitor : Icc_sim.Monitor.t option;

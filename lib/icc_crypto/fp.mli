@@ -3,8 +3,6 @@
     All functions expect and return canonical representatives in [\[0, m)],
     except {!reduce} which canonicalises an arbitrary int. *)
 
-val max_modulus_bits : int
-
 val check_modulus : int -> unit
 (** Raises [Invalid_argument] if the modulus is even, too small or ≥ 2^61. *)
 

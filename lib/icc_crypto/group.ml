@@ -190,9 +190,7 @@ let base_pow e = pow_cached g e
 
 (* Scalar field Z_q helpers. *)
 let scalar_add a b = Fp.add a b q
-let scalar_sub a b = Fp.sub a b q
 let scalar_mul a b = Fp.mul a b q
-let scalar_inv a = Fp.inv a q
 let scalar_reduce a = Fp.reduce a q
 
 let scalar_of_hash (d : Sha256.t) = Fp.reduce (Sha256.to_int61 d) q
@@ -277,6 +275,3 @@ let scalar_of_hash_nonzero ~tag (d : Sha256.t) : scalar =
       if s <> 0 then s else rederive (i + 1)
     in
     rederive 0
-
-let elt_to_string (e : elt) = string_of_int e
-let pp_elt fmt (e : elt) = Format.pp_print_int fmt e

@@ -49,9 +49,7 @@ val clear_fixed_base_cache : unit -> unit
     left behind. *)
 
 val scalar_add : scalar -> scalar -> scalar
-val scalar_sub : scalar -> scalar -> scalar
 val scalar_mul : scalar -> scalar -> scalar
-val scalar_inv : scalar -> scalar
 val scalar_reduce : int -> scalar
 
 val scalar_of_hash : Sha256.t -> scalar
@@ -89,6 +87,3 @@ val random_scalar : (unit -> int) -> scalar
 val random_scalar_nonzero : (unit -> int) -> scalar
 (** {!random_scalar} with zero rejected and redrawn (uniform on
     [\[1, q)]); each rejection bumps {!Counters.zero_rederives}. *)
-
-val elt_to_string : elt -> string
-val pp_elt : Format.formatter -> elt -> unit

@@ -90,7 +90,6 @@ let verify ?known params msg { signers; signatures } =
              (fun signer signature -> { signer; signature })
              signers signatures))
 
-(* Modeled wire sizes (BLS multi-signature scale): a share is one 48-byte
-   signature; a combined signature is 48 bytes plus an n-bit signer map. *)
+(* Modeled wire size (BLS multi-signature scale): a share is one 48-byte
+   signature. *)
 let share_wire_size = 48
-let signature_wire_size params = 48 + ((params.n + 7) / 8)

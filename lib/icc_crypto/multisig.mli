@@ -54,4 +54,3 @@ val verify : ?known:(share -> bool) -> params -> string -> signature -> bool
     every member through {!verify_shares} (with [?known]). *)
 
 val share_wire_size : int
-val signature_wire_size : params -> int

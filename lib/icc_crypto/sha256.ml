@@ -182,5 +182,3 @@ let to_int61 (d : t) =
     v := (!v lsl 8) lor Char.code d.[i]
   done;
   !v land ((1 lsl 61) - 1)
-
-let pp fmt d = Format.pp_print_string fmt (to_hex d)

@@ -6,8 +6,6 @@
 type t = private string
 (** A 32-byte digest. *)
 
-val digest_length : int
-
 val digest_bytes : Bytes.t -> t
 val digest_string : string -> t
 
@@ -35,5 +33,3 @@ val of_raw : string -> t
 val to_int61 : t -> int
 (** The first 61 bits of the digest as a non-negative int, for deriving
     field elements and deterministic seeds from digests. *)
-
-val pp : Format.formatter -> t -> unit

@@ -16,8 +16,6 @@ val deal :
     coefficient vector together with the [n] shares [f(1) .. f(n)].
     Any [threshold_t + 1] shares reconstruct; [threshold_t] reveal nothing. *)
 
-val eval_poly : Group.scalar array -> int -> Group.scalar
-
 val lagrange_coeff_at_zero : int list -> int -> Group.scalar
 (** [lagrange_coeff_at_zero idxs i] is the Lagrange basis coefficient of
     index [i] for interpolation at 0 over the index set [idxs]. *)

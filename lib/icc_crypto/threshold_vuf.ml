@@ -146,7 +146,6 @@ let verify params msg { sigma; certificate } =
 let randomness msg { sigma; _ } =
   Sha256.digest_string (Printf.sprintf "vuf-out|%s|%d" msg sigma)
 
-(* Modeled wire sizes (production BLS scale): a share is a 48-byte group
-   element plus a 96-byte proof; a combined signature is 48 bytes. *)
+(* Modeled wire size (production BLS scale): a share is a 48-byte group
+   element plus a 96-byte proof. *)
 let share_wire_size = 144
-let signature_wire_size = 48

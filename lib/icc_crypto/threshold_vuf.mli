@@ -79,4 +79,3 @@ val randomness : string -> signature -> Sha256.t
 (** The beacon output: a hash binding message and unique signature. *)
 
 val share_wire_size : int
-val signature_wire_size : int

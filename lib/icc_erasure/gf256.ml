@@ -1,8 +1,6 @@
 (* GF(2^8) arithmetic with the AES polynomial x^8+x^4+x^3+x+1 (0x11b),
    via log/antilog tables over the generator 3. *)
 
-let order = 256
-
 let exp_table = Array.make 512 0
 let log_table = Array.make 256 0
 
@@ -49,8 +47,6 @@ let mul_row c =
 
 let inv a =
   if a = 0 then invalid_arg "Gf256.inv: zero" else exp_table.(255 - log_table.(a))
-
-let div a b = if a = 0 then 0 else mul a (inv b)
 
 let pow a e =
   if e < 0 then invalid_arg "Gf256.pow: negative exponent"

@@ -13,6 +13,5 @@ type row = {
   safety : bool;
 }
 
-val run_one : quick:bool -> adaptive:bool -> delta:float -> delta_bnd:float -> row
 val run : ?quick:bool -> unit -> row list
 val print : row list -> unit

@@ -10,7 +10,5 @@ type row = {
   latency_in_delta : float;
 }
 
-val delta : float
-val n : int
 val run : ?quick:bool -> unit -> row list
 val print : row list -> unit

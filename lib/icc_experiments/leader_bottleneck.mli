@@ -10,6 +10,5 @@ type row = {
   total_bytes_per_round : float;
 }
 
-val n : int
 val run : ?quick:bool -> unit -> row list
 val print : row list -> unit

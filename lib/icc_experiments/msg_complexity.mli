@@ -8,6 +8,5 @@ type row = {
   normalized_n2 : float;
 }
 
-val run_one : quick:bool -> n:int -> adversarial:bool -> row
 val run : ?quick:bool -> unit -> row list
 val print : row list -> unit

@@ -16,6 +16,5 @@ type row = {
   safety : bool;
 }
 
-val n : int
 val run : ?quick:bool -> unit -> row list
 val print : row list -> unit

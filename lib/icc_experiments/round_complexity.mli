@@ -11,6 +11,5 @@ type row = {
   blocks_per_s : float;
 }
 
-val run_one : quick:bool -> n:int -> beta:float -> row
 val run : ?quick:bool -> unit -> row list
 val print : row list -> unit

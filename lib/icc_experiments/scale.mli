@@ -38,9 +38,5 @@ type trace_check = {
   tc_analyze_ok : bool;
 }
 
-val run_one : proto:Scenario.Icc.t -> n:int -> rounds:int -> row
-val trace_roundtrip :
-  proto:Scenario.Icc.t -> n:int -> rounds:int -> trace_check
-val phase_leg : proto:Scenario.Icc.t -> n:int -> rounds:int -> phase_row
 val run : ?quick:bool -> unit -> row list * trace_check list * phase_row list
 val print : row list * trace_check list * phase_row list -> unit

@@ -22,72 +22,80 @@ type row = {
   scenario : string;
   blocks_per_s : float;
   mbit_per_node_s : float;
+  paper_blocks_per_s : float;
+  paper_mbit_per_node_s : float;
 }
 
-let paper =
+(* A subnet size with the deployment constants that mirror "the current
+   parametrization" for it. *)
+type subnet = { n : int; epsilon : float; delta_bnd : float }
+
+let small = { n = 13; epsilon = 0.80; delta_bnd = 1.3 }
+let large = { n = 40; epsilon = 2.30; delta_bnd = 3.5 }
+
+let with_load (s : Icc_core.Runner.scenario) =
+  { s with
+    Icc_core.Runner.workload =
+      Icc_core.Runner.Load { rate_per_s = 100.; cmd_size = 1024 } }
+
+let with_failures (s : Icc_core.Runner.scenario) =
+  {
+    (with_load s) with
+    Icc_core.Runner.behaviors =
+      List.init (s.n / 3) (fun i -> (3 * (i + 1), Icc_core.Party.crashed));
+  }
+
+(* One line of Table 1: where it runs, what the paper reports, and how the
+   scenario departs from the unloaded base run. *)
+type case = {
+  c_subnet : subnet;
+  c_name : string;
+  c_paper_blocks_per_s : float;
+  c_paper_mbit_per_node_s : float;
+  c_build : Icc_core.Runner.scenario -> Icc_core.Runner.scenario;
+}
+
+let case c_subnet c_name c_paper_blocks_per_s c_paper_mbit_per_node_s c_build =
+  { c_subnet; c_name; c_paper_blocks_per_s; c_paper_mbit_per_node_s; c_build }
+
+let cases =
   [
-    (13, "without load", 1.09, 1.64);
-    (13, "with load", 1.10, 4.72);
-    (13, "load + failures", 0.45, 4.39);
-    (40, "without load", 0.41, 4.63);
-    (40, "with load", 0.41, 7.32);
-    (40, "load + failures", 0.16, 5.06);
+    case small "without load" 1.09 1.64 Fun.id;
+    case small "with load" 1.10 4.72 with_load;
+    case small "load + failures" 0.45 4.39 with_failures;
+    case large "without load" 0.41 4.63 Fun.id;
+    case large "with load" 0.41 7.32 with_load;
+    case large "load + failures" 0.16 5.06 with_failures;
   ]
 
-let subnet_params = function
-  | 13 -> (0.80, 1.3) (* epsilon, delta_bnd *)
-  | 40 -> (2.30, 3.5)
-  | n -> (0.1 *. float_of_int n, 0.1 *. float_of_int n)
-
-let run_one ~quick ~n ~scenario_name =
-  let epsilon, delta_bnd = subnet_params n in
+let run_case ~quick c =
+  let { n; epsilon; delta_bnd } = c.c_subnet in
   let duration = if quick then 60. else 180. in
-  let base =
-    {
-      (Icc_core.Runner.default_scenario ~n ~seed:(1000 + n)) with
-      Icc_core.Runner.duration;
-      delay = Icc_core.Runner.Wan { rtt_lo = 0.006; rtt_hi = 0.110 };
-      epsilon;
-      delta_bnd;
-      t_corrupt = Icc_crypto.Keygen.max_corrupt ~n;
-    }
-  in
   let scenario =
-    match scenario_name with
-    | "without load" -> base
-    | "with load" ->
-        { base with
-          Icc_core.Runner.workload =
-            Icc_core.Runner.Load { rate_per_s = 100.; cmd_size = 1024 } }
-    | "load + failures" ->
-        let failed = n / 3 in
-        {
-          base with
-          Icc_core.Runner.workload =
-            Icc_core.Runner.Load { rate_per_s = 100.; cmd_size = 1024 };
-          behaviors =
-            List.init failed (fun i -> (3 * (i + 1), Icc_core.Party.crashed));
-        }
-    | s -> invalid_arg ("Table1.run_one: unknown scenario " ^ s)
+    c.c_build
+      {
+        (Icc_core.Runner.default_scenario ~n ~seed:(1000 + n)) with
+        Icc_core.Runner.duration;
+        delay = Icc_core.Runner.Wan { rtt_lo = 0.006; rtt_hi = 0.110 };
+        epsilon;
+        delta_bnd;
+        t_corrupt = Icc_crypto.Keygen.max_corrupt ~n;
+      }
   in
   let r = Icc_gossip.Icc1.run ~fanout:4 scenario in
   {
     subnet = n;
-    scenario = scenario_name;
+    scenario = c.c_name;
     blocks_per_s = r.Icc_core.Runner.blocks_per_s;
     mbit_per_node_s =
       Icc_sim.Metrics.mean_bytes_per_party_per_second
         r.Icc_core.Runner.metrics ~window:r.Icc_core.Runner.duration
       *. 8. /. 1e6;
+    paper_blocks_per_s = c.c_paper_blocks_per_s;
+    paper_mbit_per_node_s = c.c_paper_mbit_per_node_s;
   }
 
-let run ?(quick = false) () =
-  List.concat_map
-    (fun n ->
-      List.map
-        (fun s -> run_one ~quick ~n ~scenario_name:s)
-        [ "without load"; "with load"; "load + failures" ])
-    [ 13; 40 ]
+let run ?(quick = false) () = List.map (run_case ~quick) cases
 
 let print rows =
   print_endline
@@ -96,13 +104,9 @@ let print rows =
     "blocks/s" "paper blk/s" "Mb/s per node" "paper Mb/s*";
   List.iter
     (fun r ->
-      let _, _, pb, pm =
-        List.find
-          (fun (n, s, _, _) -> n = r.subnet && String.equal s r.scenario)
-          paper
-      in
       Printf.printf "%-8d %-17s %14.2f %14.2f %16.2f %16.2f\n" r.subnet
-        r.scenario r.blocks_per_s pb r.mbit_per_node_s pm)
+        r.scenario r.blocks_per_s r.paper_blocks_per_s r.mbit_per_node_s
+        r.paper_mbit_per_node_s)
     rows;
   print_endline
     "  (*) paper traffic includes non-consensus flows (client requests, key\n\

@@ -8,15 +8,9 @@ type row = {
   scenario : string;
   blocks_per_s : float;
   mbit_per_node_s : float;
+  paper_blocks_per_s : float;  (** The paper's Table 1 value. *)
+  paper_mbit_per_node_s : float;  (** The paper's Table 1 value. *)
 }
 
-val paper : (int * string * float * float) list
-(** The paper's Table 1 values: (subnet, scenario, blocks/s, Mb/s). *)
-
-val subnet_params : int -> float * float
-(** The deployment constants (epsilon, delta_bnd) mirroring "the current
-    parametrization" per subnet size. *)
-
-val run_one : quick:bool -> n:int -> scenario_name:string -> row
 val run : ?quick:bool -> unit -> row list
 val print : row list -> unit

@@ -11,6 +11,5 @@ type row = {
   latency_in_delta : float;
 }
 
-val delta_bnd : float
 val run : ?quick:bool -> unit -> row list
 val print : row list -> unit

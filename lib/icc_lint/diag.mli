@@ -21,11 +21,9 @@ val all_rules : string list
 
 val of_location : Location.t -> rule:string -> msg:string -> t
 
-val compare_finding : t -> t -> int
-(** Keyed total order: (file, line, col, rule, msg). *)
-
 val sort : t list -> t list
-(** Sort and de-duplicate by {!compare_finding}. *)
+(** Sort and de-duplicate by the keyed total order (file, line, col,
+    rule, msg). *)
 
 val to_text : t -> string
 (** ["file:line:col: [rule] msg"]. *)

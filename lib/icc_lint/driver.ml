@@ -24,9 +24,6 @@ let default_protocol_modules =
     "Shamir"; "Group"; "Fp";
   ]
 
-let default ?(dep_paths = []) paths =
-  { paths; dep_paths; protocol_modules = default_protocol_modules }
-
 (* --- artifact discovery ------------------------------------------------- *)
 
 let has_suffix s suf =
@@ -155,4 +152,9 @@ let config_of_args args =
             else [ "lib" ]
         | ps -> ps
       in
-      Ok (default ~dep_paths:(List.rev !deps) paths)
+      Ok
+        {
+          paths;
+          dep_paths = List.rev !deps;
+          protocol_modules = default_protocol_modules;
+        }

@@ -22,12 +22,6 @@ val norm_path : Path.t -> string
 
 val path_components : Path.t -> string list
 
-val type_key : Path.t -> string
-(** ["Module.type"] table key ("Types.party_id"); bare idents keep just
-    the type name and never match the table. *)
-
-val module_of_key : string -> string
-
 val create : unit -> table
 
 val add_cmt : table -> Cmt_format.cmt_infos -> unit

@@ -98,7 +98,6 @@ type t = {
   per_party_beacon : (int * int, int) Hashtbl.t;
   per_round_notarize : (int, int) Hashtbl.t; (* total Notarize events *)
   last_commit_round : (int, int) Hashtbl.t; (* party -> last committed round *)
-  corrupt : (int, unit) Hashtbl.t; (* parties announced by Adv_corrupt *)
   mutable violations : violation list; (* newest first *)
   mutable stalls : stall list; (* newest first *)
 }
@@ -119,7 +118,6 @@ let create ?trace config =
     per_party_beacon = Hashtbl.create 64;
     per_round_notarize = Hashtbl.create 64;
     last_commit_round = Hashtbl.create 16;
-    corrupt = Hashtbl.create 8;
     violations = [];
     stalls = [];
   }
@@ -483,11 +481,7 @@ let observe t ~time ev =
                    | c -> c)
           in
           List.iter (Hashtbl.remove t.per_party_beacon) stale
-      | Trace.Adv_corrupt { party; _ } ->
-          (* a declared corruption: remember the party so duplicate-share
-             warnings it causes can be attributed (see corrupt_parties) *)
-          Hashtbl.replace t.corrupt party ()
-      | Trace.Adv_equivocate _ | Trace.Adv_withhold _ | Trace.Adv_censor _
+      | Trace.Adv_corrupt _ | Trace.Adv_equivocate _ | Trace.Adv_withhold _ | Trace.Adv_censor _
       | Trace.Adv_delay _ | Trace.Adv_straggle _
       | Trace.Engine_dispatch _ | Trace.Net_send _ | Trace.Net_deliver _
       | Trace.Net_hold _ | Trace.Gossip_publish _ | Trace.Gossip_request _
@@ -513,10 +507,6 @@ let violations t = List.rev t.violations
 let fatal_violations t = List.filter (fun v -> v.v_fatal) (violations t)
 let warnings t = List.filter (fun v -> not v.v_fatal) (violations t)
 let stalls t = List.rev t.stalls
-
-let corrupt_parties t =
-  Hashtbl.fold (fun p () acc -> p :: acc) t.corrupt []
-  |> List.sort Int.compare
 
 let stalled_rounds t =
   List.sort_uniq compare

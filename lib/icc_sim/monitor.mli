@@ -83,10 +83,6 @@ val stalls : t -> stall list  (** In flag order, recovered or not. *)
 val stalled_rounds : t -> int list
 (** Rounds with an unrecovered stall, ascending. *)
 
-val corrupt_parties : t -> int list
-(** Parties announced corrupt by [Adv_corrupt] events, ascending — the
-    adversary's footprint as visible from the trace alone. *)
-
 val ok : t -> bool
 (** No fatal violation recorded. *)
 

@@ -42,7 +42,6 @@ type 'msg t = {
   fault : Fault.t option; (* nemesis interposition *)
   adversary : Adversary.t option; (* corrupt-sender interposition *)
   mutable handler : dst:int -> src:int -> 'msg -> unit;
-  mutable delivered : int;
   mutable links : 'msg link option array array;
       (* [src].([dst]) under [Matrix], made on the link's first unicast *)
   mutable cells : 'msg cells option; (* made with the first link *)
@@ -59,7 +58,6 @@ let create engine ~n ~trace ~delay_model ?(hold_until = neg_infinity) ?fault
     fault;
     adversary;
     handler = (fun ~dst:_ ~src:_ _ -> ());
-    delivered = 0;
     links = [||];
     cells = None;
   }
@@ -78,7 +76,6 @@ let deliver_self t ~src msg =
   Engine.schedule t.engine ~delay:0. (fun () -> t.handler ~dst:src ~src msg)
 
 let deliver t ~src ~dst ~size ~kind msg =
-  t.delivered <- t.delivered + 1;
   if Trace.detailed t.trace then
     Trace.emit t.trace ~time:(Engine.now t.engine)
       (Trace.Net_deliver { src; dst; kind; size });
@@ -217,8 +214,6 @@ let broadcast t ~src ~size ~kind msg =
     if dst = src then deliver_self t ~src msg
     else transmit t ~link:None ~src ~dst ~size ~kind msg
   done
-
-let delivered t = t.delivered
 
 (* An RTT matrix in the paper's observed range (6–110 ms ping RTT between
    data centers): one-way delay = RTT/2, symmetric, diagonal ~0.2 ms. *)

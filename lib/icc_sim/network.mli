@@ -50,7 +50,6 @@ val set_handler : 'msg t -> (dst:int -> src:int -> 'msg -> unit) -> unit
 
 val unicast : 'msg t -> src:int -> dst:int -> size:int -> kind:string -> 'msg -> unit
 val broadcast : 'msg t -> src:int -> size:int -> kind:string -> 'msg -> unit
-val delivered : 'msg t -> int
 
 val wan_matrix : Rng.t -> n:int -> rtt_lo:float -> rtt_hi:float -> float array array
 (** Symmetric one-way delay matrix sampled from RTT ~ U[[rtt_lo], [rtt_hi]]

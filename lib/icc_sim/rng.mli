@@ -5,7 +5,6 @@
 type t
 
 val create : int -> t
-val next_int64 : t -> int64
 
 val bits61 : t -> int
 (** Uniform in [\[0, 2^61)]; the source shape expected by

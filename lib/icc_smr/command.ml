@@ -22,5 +22,3 @@ let decode s =
   | [ "inc"; k ] -> Some (Increment k)
   | [ "noop" ] -> Some Noop
   | _ -> None
-
-let wire_size op = 16 + String.length (encode op)

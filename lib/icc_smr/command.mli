@@ -9,4 +9,3 @@ type op =
 
 val encode : op -> string
 val decode : string -> op option
-val wire_size : op -> int

@@ -11,7 +11,6 @@ type t = {
 
 val create : unit -> t
 val apply_command : t -> Icc_core.Types.command -> unit
-val apply_block : t -> Icc_core.Block.t -> unit
 val apply_chain : t -> Icc_core.Block.t list -> unit
 val state_digest : t -> string
 

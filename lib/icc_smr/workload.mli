@@ -1,8 +1,6 @@
 (** Client workload generators for the replicated key-value store, and a
     one-call replicated-KV deployment over ICC0. *)
 
-val key_space : int
-
 val kv_tag : int -> string
 (** Deterministic mixed workload (sets, deletes, counters) keyed by command
     id. *)

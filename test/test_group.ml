@@ -88,6 +88,16 @@ let test_base_pow_uses_generator () =
         (Icc_crypto.Group.base_pow e))
     [ 0; 1; Icc_crypto.Group.q - 1; Icc_crypto.Group.q; Icc_crypto.Group.q + 1 ]
 
+(* The fixed-base cache is an optimisation toggle: switching it off must
+   not change a single generator power (§3.5). *)
+let test_base_pow_fixed_base_off () =
+  let exps = List.init 64 (fun _ -> G.random_scalar rand_bits) in
+  let run () = List.map G.base_pow exps in
+  let on = run () in
+  G.set_fixed_base false;
+  let off = Fun.protect ~finally:(fun () -> G.set_fixed_base true) run in
+  Alcotest.(check (list int)) "identical results" on off
+
 let prop_random_scalar_in_range =
   QCheck.Test.make ~name:"random scalars in range" ~count:100 QCheck.unit
     (fun () ->
@@ -251,6 +261,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pow_cached_matches_pow;
     Alcotest.test_case "base_pow vs generator pow" `Quick
       test_base_pow_uses_generator;
+    Alcotest.test_case "base_pow same, fixed-base off" `Quick
+      test_base_pow_fixed_base_off;
     Alcotest.test_case "zero-remap: random_scalar_nonzero" `Quick
       test_random_scalar_nonzero;
     Alcotest.test_case "zero-remap: scalar_of_hash_nonzero" `Quick
